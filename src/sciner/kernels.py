@@ -1,10 +1,8 @@
 """Numeric inner loops: subword scoring, SGD epochs, word aggregation, decoding.
 
-Two interchangeable backends.  The default compiles the loops with numba's
-@njit; setting SCINER_BACKEND=numpy selects pure-numpy versions instead
-(useful where numba is unavailable or for debugging).  Both are deterministic;
-they are not guaranteed bit-identical to each other because float summation
-order differs.  benchmarks/bench_backends.py compares their throughput.
+One numpy implementation of each kernel.  `epoch_sgd` is vectorized per
+mini-batch and reproduces the token-by-token reference loop in
+tests/kernel_oracles.py bit for bit; the tests compare the two.
 
 All kernels work on primitive arrays:
   weights      (dim, 15) float64
@@ -16,32 +14,10 @@ All kernels work on primitive arrays:
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_ENV_FLAG = "SCINER_BACKEND"
-_requested = os.environ.get(_ENV_FLAG, "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    warnings.warn(f"{_ENV_FLAG}={_requested!r} not recognized, using auto", stacklevel=1)
-    _requested = "auto"
+BACKEND = "numpy"
 
-_numba_njit = None
-if _requested != "numpy":
-    try:
-        from numba import njit as _numba_njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _numba_njit = None
-
-BACKEND = "numba" if _numba_njit is not None else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
 
 def _score_subwords_np(weights, feat, offsets):
     n_sub = len(offsets) - 1
@@ -56,52 +32,61 @@ def _score_subwords_np(weights, feat, offsets):
     return logits
 
 
-def _token_loss_grad_np(weights, feat, offsets, labels, tokens):
-    """Probs, per-token loss, for the given token (subword) indices."""
-    n = len(tokens)
+def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, order,
+              batch_pars, lr):
+    """One epoch of mini-batch SGD on masked cross-entropy, updating `weights` in place.
+
+    Each batch is `batch_pars` paragraphs taken from `order`.  The gradient of
+    the batch-mean loss is computed against the pre-update weights, then
+    applied.  Every sum runs in the same order as a token-by-token loop would
+    (the oracle in tests/kernel_oracles.py), so the weights come out bit for
+    bit identical to it.  `weights` must be C-contiguous.  Returns
+    (summed loss, unmasked token count).
+    """
+    if not weights.flags.c_contiguous:
+        # reshape(-1) would silently copy and the update would be lost
+        raise ValueError("weights must be C-contiguous")
     n_classes = weights.shape[1]
-    probs = np.empty((n, n_classes))
-    loss = 0.0
-    for i, t in enumerate(tokens):
-        z = weights[feat[offsets[t] : offsets[t + 1]]].sum(axis=0)
-        m = z.max()
-        e = np.exp(z - m)
-        s = e.sum()
-        probs[i] = e / s
-        loss += np.log(s) - (z[labels[t]] - m)
-    return probs, loss
-
-
-def _epoch_sgd_np(weights, feat, offsets, labels, mask, par_offsets, order,
-                  batch_pars, lr):
+    flat = weights.reshape(-1)
+    classes = np.arange(n_classes)
+    n_feat = np.diff(offsets)
     total_loss = 0.0
     total_tokens = 0
-    n_pars = len(order)
-    for b_start in range(0, n_pars, batch_pars):
+    for b_start in range(0, len(order), batch_pars):
         batch = order[b_start : b_start + batch_pars]
-        tokens = np.concatenate(
-            [np.arange(par_offsets[p], par_offsets[p + 1]) for p in batch]
-        )
+        counts = par_offsets[batch + 1] - par_offsets[batch]
+        shift = par_offsets[batch] - (np.cumsum(counts) - counts)
+        tokens = np.arange(counts.sum()) + np.repeat(shift, counts)
         tokens = tokens[mask[tokens] != 0]
         n_tok = len(tokens)
         if n_tok == 0:
             continue
-        # gradient of mean cross-entropy over the batch, computed against the
-        # pre-update weights, then applied
-        probs, loss = _token_loss_grad_np(weights, feat, offsets, labels, tokens)
-        grad = probs
-        grad[np.arange(n_tok), labels[tokens]] -= 1.0
+        # (n_tok, kmax) feature rows; padding slots gather 0.0
+        k = n_feat[tokens]
+        cols = np.arange(k.max())
+        pad = cols >= k[:, None]
+        rows = feat[np.where(pad, 0, offsets[tokens][:, None] + cols)]
+        g = weights[rows]
+        g[pad] = 0.0
+        # add the feature columns left to right, as ndarray.sum(axis=0) does per token
+        z = g[:, 0].copy()
+        for j in range(1, len(cols)):
+            z += g[:, j]
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        s = e.sum(axis=1)
+        y = labels[tokens]
+        tok = np.arange(n_tok)
+        # a running (sequential) sum keeps the token-by-token loss grouping
+        total_loss += float(np.cumsum(np.log(s) - (z[tok, y] - m[:, 0]))[-1])
+        grad = e / s[:, None]
+        grad[tok, y] -= 1.0
         grad *= lr / n_tok
-        rows = []
-        reps = []
-        for i, t in enumerate(tokens):
-            k = offsets[t + 1] - offsets[t]
-            rows.append(feat[offsets[t] : offsets[t + 1]])
-            reps.append(np.full(k, i))
-        rows = np.concatenate(rows)
-        reps = np.concatenate(reps)
-        np.subtract.at(weights, rows, grad[reps])
-        total_loss += loss
+        # flat (row, class) indices in token, feature, class order: subtract.at
+        # applies repeated rows in exactly the order of the per-token loop
+        keep = ~pad
+        idx = (rows[keep] * n_classes)[:, None] + classes
+        np.subtract.at(flat, idx.reshape(-1), grad[np.nonzero(keep)[0]].reshape(-1))
         total_tokens += n_tok
     return total_loss, total_tokens
 
@@ -145,162 +130,6 @@ def _decode_constrained_np(scores, legal, gamma, start_row):
     return out, conf
 
 
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-    _njit = _numba_njit(cache=True, nogil=True)
-
-    @_njit
-    def _score_subwords_nb(weights, feat, offsets):
-        n_sub = len(offsets) - 1
-        n_classes = weights.shape[1]
-        probs = np.zeros((n_sub, n_classes))
-        z = np.empty(n_classes)
-        for s in range(n_sub):
-            z[:] = 0.0
-            for j in range(offsets[s], offsets[s + 1]):
-                row = feat[j]
-                for c in range(n_classes):
-                    z[c] += weights[row, c]
-            m = z[0]
-            for c in range(1, n_classes):
-                if z[c] > m:
-                    m = z[c]
-            total = 0.0
-            for c in range(n_classes):
-                e = np.exp(z[c] - m)
-                probs[s, c] = e
-                total += e
-            for c in range(n_classes):
-                probs[s, c] /= total
-        return probs
-
-    @_njit
-    def _epoch_sgd_nb(weights, feat, offsets, labels, mask, par_offsets, order,
-                      batch_pars, lr):
-        n_classes = weights.shape[1]
-        n_pars = len(order)
-        total_loss = 0.0
-        total_tokens = 0
-        max_tokens = 0
-        for b_start in range(0, n_pars, batch_pars):
-            n_tok = 0
-            for bi in range(b_start, min(b_start + batch_pars, n_pars)):
-                p = order[bi]
-                for t in range(par_offsets[p], par_offsets[p + 1]):
-                    if mask[t] != 0:
-                        n_tok += 1
-            if n_tok > max_tokens:
-                max_tokens = n_tok
-        tokens = np.empty(max_tokens, dtype=np.int64)
-        grad = np.empty((max_tokens, n_classes))
-        z = np.empty(n_classes)
-        for b_start in range(0, n_pars, batch_pars):
-            n_tok = 0
-            for bi in range(b_start, min(b_start + batch_pars, n_pars)):
-                p = order[bi]
-                for t in range(par_offsets[p], par_offsets[p + 1]):
-                    if mask[t] != 0:
-                        tokens[n_tok] = t
-                        n_tok += 1
-            if n_tok == 0:
-                continue
-            # phase 1: probabilities and loss against pre-update weights
-            for i in range(n_tok):
-                t = tokens[i]
-                z[:] = 0.0
-                for j in range(offsets[t], offsets[t + 1]):
-                    row = feat[j]
-                    for c in range(n_classes):
-                        z[c] += weights[row, c]
-                m = z[0]
-                for c in range(1, n_classes):
-                    if z[c] > m:
-                        m = z[c]
-                total = 0.0
-                for c in range(n_classes):
-                    e = np.exp(z[c] - m)
-                    grad[i, c] = e
-                    total += e
-                y = labels[t]
-                total_loss += np.log(total) - (z[y] - m)
-                for c in range(n_classes):
-                    grad[i, c] /= total
-                grad[i, y] -= 1.0
-            # phase 2: apply mean gradient
-            scale = lr / n_tok
-            for i in range(n_tok):
-                t = tokens[i]
-                for j in range(offsets[t], offsets[t + 1]):
-                    row = feat[j]
-                    for c in range(n_classes):
-                        weights[row, c] -= scale * grad[i, c]
-            total_tokens += n_tok
-        return total_loss, total_tokens
-
-    @_njit
-    def _aggregate_words_nb(probs, word_idx, n_words):
-        n_sub, n_classes = probs.shape
-        scores = np.zeros((n_words, n_classes))
-        counts = np.zeros(n_words, dtype=np.int64)
-        for s in range(n_sub):
-            counts[word_idx[s]] += 1
-        for s in range(n_sub):
-            w = word_idx[s]
-            if counts[w] == 1:
-                for c in range(n_classes):
-                    scores[w, c] = probs[s, c]
-        started = np.zeros(n_words, dtype=np.uint8)
-        for s in range(n_sub):
-            w = word_idx[s]
-            if counts[w] <= 1:
-                continue
-            if started[w] == 0:
-                started[w] = 1
-                for c in range(n_classes):
-                    scores[w, c] = np.log(probs[s, c]) if probs[s, c] > 0.0 else -np.inf
-            else:
-                for c in range(n_classes):
-                    scores[w, c] += np.log(probs[s, c]) if probs[s, c] > 0.0 else -np.inf
-        for w in range(n_words):
-            if counts[w] > 1:
-                for c in range(n_classes):
-                    scores[w, c] = np.exp(scores[w, c])
-        return scores
-
-    @_njit
-    def _decode_constrained_nb(scores, legal, gamma, start_row):
-        n_words, n_classes = scores.shape
-        out = np.empty(n_words, dtype=np.int64)
-        conf = np.empty(n_words)
-        amb = legal.shape[0] - 1
-        prev = -1
-        for w in range(n_words):
-            r = start_row if prev < 0 else prev
-            best = -1
-            best_score = -1.0
-            for c in range(n_classes):
-                if legal[r, c] != 0 and scores[w, c] > best_score:
-                    best = c
-                    best_score = scores[w, c]
-            if best_score >= gamma:
-                out[w] = best
-                prev = best
-            else:
-                out[w] = amb
-                prev = amb
-            conf[w] = best_score
-        return out, conf
-
-    score_subwords = _score_subwords_nb
-    epoch_sgd = _epoch_sgd_nb
-    aggregate_words = _aggregate_words_nb
-    decode_constrained = _decode_constrained_nb
-
-else:
-    score_subwords = _score_subwords_np
-    epoch_sgd = _epoch_sgd_np
-    aggregate_words = _aggregate_words_np
-    decode_constrained = _decode_constrained_np
+score_subwords = _score_subwords_np
+aggregate_words = _aggregate_words_np
+decode_constrained = _decode_constrained_np

@@ -145,9 +145,23 @@ def _model_path(run_dir: str, iteration: int) -> str:
     return os.path.join(run_dir, f"model_iter{iteration:02d}.npz")
 
 
-def _load_record(path: str) -> IterationRecord:
+def _iteration_hash(config: LoopConfig) -> str:
+    """`config_hash` without `iterations`: iteration k's artifacts do not depend
+    on how many iterations follow, so a run may be resumed with a larger count."""
+    return replace(config, iterations=1).config_hash()
+
+
+def _load_record(path: str, iteration_hash: str) -> IterationRecord:
+    """Read a persisted record; it must have been written under `iteration_hash`."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
+    stored = data.get("iteration_config_hash")
+    if stored != iteration_hash:
+        raise ValueError(
+            f"{path}: written with iteration config hash {stored!r}, but this run's "
+            f"is {iteration_hash!r}; resume only with the config that made the "
+            "run directory, or use a fresh one"
+        )
     stats = GateStats(
         total_words=data["gate_stats"]["total_words"],
         amb_words=data["gate_stats"]["amb_words"],
@@ -184,7 +198,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             rec_path = _record_path(run_dir, iteration)
             model_path = _model_path(run_dir, iteration)
             if os.path.exists(rec_path) and os.path.exists(model_path):
-                records.append(_load_record(rec_path))
+                records.append(_load_record(rec_path, _iteration_hash(config)))
                 model = TaggerModel.load(model_path)
                 log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
@@ -202,7 +216,8 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             record.model_path = model_path
             from .util import atomic_write
 
+            payload = {**record.to_dict(), "iteration_config_hash": _iteration_hash(config)}
             with atomic_write(_record_path(run_dir, iteration)) as handle:
-                json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
+                json.dump(payload, handle, indent=2, sort_keys=True)
         records.append(record)
     return records, model

@@ -11,6 +11,7 @@ reader instead, so the rest of the pipeline is agnostic to the source.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import kernels, tag_schema
 from .errors import AlignmentError, FormatError
+from .util import atomic_write
 
 DEFAULT_HASH_DIM = 1 << 20
 SUBWORD_WIDTH = 4
@@ -234,15 +236,20 @@ class TaggerModel:
         return cls(np.zeros((hash_dim, tag_schema.NUM_CLASSES)), hash_dim)
 
     def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            format=MODEL_FORMAT,
-            weights=self.weights,
-            hash_dim=self.hash_dim,
-            epochs_run=self.epochs_run,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
+        """Write the model to `path` (".npz" appended if missing), atomically."""
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        with atomic_write(path, "wb", encoding=None) as handle:
+            np.savez_compressed(
+                handle,
+                format=MODEL_FORMAT,
+                weights=self.weights,
+                hash_dim=self.hash_dim,
+                epochs_run=self.epochs_run,
+                learning_rate=self.learning_rate,
+                seed=self.seed,
+            )
 
     @classmethod
     def load(cls, path) -> "TaggerModel":

@@ -225,6 +225,15 @@ class TestLoop:
         assert code == 2
         assert "train_annotations" in err
 
+    def test_resume_with_changed_config_exits_two(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(run_dir),
+                "--iterations", "1"]
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--resume", "--seed", "12")
+        assert code == 2
+        assert "iteration_01.json" in err and "config hash" in err
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "weird.cfg"
         config.write_text("mystery_knob=1\n", encoding="utf-8")

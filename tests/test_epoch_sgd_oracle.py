@@ -1,0 +1,133 @@
+"""The vectorized SGD epoch against the token-by-token oracle: bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sciner import kernels
+
+from kernel_oracles import _epoch_sgd_np
+
+
+def make_problem(paragraphs, dim, seed):
+    """Kernel arrays from `paragraphs`: lists of (features, label, unmasked) subwords."""
+    feat, offsets, labels, mask, par_offsets = [], [0], [], [], [0]
+    for subwords in paragraphs:
+        for features, label, unmasked in subwords:
+            feat.extend(features)
+            offsets.append(len(feat))
+            labels.append(label)
+            mask.append(unmasked)
+        par_offsets.append(len(labels))
+    weights = np.random.default_rng(seed).normal(scale=0.3, size=(dim, 15))
+    return (
+        weights,
+        np.asarray(feat, dtype=np.int64),
+        np.asarray(offsets, dtype=np.int64),
+        np.asarray(labels, dtype=np.int64),
+        np.asarray(mask, dtype=np.uint8),
+        np.asarray(par_offsets, dtype=np.int64),
+    )
+
+
+def random_paragraphs(rng, n_pars, max_feats, dim, p_unmasked=0.8):
+    # a small `dim` makes feature rows repeat inside a batch, so the order in
+    # which repeated rows are updated matters
+    return [
+        [
+            (
+                rng.integers(0, dim, int(rng.integers(1, max_feats + 1))).tolist(),
+                int(rng.integers(0, 15)),
+                bool(rng.random() < p_unmasked),
+            )
+            for _ in range(int(rng.integers(0, 9)))
+        ]
+        for _ in range(n_pars)
+    ]
+
+
+def assert_bit_exact(problem, order, batch_pars, lr):
+    weights, feat, offsets, labels, mask, par_offsets = problem
+    fast = weights.copy()
+    ref = weights.copy()
+    loss_f, n_f = kernels.epoch_sgd(
+        fast, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr
+    )
+    loss_r, n_r = _epoch_sgd_np(
+        ref, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr
+    )
+    assert np.array_equal(fast, ref)
+    assert loss_f == loss_r
+    assert n_f == n_r
+
+
+@pytest.mark.parametrize("max_feats", [1, 2, 7, 20])
+@pytest.mark.parametrize("batch_pars", [1, 2, 3, 4, 5])
+def test_random_problems(max_feats, batch_pars):
+    rng = np.random.default_rng(100 * max_feats + batch_pars)
+    for _ in range(6):
+        dim = int(rng.integers(4, 64))
+        paragraphs = random_paragraphs(rng, int(rng.integers(1, 12)), max_feats, dim)
+        problem = make_problem(paragraphs, dim, int(rng.integers(1 << 30)))
+        order = rng.permutation(len(paragraphs)).astype(np.int64)
+        assert_bit_exact(problem, order, batch_pars, float(rng.choice([1e-4, 0.5, 16.0])))
+
+
+def test_batch_larger_than_corpus():
+    rng = np.random.default_rng(1)
+    paragraphs = random_paragraphs(rng, 4, 20, 16)
+    order = rng.permutation(4).astype(np.int64)
+    assert_bit_exact(make_problem(paragraphs, 16, 1), order, 9, 0.5)
+
+
+def test_all_masked_batches_are_skipped():
+    rng = np.random.default_rng(2)
+    paragraphs = random_paragraphs(rng, 9, 12, 16)
+    for p in (0, 1, 2, 6, 7, 8):
+        paragraphs[p] = [(f, y, False) for f, y, _ in paragraphs[p]]
+    paragraphs[4].append(([3, 5], 2, True))
+    order = np.arange(9, dtype=np.int64)
+    assert_bit_exact(make_problem(paragraphs, 16, 2), order, 3, 0.5)
+
+
+def test_zero_subword_paragraphs():
+    rng = np.random.default_rng(3)
+    paragraphs = random_paragraphs(rng, 8, 5, 16)
+    paragraphs[0] = paragraphs[1] = paragraphs[5] = []
+    paragraphs[3].append(([1], 4, True))
+    order = np.arange(8, dtype=np.int64)
+    for batch_pars in (1, 2, 3):
+        assert_bit_exact(make_problem(paragraphs, 16, 3), order, batch_pars, 0.5)
+
+
+def test_non_contiguous_weights_rejected():
+    rng = np.random.default_rng(4)
+    paragraphs = random_paragraphs(rng, 3, 4, 16, p_unmasked=1.0)
+    weights, *rest = make_problem(paragraphs, 16, 4)
+    for strided in (np.asfortranarray(weights), np.hstack([weights, weights])[:, :15]):
+        before = strided.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.epoch_sgd(strided, *rest, np.arange(3, dtype=np.int64), 2, 0.5)
+        assert np.array_equal(strided, before)
+
+
+DIM = 12
+subword = st.tuples(
+    st.lists(st.integers(0, DIM - 1), min_size=1, max_size=20),
+    st.integers(0, 14),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    paragraphs=st.lists(st.lists(subword, max_size=6), min_size=1, max_size=8),
+    batch_pars=st.integers(1, 10),
+    lr=st.sampled_from([1e-4, 0.5, 16.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_property_matches_oracle(paragraphs, batch_pars, lr, seed, data):
+    order = np.asarray(data.draw(st.permutations(range(len(paragraphs)))), dtype=np.int64)
+    assert_bit_exact(make_problem(paragraphs, DIM, seed), order, batch_pars, lr)

@@ -10,6 +10,8 @@ import pytest
 from sciner import kernels
 from sciner import tag_schema as ts
 
+from kernel_oracles import _epoch_sgd_np
+
 
 def random_problem(rng, n_paragraphs=6, dim=256):
     feat = []
@@ -77,7 +79,7 @@ class TestEpochSgd:
             loss_a, n_a = kernels.epoch_sgd(
                 w_active, feat, offsets, labels, mask, par_offsets, order, 2, 0.5
             )
-            loss_r, n_r = kernels._epoch_sgd_np(
+            loss_r, n_r = _epoch_sgd_np(
                 w_ref, feat, offsets, labels, mask, par_offsets, order, 2, 0.5
             )
             assert n_a == n_r == int(mask.sum())

@@ -155,6 +155,27 @@ class TestRunLoop:
             assert a.gate_stats.to_dict() == b.gate_stats.to_dict()
         assert np.array_equal(model_full.weights, model_resumed.weights)
 
+    def test_resume_with_other_config_rejected(self, tmp_path):
+        corpus = small_corpus()
+        run_loop(corpus.manual, corpus.auto_inputs, fast_config(iterations=1),
+                 run_dir=tmp_path)
+        other = fast_config(iterations=1, hash_dim=1 << 10)
+        with pytest.raises(ValueError, match="iteration_01.json.*iteration config hash"):
+            run_loop(corpus.manual, corpus.auto_inputs, other,
+                     run_dir=tmp_path, resume=True)
+
+    def test_resume_without_stored_config_hash_rejected(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        record = tmp_path / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert "iteration_config_hash" in data
+        del data["iteration_config_hash"]
+        record.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="iteration_01.json"):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
+
     def test_record_files_json_roundtrip(self, tmp_path):
         corpus = small_corpus()
         records, _ = run_loop(

@@ -348,6 +348,31 @@ class TestModelFile:
         with pytest.raises(ValueError):
             tagger.TaggerModel(weights, 16)
 
+    def test_save_appends_npz_suffix(self, tmp_path):
+        model = tagger.TaggerModel.fresh(16)
+        model.save(tmp_path / "model")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert tagger.TaggerModel.load(tmp_path / "model.npz").hash_dim == 16
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        old = tagger.TaggerModel.fresh(16)
+        old.save(path)
+        before = path.read_bytes()
+
+        def crash_part_way(file, **arrays):
+            if not hasattr(file, "write"):
+                file = open(file, "wb")
+            file.write(before[: len(before) // 2])
+            file.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tagger.np, "savez_compressed", crash_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            tagger.TaggerModel(np.ones((16, 15)), 16).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
 
 def probs_line(paper_id="p", paragraph=0, word_index=0, subword_index=0, probs=None):
     if probs is None:
