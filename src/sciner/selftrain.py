@@ -22,6 +22,7 @@ import numpy as np
 from . import dataset, evaluation
 from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
+from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -151,16 +152,46 @@ def _iteration_hash(config: LoopConfig) -> str:
     return replace(config, iterations=1).config_hash()
 
 
-def _load_record(path: str, iteration_hash: str) -> IterationRecord:
-    """Read a persisted record; it must have been written under `iteration_hash`."""
+def _inputs_sha256(manual_train, auto_corpus, test_set) -> str:
+    """sha256 of the JSON of every manual, auto and test paragraph, each as
+    [paper_id, paragraph_index, words, labels, provenance].  The training
+    mask is derived from the labels, so they cover it."""
+
+    def canon(paragraphs):
+        return [
+            [p.paper_id, p.paragraph_index, p.words, p.labels, p.provenance]
+            for p in paragraphs
+        ]
+
+    payload = json.dumps(
+        {
+            "manual": canon(manual_train),
+            "auto": canon(auto_corpus),
+            "test": None if test_set is None else canon(test_set),
+        },
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> IterationRecord:
+    """Read a persisted record; it must have been written under
+    `iteration_config_hash` from inputs hashing to `inputs_sha256`."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     stored = data.get("iteration_config_hash")
-    if stored != iteration_hash:
+    if stored != iteration_config_hash:
         raise ValueError(
             f"{path}: written with iteration config hash {stored!r}, but this run's "
-            f"is {iteration_hash!r}; resume only with the config that made the "
+            f"is {iteration_config_hash!r}; resume only with the config that made the "
             "run directory, or use a fresh one"
+        )
+    stored = data.get("inputs_sha256")
+    if stored != inputs_sha256:
+        raise ValueError(
+            f"{path}: written from inputs with sha256 {stored!r}, but this run's "
+            f"inputs hash to {inputs_sha256!r}; resume only with the manual, auto "
+            "and test data that made the run directory, or use a fresh one"
         )
     stats = GateStats(
         total_words=data["gate_stats"]["total_words"],
@@ -187,9 +218,14 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
     """
     manual_train = list(manual_train)
     auto_corpus = list(auto_corpus)
+    test_set = None if test_set is None else list(test_set)
     if run_dir is not None:
         run_dir = os.fspath(run_dir)
         os.makedirs(run_dir, exist_ok=True)
+        stamp = {
+            "iteration_config_hash": _iteration_hash(config),
+            "inputs_sha256": _inputs_sha256(manual_train, auto_corpus, test_set),
+        }
 
     records: list[IterationRecord] = []
     model: TaggerModel | None = None
@@ -198,7 +234,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             rec_path = _record_path(run_dir, iteration)
             model_path = _model_path(run_dir, iteration)
             if os.path.exists(rec_path) and os.path.exists(model_path):
-                records.append(_load_record(rec_path, _iteration_hash(config)))
+                records.append(_load_record(rec_path, **stamp))
                 model = TaggerModel.load(model_path)
                 log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
@@ -214,9 +250,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             model_path = _model_path(run_dir, iteration)
             model.save(model_path)
             record.model_path = model_path
-            from .util import atomic_write
-
-            payload = {**record.to_dict(), "iteration_config_hash": _iteration_hash(config)}
+            payload = {**record.to_dict(), **stamp}
             with atomic_write(_record_path(run_dir, iteration)) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
         records.append(record)

@@ -25,7 +25,8 @@ DEFAULT_HASH_DIM = 1 << 20
 SUBWORD_WIDTH = 4
 CONTINUATION_MARK = "##"
 
-MODEL_FORMAT = "sciner-tagger-v1"
+MODEL_FORMAT = "sciner-tagger-v2"  # nonzero weight rows only
+MODEL_FORMAT_V1 = "sciner-tagger-v1"  # dense weights; still read, no longer written
 
 
 @dataclass(frozen=True)
@@ -236,15 +237,21 @@ class TaggerModel:
         return cls(np.zeros((hash_dim, tag_schema.NUM_CLASSES)), hash_dim)
 
     def save(self, path) -> None:
-        """Write the model to `path` (".npz" appended if missing), atomically."""
+        """Write the model to `path` (".npz" appended if missing), atomically.
+
+        Only rows with a nonzero bit pattern are stored: hashed features touch
+        few rows, and comparing bits rather than values keeps rows of -0.0.
+        """
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
+        rows = np.flatnonzero(self.weights.view(np.int64).any(axis=1))
         with atomic_write(path, "wb", encoding=None) as handle:
             np.savez_compressed(
                 handle,
                 format=MODEL_FORMAT,
-                weights=self.weights,
+                rows=rows,
+                values=self.weights[rows],
                 hash_dim=self.hash_dim,
                 epochs_run=self.epochs_run,
                 learning_rate=self.learning_rate,
@@ -253,17 +260,46 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path) -> "TaggerModel":
+        """Read a model written by :meth:`save` (or a dense v1 file)."""
         with np.load(path, allow_pickle=False) as data:
-            fmt = str(data["format"])
-            if fmt != MODEL_FORMAT:
-                raise FormatError(f"unknown model format {fmt!r}")
-            return cls(
-                weights=data["weights"],
-                hash_dim=int(data["hash_dim"]),
-                epochs_run=int(data["epochs_run"]),
-                learning_rate=float(data["learning_rate"]),
-                seed=int(data["seed"]),
-            )
+            try:
+                fmt = str(data["format"])
+                if fmt == MODEL_FORMAT:
+                    hash_dim = int(data["hash_dim"])
+                    weights = _scatter_rows(path, data["rows"], data["values"], hash_dim)
+                elif fmt == MODEL_FORMAT_V1:
+                    weights = data["weights"]
+                    hash_dim = int(data["hash_dim"])
+                else:
+                    raise FormatError(f"{path}: unknown model format {fmt!r}")
+                return cls(
+                    weights=weights,
+                    hash_dim=hash_dim,
+                    epochs_run=int(data["epochs_run"]),
+                    learning_rate=float(data["learning_rate"]),
+                    seed=int(data["seed"]),
+                )
+            except KeyError as exc:
+                raise FormatError(f"{path}: model file lacks {exc.args[0]!r}") from None
+
+
+def _scatter_rows(path, rows, values, hash_dim: int) -> np.ndarray:
+    """Dense weights from a v2 file's sorted nonzero `rows` and their `values`."""
+    n_classes = tag_schema.NUM_CLASSES
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise FormatError(f"{path}: rows must be a 1-D integer array")
+    if (np.diff(rows) <= 0).any():
+        raise FormatError(f"{path}: rows must be strictly increasing")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= hash_dim):
+        raise FormatError(f"{path}: rows must lie in [0, {hash_dim})")
+    if values.dtype != np.float64 or values.shape != (len(rows), n_classes):
+        raise FormatError(
+            f"{path}: values are {values.dtype} {values.shape}, "
+            f"expected float64 ({len(rows)}, {n_classes})"
+        )
+    weights = np.zeros((hash_dim, n_classes))
+    weights[rows] = values
+    return weights
 
 
 @dataclass
@@ -464,21 +500,26 @@ def load_external_probs(source):
 def group_external_probs(records):
     """Group records into {(paper_id, paragraph): (word_idx array, probs matrix)}.
 
-    Records must already be ordered by (paragraph, word_index, subword_index)
-    within each paper, as the file format requires.
+    Within a paragraph, records must be in strictly increasing
+    (word_index, subword_index) order, as the file format requires; a repeated
+    or out-of-order pair is an AlignmentError.
     """
-    grouped: dict[tuple[str, int], tuple[list[int], list[np.ndarray]]] = {}
+    grouped: dict[tuple[str, int], tuple[list[int], list[int], list[np.ndarray]]] = {}
     for record in records:
         key = (record.paper_id, record.paragraph)
-        word_idx, probs = grouped.setdefault(key, ([], []))
+        word_idx, sub_idx, probs = grouped.setdefault(key, ([], [], []))
         word_idx.append(record.word_index)
+        sub_idx.append(record.subword_index)
         probs.append(record.probs)
     out = {}
-    for key, (word_idx, probs) in grouped.items():
+    for key, (word_idx, sub_idx, probs) in grouped.items():
         idx = np.asarray(word_idx, dtype=np.int64)
-        if len(idx) > 1 and (np.diff(idx) < 0).any():
+        d_word = np.diff(idx)
+        d_sub = np.diff(np.asarray(sub_idx, dtype=np.int64))
+        if ((d_word < 0) | ((d_word == 0) & (d_sub <= 0))).any():
             raise AlignmentError(
-                f"probability records for {key[0]} paragraph {key[1]} are out of order"
+                f"probability records for {key[0]} paragraph {key[1]} are out of "
+                "order or repeat a (word_index, subword_index) pair"
             )
         out[key] = (idx, np.vstack(probs))
     return out

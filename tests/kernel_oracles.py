@@ -2,6 +2,8 @@
 
 `_epoch_sgd_np` walks the batch one token (subword) at a time; the vectorized
 `sciner.kernels.epoch_sgd` must reproduce its weights and loss bit for bit.
+`score_subwords_ref`, `aggregate_words_ref` and `decode_constrained_ref` work
+one subword or one word at a time.
 """
 
 import numpy as np
@@ -55,3 +57,44 @@ def _epoch_sgd_np(weights, feat, offsets, labels, mask, par_offsets, order,
         total_loss += loss
         total_tokens += n_tok
     return total_loss, total_tokens
+
+
+def score_subwords_ref(weights, feat, offsets):
+    """Per subword: sum its feature rows, then softmax over the classes."""
+    n_sub = len(offsets) - 1
+    probs = np.zeros((n_sub, weights.shape[1]))
+    for s in range(n_sub):
+        z = weights[feat[offsets[s] : offsets[s + 1]]].sum(axis=0)
+        e = np.exp(z - z.max())
+        probs[s] = e / e.sum()
+    return probs
+
+
+def aggregate_words_ref(probs, word_idx, n_words):
+    """Per word: the product of its subword distributions, taken in log space;
+    a word with a single subword keeps that distribution unchanged."""
+    scores = np.zeros((n_words, probs.shape[1]))
+    for w in range(n_words):
+        rows = probs[word_idx == w]
+        if len(rows) == 1:
+            scores[w] = rows[0]
+        else:
+            with np.errstate(divide="ignore"):
+                scores[w] = np.exp(np.log(rows).sum(axis=0))
+    return scores
+
+
+def decode_constrained_ref(scores, legal, gamma, start_row):
+    """Per word: the best class legal after the previous label (the lowest index
+    wins a tie), kept if its score is >= gamma, else amb (the last legal row)."""
+    amb = legal.shape[0] - 1
+    labels = np.zeros(len(scores), dtype=np.int64)
+    conf = np.zeros(len(scores))
+    prev = start_row
+    for w, row in enumerate(scores):
+        allowed = np.flatnonzero(legal[prev, : len(row)])
+        best = allowed[np.argmax(row[allowed])]
+        conf[w] = row[best]
+        labels[w] = best if row[best] >= gamma else amb
+        prev = labels[w]
+    return labels, conf

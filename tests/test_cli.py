@@ -234,6 +234,25 @@ class TestLoop:
         assert code == 2
         assert "iteration_01.json" in err and "config hash" in err
 
+    def test_resume_with_changed_inputs_exits_two(self, workspace, corpus, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(run_dir),
+                "--iterations", "1"]
+        assert run_cli(capsys, *argv)[0] == 0
+        with open(tmp_path / "train.ann", "w", encoding="utf-8") as handle:
+            dataset.write_annotations(corpus.manual[:-1], handle)
+        config = tmp_path / "other.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8").replace(
+                str(workspace / "train.ann"), str(tmp_path / "train.ann")
+            ),
+            encoding="utf-8",
+        )
+        argv[2] = str(config)
+        code, out, err = run_cli(capsys, *argv, "--resume")
+        assert code == 2
+        assert "iteration_01.json" in err and "inputs" in err
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "weird.cfg"
         config.write_text("mystery_knob=1\n", encoding="utf-8")

@@ -10,7 +10,12 @@ import pytest
 from sciner import kernels
 from sciner import tag_schema as ts
 
-from kernel_oracles import _epoch_sgd_np
+from kernel_oracles import (
+    _epoch_sgd_np,
+    aggregate_words_ref,
+    decode_constrained_ref,
+    score_subwords_ref,
+)
 
 
 def random_problem(rng, n_paragraphs=6, dim=256):
@@ -57,7 +62,7 @@ class TestScoreSubwords:
         for _ in range(20):
             weights, feat, offsets, *_ = random_problem(rng)
             active = kernels.score_subwords(weights, feat, offsets)
-            reference = kernels._score_subwords_np(weights, feat, offsets)
+            reference = score_subwords_ref(weights, feat, offsets)
             np.testing.assert_allclose(active, reference, atol=1e-12)
             np.testing.assert_allclose(active.sum(axis=1), 1.0, atol=1e-9)
 
@@ -119,7 +124,7 @@ class TestAggregateWords:
             ).astype(np.int64)
             probs = rng.dirichlet(np.ones(15), size=len(word_idx))
             active = kernels.aggregate_words(probs, word_idx, n_words)
-            reference = kernels._aggregate_words_np(probs, word_idx, n_words)
+            reference = aggregate_words_ref(probs, word_idx, n_words)
             np.testing.assert_allclose(active, reference, atol=1e-12)
 
     def test_single_subword_passthrough_exact(self):
@@ -139,6 +144,19 @@ class TestDecode:
             scores = rng.random((int(rng.integers(0, 12)), 15))
             for gamma in (0.1, 0.5, 0.98):
                 la, ca = kernels.decode_constrained(scores, legal, gamma, start)
-                lr, cr = kernels._decode_constrained_np(scores, legal, gamma, start)
+                lr, cr = decode_constrained_ref(scores, legal, gamma, start)
+                assert np.array_equal(la, lr)
+                assert np.array_equal(ca, cr)
+
+    def test_ties_and_gate_boundary_match_reference(self):
+        # scores on a 1/4 grid: argmax ties and scores equal to gamma are common
+        legal = ts.LEGAL_TRANSITIONS[:, : ts.NUM_CLASSES].astype(np.uint8)
+        start = ts.label_index(ts.O_LABEL)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            scores = rng.integers(0, 5, size=(int(rng.integers(1, 12)), 15)) / 4.0
+            for gamma in (0.25, 0.5, 1.0):
+                la, ca = kernels.decode_constrained(scores, legal, gamma, start)
+                lr, cr = decode_constrained_ref(scores, legal, gamma, start)
                 assert np.array_equal(la, lr)
                 assert np.array_equal(ca, cr)

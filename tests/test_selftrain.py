@@ -1,6 +1,7 @@
 """Self-training loop tests: determinism, degenerate gates, resume."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,44 @@ class TestRunLoop:
         del data["iteration_config_hash"]
         record.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError, match="iteration_01.json"):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
+
+    def test_resume_on_other_inputs_rejected(self, tmp_path):
+        cfg = fast_config(iterations=1)
+        first = synth.make_corpus(n_manual=40, n_auto=80, n_test=30, seed=1)
+        run_loop(first.manual, first.auto_inputs, cfg, test_set=first.test, run_dir=tmp_path)
+        other = synth.make_corpus(n_manual=40, n_auto=80, n_test=30, seed=2)
+        with pytest.raises(ValueError, match="iteration_01.json.*inputs"):
+            run_loop(other.manual, other.auto_inputs, cfg, test_set=other.test,
+                     run_dir=tmp_path, resume=True)
+
+    def test_resume_with_other_test_set_or_label_rejected(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, test_set=corpus.test,
+                 run_dir=tmp_path)
+        with pytest.raises(ValueError, match="iteration_01.json.*inputs"):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, test_set=corpus.test[1:],
+                     run_dir=tmp_path, resume=True)
+        relabelled = [replace(p) for p in corpus.manual]
+        relabelled[0].labels = ["O"] * len(relabelled[0].words)
+        with pytest.raises(ValueError, match="iteration_01.json.*inputs"):
+            run_loop(relabelled, corpus.auto_inputs, cfg, test_set=corpus.test,
+                     run_dir=tmp_path, resume=True)
+        _, model = run_loop(corpus.manual, corpus.auto_inputs, cfg, test_set=corpus.test,
+                            run_dir=tmp_path, resume=True)
+        assert model is not None
+
+    def test_resume_without_stored_inputs_hash_rejected(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        record = tmp_path / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert len(data["inputs_sha256"]) == 64
+        del data["inputs_sha256"]
+        record.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="iteration_01.json.*inputs"):
             run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
 
     def test_record_files_json_roundtrip(self, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from sciner import tag_schema as ts
 from sciner import tagger
 from sciner.dataset import TrainingExample
-from sciner.errors import FormatError
+from sciner.errors import AlignmentError, FormatError
 
 
 class TestSegmentation:
@@ -373,6 +373,81 @@ class TestModelFile:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
+    def test_roundtrip_bit_exact_signed_zero_and_denormals(self, tmp_path):
+        weights = np.zeros((64, 15))
+        weights[3, 4] = -0.0  # a row holding only -0.0 must not come back as +0.0
+        weights[10] = np.linspace(-1.0, 1.0, 15)
+        weights[11, 0] = 5e-324  # smallest denormal
+        weights[11, 14] = -np.finfo(np.float64).tiny / 3
+        weights[63, 7] = 1e300
+        model = tagger.TaggerModel(weights, 64, epochs_run=7, learning_rate=0.25, seed=9)
+        model.save(tmp_path / "m.npz")
+        loaded = tagger.TaggerModel.load(tmp_path / "m.npz")
+        assert np.array_equal(loaded.weights.view(np.int64), weights.view(np.int64))
+        assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
+            64, 7, 0.25, 9
+        )
+        with np.load(tmp_path / "m.npz") as data:
+            assert str(data["format"]) == tagger.MODEL_FORMAT
+            assert list(data["rows"]) == [3, 10, 11, 63]
+
+    def test_fresh_full_size_model_is_small_and_roundtrips(self, tmp_path):
+        tagger.TaggerModel.fresh(1 << 20).save(tmp_path / "fresh.npz")
+        assert (tmp_path / "fresh.npz").stat().st_size < 64 * 1024
+        loaded = tagger.TaggerModel.load(tmp_path / "fresh.npz")
+        assert loaded.hash_dim == 1 << 20
+        assert not loaded.weights.view(np.int64).any()
+
+    def test_v1_dense_file_loads_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        weights = np.zeros((128, 15))
+        weights[rng.choice(128, 20, replace=False)] = rng.normal(size=(20, 15))
+        weights[5, 5] = -0.0
+        path = tmp_path / "v1.npz"
+        np.savez_compressed(
+            path, format="sciner-tagger-v1", weights=weights, hash_dim=128,
+            epochs_run=3, learning_rate=1e-4, seed=2,
+        )
+        loaded = tagger.TaggerModel.load(path)
+        assert np.array_equal(loaded.weights.view(np.int64), weights.view(np.int64))
+        assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
+            128, 3, 1e-4, 2
+        )
+
+    @pytest.mark.parametrize(
+        "rows, values_shape",
+        [
+            ([4, 2], (2, 15)),  # unsorted
+            ([2, 2], (2, 15)),  # duplicate
+            ([1, 16], (2, 15)),  # row >= hash_dim
+            ([-1, 3], (2, 15)),  # negative row
+            ([1, 3], (3, 15)),  # one values row too many
+            ([1, 3], (2, 14)),  # wrong class count
+            ([[1, 3]], (2, 15)),  # not 1-D
+            ([1.0, 3.0], (2, 15)),  # not integer
+        ],
+    )
+    def test_malformed_v2_file_rejected_with_path(self, tmp_path, rows, values_shape):
+        path = tmp_path / "bad_v2.npz"
+        np.savez_compressed(
+            path, format=tagger.MODEL_FORMAT, rows=np.asarray(rows),
+            values=np.ones(values_shape), hash_dim=16, epochs_run=1,
+            learning_rate=0.1, seed=0,
+        )
+        with pytest.raises(FormatError) as info:
+            tagger.TaggerModel.load(path)
+        assert str(path) in str(info.value)
+
+    def test_v2_file_missing_key_rejected_with_path(self, tmp_path):
+        path = tmp_path / "no_values.npz"
+        np.savez_compressed(
+            path, format=tagger.MODEL_FORMAT, rows=np.arange(2), hash_dim=16,
+            epochs_run=1, learning_rate=0.1, seed=0,
+        )
+        with pytest.raises(FormatError, match="values") as info:
+            tagger.TaggerModel.load(path)
+        assert str(path) in str(info.value)
+
 
 def probs_line(paper_id="p", paragraph=0, word_index=0, subword_index=0, probs=None):
     if probs is None:
@@ -436,3 +511,36 @@ class TestExternalProbs:
         idx, matrix = grouped[("p", 0)]
         assert list(idx) == [0, 1]
         assert matrix.shape == (2, 15)
+
+    def test_grouping_keeps_multi_subword_words(self):
+        lines = [
+            probs_line(word_index=0, subword_index=0),
+            probs_line(word_index=0, subword_index=1),
+            probs_line(word_index=1, subword_index=0),
+        ]
+        grouped = tagger.group_external_probs(
+            tagger.load_external_probs(io.StringIO("\n".join(lines)))
+        )
+        assert list(grouped[("p", 0)][0]) == [0, 0, 1]
+
+    def test_duplicate_subword_rejected(self):
+        lines = [
+            probs_line(word_index=0, subword_index=0),
+            probs_line(word_index=0, subword_index=0),
+            probs_line(word_index=1, subword_index=0),
+        ]
+        with pytest.raises(AlignmentError, match="p paragraph 0"):
+            tagger.group_external_probs(
+                tagger.load_external_probs(io.StringIO("\n".join(lines)))
+            )
+
+    def test_out_of_order_subwords_rejected(self):
+        lines = [
+            probs_line(paragraph=3, word_index=0, subword_index=0),
+            probs_line(paragraph=3, word_index=1, subword_index=1),
+            probs_line(paragraph=3, word_index=1, subword_index=0),
+        ]
+        with pytest.raises(AlignmentError, match="p paragraph 3"):
+            tagger.group_external_probs(
+                tagger.load_external_probs(io.StringIO("\n".join(lines)))
+            )
