@@ -10,7 +10,6 @@ valid by construction.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .tagger import Featurizer, TaggerModel, group_external_probs
 DEFAULT_GAMMA = 0.98
 
 _LEGAL_U8 = tag_schema.LEGAL_TRANSITIONS[:, : tag_schema.NUM_CLASSES].astype(np.uint8)
+_ALL_LEGAL = np.ones_like(_LEGAL_U8)  # gate_label: no transition rules
 _START_ROW = tag_schema.label_index(tag_schema.O_LABEL)
 
 
@@ -47,7 +47,7 @@ class WordProbs:
             raise ValueError(
                 f"scores must have {tag_schema.NUM_CLASSES} entries, got {scores.shape}"
             )
-        if (scores < 0).any() or (scores > 1).any():
+        if not ((scores >= 0) & (scores <= 1)).all():  # NaN fails too
             raise ValueError("scores must lie in [0, 1]")
         self.scores = scores
 
@@ -55,40 +55,27 @@ class WordProbs:
 def aggregate_word_probs(subword_probs) -> WordProbs:
     """Eq.-style product of one word's subword distributions.
 
-    A single subword passes through unchanged; longer words multiply in log
-    space to dodge underflow.
+    Runs `kernels.aggregate_words` on the one word, so this is the product
+    the pipeline computes: a single subword passes through unchanged, longer
+    words multiply in log space to dodge underflow.
     """
-    subword_probs = list(subword_probs)
-    if not subword_probs:
+    rows = [tp.distribution for tp in subword_probs]
+    if not rows:
         raise ValueError("word has no subword probabilities")
-    rows = np.vstack([tp.distribution for tp in subword_probs])
-    if len(rows) == 1:
-        return WordProbs(rows[0].copy())
-    with np.errstate(divide="ignore"):
-        scores = np.exp(np.log(rows).sum(axis=0))
-    return WordProbs(scores)
+    scores = kernels.aggregate_words(np.vstack(rows), np.zeros(len(rows), dtype=np.int64), 1)
+    return WordProbs(scores[0])
 
 
 def gate_label(word_probs: WordProbs, config: GateConfig = GateConfig()) -> str:
     """The argmax class when its score clears gamma (inclusive), else amb.
 
-    Ties break toward the lowest class index.
+    Ties break toward the lowest class index.  This is the pipeline's decode
+    on one word with every class legal.
     """
-    scores = word_probs.scores
-    best = int(scores.argmax())  # argmax returns the first (lowest) max index
-    if scores[best] >= config.gamma:
-        return tag_schema.index_label(best)
-    return tag_schema.AMB
-
-
-def _decode_matrix(score_matrix: np.ndarray, gamma: float):
-    labels_idx, conf = kernels.decode_constrained(
-        np.ascontiguousarray(score_matrix, dtype=np.float64),
-        _LEGAL_U8,
-        gamma,
-        _START_ROW,
+    labels_idx, _ = kernels.decode_constrained(
+        word_probs.scores[None, :], _ALL_LEGAL, config.gamma, _START_ROW
     )
-    return labels_idx, conf
+    return tag_schema.index_label(int(labels_idx[0]))
 
 
 def constrained_decode(paragraph_word_probs, config: GateConfig = GateConfig()) -> list[str]:
@@ -102,7 +89,7 @@ def constrained_decode(paragraph_word_probs, config: GateConfig = GateConfig()) 
     if not paragraph_word_probs:
         return []
     matrix = np.vstack([wp.scores for wp in paragraph_word_probs])
-    labels_idx, _ = _decode_matrix(matrix, config.gamma)
+    labels_idx, _ = kernels.decode_constrained(matrix, _LEGAL_U8, config.gamma, _START_ROW)
     return [tag_schema.index_label(int(i)) for i in labels_idx]
 
 
@@ -143,12 +130,6 @@ class GateStats:
                 self.accepted[label] = self.accepted.get(label, 0) + 1
 
 
-def _word_scores_from_model(model: TaggerModel, featurizer: Featurizer, words):
-    feat, offsets, word_idx = featurizer.paragraph_arrays(words)
-    probs = kernels.score_subwords(model.weights, feat, offsets)
-    return kernels.aggregate_words(probs, word_idx, len(words))
-
-
 def _word_scores_from_stream(grouped, paragraph: AnnotatedParagraph):
     key = (paragraph.paper_id, paragraph.paragraph_index)
     if key not in grouped:
@@ -174,13 +155,16 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
     `source` is either a TaggerModel or an iterable of ExternalProbs records.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
+    `parallelism` is accepted and ignored: annotation is one serial pass,
+    which measured faster than a thread pool.
     """
-    paragraphs = list(paragraphs)
     if isinstance(source, TaggerModel):
         featurizer = Featurizer(source.hash_dim)
 
         def score_paragraph(p):
-            return _word_scores_from_model(source, featurizer, p.words)
+            feat, offsets, word_idx = featurizer.paragraph_arrays(p.words)
+            probs = kernels.score_subwords(source.weights, feat, offsets)
+            return kernels.aggregate_words(probs, word_idx, len(p.words))
 
     else:
         grouped = group_external_probs(source)
@@ -188,27 +172,24 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
         def score_paragraph(p):
             return _word_scores_from_stream(grouped, p)
 
-    def annotate_one(p: AnnotatedParagraph) -> AnnotatedParagraph:
+    annotated = []
+    stats = GateStats()
+    for p in paragraphs:
         if not p.words:
             raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
-        labels_idx, conf = _decode_matrix(score_paragraph(p), config.gamma)
-        labels = [tag_schema.index_label(int(i)) for i in labels_idx]
-        return AnnotatedParagraph(
-            paper_id=p.paper_id,
-            paragraph_index=p.paragraph_index,
-            words=list(p.words),
-            labels=labels,
-            provenance="auto",
-            confidence=[float(c) for c in conf],
+        labels_idx, conf = kernels.decode_constrained(
+            score_paragraph(p), _LEGAL_U8, config.gamma, _START_ROW
         )
-
-    if parallelism > 1 and len(paragraphs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
-            annotated = list(pool.map(annotate_one, paragraphs, chunksize=64))
-    else:
-        annotated = [annotate_one(p) for p in paragraphs]
-
-    stats = GateStats()
-    for p in annotated:
-        stats.merge_counts(p.labels)
+        labels = [tag_schema.index_label(int(i)) for i in labels_idx]
+        stats.merge_counts(labels)
+        annotated.append(
+            AnnotatedParagraph(
+                paper_id=p.paper_id,
+                paragraph_index=p.paragraph_index,
+                words=list(p.words),
+                labels=labels,
+                provenance="auto",
+                confidence=[float(c) for c in conf],
+            )
+        )
     return annotated, stats

@@ -32,7 +32,7 @@ CONFIG_DEFAULTS = {
     "amb_policy": "ignore_positions",
     "hash_dim": str(DEFAULT_HASH_DIM),
     "carry_forward": "false",
-    "parallelism": "1",
+    "parallelism": "1",  # accepted and ignored; annotation is serial
     "step1_epochs": "20",
     "step1_learning_rate": "1e-4",
     "step1_batch_size": "8",
@@ -63,6 +63,7 @@ def read_config(path) -> dict[str, str]:
 
 
 def _loop_config(cfg: dict[str, str]) -> selftrain.LoopConfig:
+    int(cfg["parallelism"])  # ignored, but a non-integer is still an error
     return selftrain.LoopConfig(
         iterations=int(cfg["iterations"]),
         step1=TrainConfig(
@@ -80,7 +81,6 @@ def _loop_config(cfg: dict[str, str]) -> selftrain.LoopConfig:
         seed=int(cfg["seed"]),
         hash_dim=int(cfg["hash_dim"]),
         carry_forward=cfg["carry_forward"].lower() in ("1", "true", "yes"),
-        parallelism=int(cfg["parallelism"]),
     )
 
 
@@ -209,8 +209,8 @@ def cmd_loop(args) -> int:
 
     first_model = TaggerModel.load(records[0].model_path)
     gate = loop_cfg.gate
-    pred_first, _ = annotate_corpus(first_model, test, gate, parallelism=loop_cfg.parallelism)
-    pred_final, _ = annotate_corpus(final_model, test, gate, parallelism=loop_cfg.parallelism)
+    pred_first, _ = annotate_corpus(first_model, test, gate)
+    pred_final, _ = annotate_corpus(final_model, test, gate)
     result = evaluation.bootstrap_compare(
         test, pred_first, pred_final,
         draws=int(cfg["draws"]), draw_size=int(cfg["draw_size"]),
@@ -227,7 +227,7 @@ def cmd_annotate(args) -> int:
     gate = GateConfig(args.gamma)
     model = TaggerModel.load(args.model)
     paragraphs = _read_token_corpus(args.token_dir)
-    annotated, stats = annotate_corpus(model, paragraphs, gate, parallelism=args.parallelism)
+    annotated, stats = annotate_corpus(model, paragraphs, gate)
     with atomic_write(args.out) as handle:
         dataset.write_annotations(annotated, handle)
     print(stats.render())
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", dest="token_dir", required=True, help="directory of <paper_id>.txt files")
     p.add_argument("--out", required=True, help="annotation file output path")
     p.add_argument("--gamma", type=float, default=0.98)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1, help="accepted and ignored")
     p.add_argument("--stats-json", help="also write gate statistics as JSON")
     p.set_defaults(func=cmd_annotate)
 

@@ -19,7 +19,7 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _score_subwords_np(weights, feat, offsets):
+def score_subwords(weights, feat, offsets):
     n_sub = len(offsets) - 1
     n_classes = weights.shape[1]
     if n_sub == 0:
@@ -91,7 +91,7 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, order,
     return total_loss, total_tokens
 
 
-def _aggregate_words_np(probs, word_idx, n_words):
+def aggregate_words(probs, word_idx, n_words):
     """word_idx must be sorted, covering 0..n_words-1 (every word >= 1 subword)."""
     n_classes = probs.shape[1]
     if n_words == 0:
@@ -106,7 +106,7 @@ def _aggregate_words_np(probs, word_idx, n_words):
     return scores
 
 
-def _decode_constrained_np(scores, legal, gamma, start_row):
+def decode_constrained(scores, legal, gamma, start_row):
     n_words, n_classes = scores.shape
     out = np.empty(n_words, dtype=np.int64)
     conf = np.empty(n_words)
@@ -129,7 +129,3 @@ def _decode_constrained_np(scores, legal, gamma, start_row):
         conf[w] = best_score
     return out, conf
 
-
-score_subwords = _score_subwords_np
-aggregate_words = _aggregate_words_np
-decode_constrained = _decode_constrained_np

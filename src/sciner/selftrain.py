@@ -37,7 +37,6 @@ class LoopConfig:
     seed: int = 0
     hash_dim: int = DEFAULT_HASH_DIM
     carry_forward: bool = False  # start step 1 from the previous iteration's model
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -85,8 +84,8 @@ def _step_seed(master: int, iteration: int, step: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
-def _test_metrics(model: TaggerModel, test_set, gate: GateConfig, parallelism: int):
-    predicted, _ = annotate_corpus(model, test_set, gate, parallelism=parallelism)
+def _test_metrics(model: TaggerModel, test_set, gate: GateConfig):
+    predicted, _ = annotate_corpus(model, test_set, gate)
     return evaluation.score(test_set, predicted)
 
 
@@ -104,9 +103,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     step1_cfg = replace(config.step1, seed=_step_seed(config.seed, iteration, 1))
     step1_model = train(manual_examples, step1_cfg, init=init, hash_dim=config.hash_dim)
 
-    auto_annotated, gate_stats = annotate_corpus(
-        step1_model, auto_corpus, config.gate, parallelism=config.parallelism
-    )
+    auto_annotated, gate_stats = annotate_corpus(step1_model, auto_corpus, config.gate)
 
     if gate_stats.total_words and gate_stats.amb_words == gate_stats.total_words:
         message = (
@@ -123,8 +120,8 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     metrics = None
     if test_set is not None:
         metrics = {
-            "step1": _test_metrics(step1_model, test_set, config.gate, config.parallelism).to_dict(),
-            "step3": _test_metrics(model, test_set, config.gate, config.parallelism).to_dict(),
+            "step1": _test_metrics(step1_model, test_set, config.gate).to_dict(),
+            "step3": _test_metrics(model, test_set, config.gate).to_dict(),
         }
 
     record = IterationRecord(

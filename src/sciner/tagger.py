@@ -455,14 +455,16 @@ class ExternalProbs:
 
 
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
+_INDEX_KEYS = ("paragraph", "word_index", "subword_index")
 
 
 def load_external_probs(source):
     """Yield ExternalProbs from a JSON-lines probability file.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
-    anything worse, a wrong class count, or a negative entry is a
-    FormatError naming the record number.
+    anything worse (NaN included), a wrong class count, a negative or
+    non-numeric entry, a line that is not a JSON object, or an index that is
+    not a non-negative integer is a FormatError naming the record number.
     """
     for recno, line in enumerate(source, start=1):
         line = line.strip()
@@ -472,10 +474,27 @@ def load_external_probs(source):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
+        if type(obj) is not dict:
+            raise FormatError(
+                f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"
+            )
         for key in _REQUIRED_KEYS:
             if key not in obj:
                 raise FormatError(f"probability record {recno}: missing key {key!r}")
-        probs = np.asarray(obj["probs"], dtype=np.float64)
+        paragraph, word_index, subword_index = (
+            obj["paragraph"], obj["word_index"], obj["subword_index"]
+        )
+        if not (type(paragraph) is type(word_index) is type(subword_index) is int
+                and paragraph >= 0 and word_index >= 0 and subword_index >= 0):
+            key = next(k for k in _INDEX_KEYS if type(obj[k]) is not int or obj[k] < 0)
+            raise FormatError(
+                f"probability record {recno}: {key} must be a non-negative integer, "
+                f"got {obj[key]!r}"
+            )
+        try:
+            probs = np.asarray(obj["probs"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError(f"probability record {recno}: probs are not numbers") from None
         if probs.shape != (tag_schema.NUM_CLASSES,):
             raise FormatError(
                 f"probability record {recno}: expected {tag_schema.NUM_CLASSES} "
@@ -484,15 +503,15 @@ def load_external_probs(source):
         if (probs < 0).any():
             raise FormatError(f"probability record {recno}: negative probability")
         total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise FormatError(
-                f"probability record {recno}: probabilities sum to {total!r}"
+                f"probability record {recno}: probabilities sum to {float(total)!r}"
             )
         yield ExternalProbs(
             paper_id=str(obj["paper_id"]),
-            paragraph=int(obj["paragraph"]),
-            word_index=int(obj["word_index"]),
-            subword_index=int(obj["subword_index"]),
+            paragraph=paragraph,
+            word_index=word_index,
+            subword_index=subword_index,
             probs=probs / total,
         )
 

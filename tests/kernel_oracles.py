@@ -3,7 +3,8 @@
 `_epoch_sgd_np` walks the batch one token (subword) at a time; the vectorized
 `sciner.kernels.epoch_sgd` must reproduce its weights and loss bit for bit.
 `score_subwords_ref`, `aggregate_words_ref` and `decode_constrained_ref` work
-one subword or one word at a time.
+one subword or one word at a time.  `gate_label_ref` is the argmax-then-gate
+rule that `autoannotate.gate_label` must match.
 """
 
 import numpy as np
@@ -98,3 +99,9 @@ def decode_constrained_ref(scores, legal, gamma, start_row):
         labels[w] = best if row[best] >= gamma else amb
         prev = labels[w]
     return labels, conf
+
+
+def gate_label_ref(scores, gamma):
+    """Class index of the argmax (lowest index on ties) if it reaches gamma, else 15 (amb)."""
+    best = int(np.argmax(scores))
+    return best if scores[best] >= gamma else len(scores)

@@ -1,11 +1,15 @@
 """Word-probability aggregation, gating, and constrained decoding tests."""
 
+import collections
+import concurrent.futures
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
+from sciner import dataset, kernels, synth
 from sciner import tag_schema as ts
 from sciner.autoannotate import (
     GateConfig,
@@ -18,7 +22,17 @@ from sciner.autoannotate import (
 )
 from sciner.dataset import AnnotatedParagraph
 from sciner.errors import AlignmentError
-from sciner.tagger import TaggerModel, TokenProbs, load_external_probs
+from sciner.tagger import (
+    Featurizer,
+    TaggerModel,
+    TokenProbs,
+    TrainConfig,
+    load_external_probs,
+    predict_probs,
+    train,
+)
+
+from kernel_oracles import gate_label_ref
 
 
 def random_distribution(rng):
@@ -296,3 +310,99 @@ class TestGateStats:
         assert "50.0%" in text
         assert "B-TaskName" in text
         assert stats.to_dict()["amb_fraction"] == 0.5
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A model trained on a small synthetic manual set, and that corpus's test set."""
+    corpus = synth.make_corpus(n_manual=40, n_auto=1, n_test=30, seed=5)
+    examples = dataset.merge_for_retraining(corpus.manual, [], "ignore_positions")
+    cfg = TrainConfig(epochs=8, learning_rate=16.0, batch_size=8, seed=1)
+    return train(examples, cfg, hash_dim=1 << 14), corpus.test
+
+
+class TestWordApiIsPipeline:
+    """The word-level API runs the kernels annotate_corpus runs, so the
+    acceptance criteria on it certify the production path."""
+
+    # 1, 2, 3 and 5 subwords of at most 4 characters
+    EXTRA_WORDS = ["BERT", "dataset", "transformer", "regularisationterm"]
+
+    def paragraphs(self, test_set):
+        out = []
+        for k, p in enumerate(test_set):
+            words = list(p.words)
+            words.insert(k % (len(words) + 1), self.EXTRA_WORDS[k % 4])
+            out.append(carrier(words, index=k))
+        return out
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.98])
+    def test_word_api_reproduces_annotate_corpus(self, trained, gamma):
+        model, test_set = trained
+        paragraphs = self.paragraphs(test_set)
+        config = GateConfig(gamma)
+        annotated, stats = annotate_corpus(model, paragraphs, config)
+        featurizer = Featurizer(model.hash_dim)
+        subword_counts = set()
+        for p, got in zip(paragraphs, annotated):
+            feat, offsets, word_idx = featurizer.paragraph_arrays(p.words)
+            kernel_rows = kernels.aggregate_words(
+                kernels.score_subwords(model.weights, feat, offsets), word_idx, len(p.words)
+            )
+            by_word = collections.defaultdict(list)
+            for tp in predict_probs(model, p.words, featurizer):
+                by_word[tp.word_index].append(tp)
+            subword_counts.update(len(v) for v in by_word.values())
+            word_probs = [aggregate_word_probs(by_word[w]) for w in range(len(p.words))]
+            for w, wp in enumerate(word_probs):
+                assert np.array_equal(wp.scores, kernel_rows[w])
+            assert constrained_decode(word_probs, config) == got.labels
+        assert {1, 2, 3, 5} <= subword_counts
+        assert 0 < sum(stats.accepted.values()) and stats.total_words > 0
+
+    def test_gate_label_matches_argmax_then_gate(self):
+        # thirds: uniform scores; a 1/4 grid (argmax ties, scores equal to gamma);
+        # uniform scores with 1-3 entries set to exactly gamma
+        rng = np.random.default_rng(53)
+        mismatches = ties = at_gamma = 0
+        for i in range(20_000):
+            kind = i % 3
+            if kind == 1:
+                scores = rng.integers(0, 5, 15) / 4.0
+                gamma = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+            else:
+                scores = rng.random(15)
+                gamma = float(rng.uniform(0.05, 1.0))
+                if kind == 2:
+                    scores[rng.choice(15, size=rng.integers(1, 4), replace=False)] = gamma
+            top = scores.max()
+            ties += int((scores == top).sum() > 1)
+            at_gamma += int(top == gamma)
+            label = gate_label(WordProbs(scores), GateConfig(gamma))
+            mismatches += int(ts.label_index(label) != gate_label_ref(scores, gamma))
+        assert mismatches == 0
+        assert ties > 1000 and at_gamma > 1000
+
+    def test_word_probs_reject_nan(self):
+        scores = np.full(15, 0.01)
+        scores[4] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            WordProbs(scores)
+
+
+class TestSerialAnnotation:
+    def test_annotation_starts_no_thread(self, trained, monkeypatch):
+        model, test_set = trained
+        paragraphs = [carrier(p.words, index=k) for k, p in enumerate(test_set)]
+        serial, stats_a = annotate_corpus(model, paragraphs, GateConfig())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annotation started a thread")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        parallel, stats_b = annotate_corpus(model, paragraphs, GateConfig(), parallelism=4)
+        assert [(p.labels, p.confidence) for p in parallel] == [
+            (p.labels, p.confidence) for p in serial
+        ]
+        assert stats_a.to_dict() == stats_b.to_dict()

@@ -280,6 +280,55 @@ def trained_run(workspace, tmp_path_factory):
     return run_dir
 
 
+class TestParallelismIgnored:
+    """`parallelism` stays accepted in configs and on `annotate`, with no effect."""
+
+    def config_with(self, workspace, tmp_path, value):
+        config = tmp_path / f"parallelism_{value}.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + f"parallelism={value}\n",
+            encoding="utf-8",
+        )
+        return config
+
+    def test_loop_config_parallelism_accepted(self, workspace, tmp_path, capsys):
+        records = []
+        for name, config in (("plain", workspace / "run.cfg"),
+                             ("four", self.config_with(workspace, tmp_path, 4))):
+            run_dir = tmp_path / name
+            code, out, err = run_cli(
+                capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+                "--iterations", "1",
+            )
+            assert code == 0, err
+            record = json.loads((run_dir / "iteration_01.json").read_text(encoding="utf-8"))
+            records.append((record["metrics"], record["gate_stats"]))
+        assert records[0] == records[1]
+
+    def test_loop_config_non_integer_parallelism_exits_two(self, workspace, tmp_path, capsys):
+        config = self.config_with(workspace, tmp_path, "two")
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "'two'" in err
+
+    def test_annotate_parallelism_writes_identical_file(self, workspace, trained_run,
+                                                        tmp_path, capsys):
+        outputs = []
+        for value in ("1", "4"):
+            out_path = tmp_path / f"auto_{value}.ann"
+            code, out, err = run_cli(
+                capsys, "annotate",
+                "--model", str(trained_run / "model_iter02.npz"),
+                "--tokens", str(workspace / "tokens"),
+                "--out", str(out_path), "--parallelism", value,
+            )
+            assert code == 0, err
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestAnnotateEvalCountsDiff:
     def test_annotate_writes_annotations_and_stats(self, workspace, trained_run,
                                                    tmp_path, capsys):

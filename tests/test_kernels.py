@@ -1,4 +1,4 @@
-"""Backend interchangeability: active kernels vs pure-numpy references."""
+"""The numpy kernels against the slow, obviously-correct oracles in kernel_oracles.py."""
 
 import os
 import subprocess

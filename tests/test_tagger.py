@@ -544,3 +544,42 @@ class TestExternalProbs:
             tagger.group_external_probs(
                 tagger.load_external_probs(io.StringIO("\n".join(lines)))
             )
+
+
+class TestExternalProbsMalformed:
+    """Every malformed record is a FormatError naming its record number."""
+
+    def load(self, *lines):
+        return list(tagger.load_external_probs(io.StringIO("\n".join(lines))))
+
+    def test_nan_probability_rejected(self):
+        probs = [1.0 / 15] * 15
+        probs[3] = float("nan")
+        with pytest.raises(FormatError, match="record 2: probabilities sum to nan"):
+            self.load(probs_line(), probs_line(word_index=1, probs=probs))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null", "true"])
+    def test_line_that_is_not_an_object_rejected(self, line):
+        with pytest.raises(FormatError, match="record 2: expected a JSON object"):
+            self.load(probs_line(), line)
+
+    @pytest.mark.parametrize("key", ["paragraph", "word_index", "subword_index"])
+    @pytest.mark.parametrize("value", ["one", "1.5", "2"])
+    def test_index_string_rejected(self, key, value):
+        with pytest.raises(FormatError, match=f"record 2: {key} must be"):
+            self.load(probs_line(), probs_line(**{key: value}))
+
+    @pytest.mark.parametrize("probs", [["x"] * 15, [[0.5], [0.5, 0.5]], {"a": 1}])
+    def test_non_numeric_probs_rejected(self, probs):
+        with pytest.raises(FormatError, match="record 2: probs are not numbers"):
+            self.load(probs_line(), probs_line(word_index=1, probs=probs))
+
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, None])
+    def test_non_integer_index_rejected(self, value):
+        with pytest.raises(FormatError, match="record 2: word_index must be"):
+            self.load(probs_line(), probs_line(word_index=value))
+
+    @pytest.mark.parametrize("key", ["paragraph", "word_index", "subword_index"])
+    def test_negative_index_rejected(self, key):
+        with pytest.raises(FormatError, match=f"record 2: {key} must be a non-negative"):
+            self.load(probs_line(), probs_line(**{key: -1}))
