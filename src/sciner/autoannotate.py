@@ -139,11 +139,13 @@ def _word_scores_from_stream(grouped, paragraph: AnnotatedParagraph):
         )
     word_idx, probs = grouped[key]
     n_words = len(paragraph.words)
-    covered = np.unique(word_idx)
-    if len(covered) != n_words or covered[0] != 0 or covered[-1] != n_words - 1:
+    # grouping leaves word_idx sorted, so it covers 0..n_words-1 exactly when
+    # it runs from 0 to n_words - 1 without skipping a word
+    if not (word_idx[0] == 0 and word_idx[-1] == n_words - 1
+            and (np.diff(word_idx) <= 1).all()):
         raise AlignmentError(
             f"probability records for {paragraph.paper_id} paragraph "
-            f"{paragraph.paragraph_index} cover {len(covered)} of {n_words} words"
+            f"{paragraph.paragraph_index} cover {len(np.unique(word_idx))} of {n_words} words"
         )
     return kernels.aggregate_words(probs, word_idx, n_words)
 
@@ -152,7 +154,8 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
                     parallelism: int = 1):
     """Label every paragraph via gated constrained decoding.
 
-    `source` is either a TaggerModel or an iterable of ExternalProbs records.
+    `source` is either a TaggerModel, an ExternalProbsTable, or an iterable
+    of ExternalProbs records.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
     `parallelism` is accepted and ignored: annotation is one serial pass,

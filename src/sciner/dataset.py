@@ -229,7 +229,9 @@ def read_annotations(source, filename: str = "<annotations>") -> list[AnnotatedP
         if not line:
             flush(lineno)
             continue
-        if line.startswith("#"):
+        # inside a paragraph, a line with a tab is a word line even when the
+        # word starts with "#" (the tokenizer emits words such as "#1")
+        if line.startswith("#") and (header is None or "\t" not in line):
             if header is not None:
                 fail(lineno, "header inside paragraph (missing blank line?)")
             m = _HEADER_RE.match(line)

@@ -77,8 +77,9 @@ class TokenProbs:
             )
         if (dist < 0).any():
             raise ValueError("negative probability")
-        if abs(dist.sum() - 1.0) > 1e-9:
-            raise ValueError(f"distribution sums to {dist.sum()!r}, not 1")
+        total = float(dist.sum())
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+            raise ValueError(f"distribution sums to {total!r}, not 1")
         self.distribution = dist
 
 
@@ -457,88 +458,198 @@ class ExternalProbs:
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
 
+# Records per numpy pass over their probabilities: large enough that numpy's
+# per-call cost vanishes, small enough that a block's Python lists stay small.
+_BLOCK_RECORDS = 1024
 
-def load_external_probs(source):
-    """Yield ExternalProbs from a JSON-lines probability file.
+
+@dataclass(frozen=True, eq=False)
+class ExternalProbsTable:
+    """A probability file's records as columns, in file order.
+
+    `keys[key_id[i]]` is record i's (paper_id, paragraph); key ids number the
+    keys in order of first appearance, so every key has a record.  Iterating
+    yields ExternalProbs whose `probs` are rows of the `(n, 15)` matrix.
+    """
+
+    keys: list[tuple[str, int]]
+    key_id: np.ndarray  # int64 (n,)
+    word_index: np.ndarray  # int64 (n,)
+    subword_index: np.ndarray  # int64 (n,)
+    probs: np.ndarray  # float64 (n, 15); each row sums to 1
+
+    def __iter__(self):
+        for kid, word_index, subword_index, probs in zip(
+            self.key_id.tolist(), self.word_index.tolist(), self.subword_index.tolist(),
+            self.probs,
+        ):
+            paper_id, paragraph = self.keys[kid]
+            yield ExternalProbs(paper_id, paragraph, word_index, subword_index, probs)
+
+    @classmethod
+    def from_records(cls, records) -> "ExternalProbsTable":
+        key_ids: dict[tuple[str, int], int] = {}
+        kids, words, subs, rows = [], [], [], []
+        for r in records:
+            kids.append(key_ids.setdefault((r.paper_id, r.paragraph), len(key_ids)))
+            words.append(r.word_index)
+            subs.append(r.subword_index)
+            rows.append(r.probs)
+        return cls(
+            keys=list(key_ids),
+            key_id=np.array(kids, dtype=np.int64),
+            word_index=np.array(words, dtype=np.int64),
+            subword_index=np.array(subs, dtype=np.int64),
+            probs=np.array(rows, dtype=np.float64).reshape(len(rows), tag_schema.NUM_CLASSES),
+        )
+
+
+def _record_fields(recno: int, line: str):
+    """(paper_id, paragraph, word_index, subword_index, probs) of one JSON line."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
+    if type(obj) is not dict:
+        raise FormatError(
+            f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"
+        )
+    try:
+        paper_id, paragraph, word_index, subword_index, probs = (
+            obj["paper_id"], obj["paragraph"], obj["word_index"], obj["subword_index"],
+            obj["probs"],
+        )
+    except KeyError:
+        key = next(k for k in _REQUIRED_KEYS if k not in obj)
+        raise FormatError(f"probability record {recno}: missing key {key!r}") from None
+    if not (type(paragraph) is type(word_index) is type(subword_index) is int
+            and paragraph >= 0 and word_index >= 0 and subword_index >= 0):
+        key = next(k for k in _INDEX_KEYS if type(obj[k]) is not int or obj[k] < 0)
+        raise FormatError(
+            f"probability record {recno}: {key} must be a non-negative integer, "
+            f"got {obj[key]!r}"
+        )
+    return str(paper_id), paragraph, word_index, subword_index, probs
+
+
+def _normalized_block(rows, recnos) -> np.ndarray:
+    """The `(len(rows), 15)` float64 matrix of `rows`, each divided by its sum.
+
+    A bad row is a FormatError naming its record number; of several, the
+    first one wins.  When the block does not convert as a whole, its rows are
+    checked again one at a time to find that first one.
+    """
+    n_classes = tag_schema.NUM_CLASSES
+    try:
+        block = np.array(rows, dtype=np.float64)
+        converted = block.shape == (len(rows), n_classes)
+    except (TypeError, ValueError, OverflowError):
+        converted = False
+    if not converted:
+        if len(rows) > 1:
+            return np.vstack([
+                _normalized_block([row], [recno]) for row, recno in zip(rows, recnos)
+            ])
+        recno = recnos[0]
+        try:
+            probs = np.asarray(rows[0], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError(f"probability record {recno}: probs are not numbers") from None
+        raise FormatError(
+            f"probability record {recno}: expected {n_classes} "
+            f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"
+        )
+    negative = (block < 0).any(axis=1)
+    total = block.sum(axis=1)
+    bad = negative | ~(np.abs(total - 1.0) <= 1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise FormatError(f"probability record {recnos[i]}: negative probability")
+        raise FormatError(
+            f"probability record {recnos[i]}: probabilities sum to {float(total[i])!r}"
+        )
+    return block / total[:, None]
+
+
+def load_external_probs(source) -> ExternalProbsTable:
+    """Read a JSON-lines probability file into an ExternalProbsTable.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
     anything worse (NaN included), a wrong class count, a negative or
     non-numeric entry, a line that is not a JSON object, or an index that is
     not a non-negative integer is a FormatError naming the record number.
+    Records from different paragraphs may interleave.
+
+    Each line is parsed and its fields checked in Python; the probabilities
+    are converted and checked by numpy a block of lines at a time.
     """
+    key_ids: dict[tuple[str, int], int] = {}
+    kids, words, subs = [], [], []
+    rows, recnos, blocks = [], [], []
     for recno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
-        if type(obj) is not dict:
-            raise FormatError(
-                f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"
-            )
-        for key in _REQUIRED_KEYS:
-            if key not in obj:
-                raise FormatError(f"probability record {recno}: missing key {key!r}")
-        paragraph, word_index, subword_index = (
-            obj["paragraph"], obj["word_index"], obj["subword_index"]
-        )
-        if not (type(paragraph) is type(word_index) is type(subword_index) is int
-                and paragraph >= 0 and word_index >= 0 and subword_index >= 0):
-            key = next(k for k in _INDEX_KEYS if type(obj[k]) is not int or obj[k] < 0)
-            raise FormatError(
-                f"probability record {recno}: {key} must be a non-negative integer, "
-                f"got {obj[key]!r}"
-            )
-        try:
-            probs = np.asarray(obj["probs"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise FormatError(f"probability record {recno}: probs are not numbers") from None
-        if probs.shape != (tag_schema.NUM_CLASSES,):
-            raise FormatError(
-                f"probability record {recno}: expected {tag_schema.NUM_CLASSES} "
-                f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"
-            )
-        if (probs < 0).any():
-            raise FormatError(f"probability record {recno}: negative probability")
-        total = probs.sum()
-        if not abs(total - 1.0) <= 1e-6:
-            raise FormatError(
-                f"probability record {recno}: probabilities sum to {float(total)!r}"
-            )
-        yield ExternalProbs(
-            paper_id=str(obj["paper_id"]),
-            paragraph=paragraph,
-            word_index=word_index,
-            subword_index=subword_index,
-            probs=probs / total,
-        )
+            paper_id, paragraph, word_index, subword_index, probs = _record_fields(recno, line)
+        except FormatError:
+            if rows:  # an earlier record's bad probabilities come first
+                _normalized_block(rows, recnos)
+            raise
+        kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
+        words.append(word_index)
+        subs.append(subword_index)
+        rows.append(probs)
+        recnos.append(recno)
+        if len(rows) == _BLOCK_RECORDS:
+            blocks.append(_normalized_block(rows, recnos))
+            rows, recnos = [], []
+    if rows:
+        blocks.append(_normalized_block(rows, recnos))
+    return ExternalProbsTable(
+        keys=list(key_ids),
+        key_id=np.array(kids, dtype=np.int64),
+        word_index=np.array(words, dtype=np.int64),
+        subword_index=np.array(subs, dtype=np.int64),
+        probs=(np.concatenate(blocks) if blocks
+               else np.zeros((0, tag_schema.NUM_CLASSES))),
+    )
 
 
 def group_external_probs(records):
     """Group records into {(paper_id, paragraph): (word_idx array, probs matrix)}.
 
-    Within a paragraph, records must be in strictly increasing
-    (word_index, subword_index) order, as the file format requires; a repeated
-    or out-of-order pair is an AlignmentError.
+    `records` is an ExternalProbsTable or any iterable of ExternalProbs; the
+    values are views into the table's columns.  Within a paragraph, records
+    must be in strictly increasing (word_index, subword_index) order, as the
+    file format requires; a repeated or out-of-order pair is an
+    AlignmentError naming the first such paragraph in order of appearance.
     """
-    grouped: dict[tuple[str, int], tuple[list[int], list[int], list[np.ndarray]]] = {}
-    for record in records:
-        key = (record.paper_id, record.paragraph)
-        word_idx, sub_idx, probs = grouped.setdefault(key, ([], [], []))
-        word_idx.append(record.word_index)
-        sub_idx.append(record.subword_index)
-        probs.append(record.probs)
-    out = {}
-    for key, (word_idx, sub_idx, probs) in grouped.items():
-        idx = np.asarray(word_idx, dtype=np.int64)
-        d_word = np.diff(idx)
-        d_sub = np.diff(np.asarray(sub_idx, dtype=np.int64))
-        if ((d_word < 0) | ((d_word == 0) & (d_sub <= 0))).any():
-            raise AlignmentError(
-                f"probability records for {key[0]} paragraph {key[1]} are out of "
-                "order or repeat a (word_index, subword_index) pair"
-            )
-        out[key] = (idx, np.vstack(probs))
-    return out
+    if isinstance(records, ExternalProbsTable):
+        table = records
+    else:
+        table = ExternalProbsTable.from_records(records)
+    key_id, word_idx, sub_idx, probs = (
+        table.key_id, table.word_index, table.subword_index, table.probs
+    )
+    if (np.diff(key_id) < 0).any():  # interleaved paragraphs
+        order = np.argsort(key_id, kind="stable")
+        key_id, word_idx, sub_idx, probs = (
+            key_id[order], word_idx[order], sub_idx[order], probs[order]
+        )
+    bounds = np.searchsorted(key_id, np.arange(len(table.keys) + 1))
+    d_word = np.diff(word_idx)
+    d_sub = np.diff(sub_idx)
+    bad = (d_word < 0) | ((d_word == 0) & (d_sub <= 0))
+    bad[bounds[1:-1] - 1] = False  # pairs that straddle two paragraphs
+    if bad.any():
+        paper_id, paragraph = table.keys[key_id[int(np.argmax(bad))]]
+        raise AlignmentError(
+            f"probability records for {paper_id} paragraph {paragraph} are out of "
+            "order or repeat a (word_index, subword_index) pair"
+        )
+    return {
+        key: (word_idx[start:end], probs[start:end])
+        for key, start, end in zip(table.keys, bounds[:-1].tolist(), bounds[1:].tolist())
+    }

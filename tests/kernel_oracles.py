@@ -5,9 +5,21 @@
 `score_subwords_ref`, `aggregate_words_ref` and `decode_constrained_ref` work
 one subword or one word at a time.  `gate_label_ref` is the argmax-then-gate
 rule that `autoannotate.gate_label` must match.
+`load_external_probs_ref` and `group_external_probs_ref` read and group a
+probability file one record at a time; the columnar reader and grouping must
+give the same groups, bit for bit, or raise the same error.
 """
 
+import json
+
 import numpy as np
+
+from sciner import tag_schema
+from sciner.errors import AlignmentError, FormatError
+from sciner.tagger import ExternalProbs
+
+_REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
+_INDEX_KEYS = ("paragraph", "word_index", "subword_index")
 
 
 def _token_loss_grad_np(weights, feat, offsets, labels, tokens):
@@ -105,3 +117,89 @@ def gate_label_ref(scores, gamma):
     """Class index of the argmax (lowest index on ties) if it reaches gamma, else 15 (amb)."""
     best = int(np.argmax(scores))
     return best if scores[best] >= gamma else len(scores)
+
+
+def load_external_probs_ref(source):
+    """Yield ExternalProbs from a JSON-lines probability file.
+
+    Distributions off by at most 1e-6 from summing to 1 are renormalized;
+    anything worse (NaN included), a wrong class count, a negative or
+    non-numeric entry, a line that is not a JSON object, or an index that is
+    not a non-negative integer is a FormatError naming the record number.
+    """
+    for recno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
+        if type(obj) is not dict:
+            raise FormatError(
+                f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"
+            )
+        for key in _REQUIRED_KEYS:
+            if key not in obj:
+                raise FormatError(f"probability record {recno}: missing key {key!r}")
+        paragraph, word_index, subword_index = (
+            obj["paragraph"], obj["word_index"], obj["subword_index"]
+        )
+        if not (type(paragraph) is type(word_index) is type(subword_index) is int
+                and paragraph >= 0 and word_index >= 0 and subword_index >= 0):
+            key = next(k for k in _INDEX_KEYS if type(obj[k]) is not int or obj[k] < 0)
+            raise FormatError(
+                f"probability record {recno}: {key} must be a non-negative integer, "
+                f"got {obj[key]!r}"
+            )
+        try:
+            probs = np.asarray(obj["probs"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError(f"probability record {recno}: probs are not numbers") from None
+        if probs.shape != (tag_schema.NUM_CLASSES,):
+            raise FormatError(
+                f"probability record {recno}: expected {tag_schema.NUM_CLASSES} "
+                f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"
+            )
+        if (probs < 0).any():
+            raise FormatError(f"probability record {recno}: negative probability")
+        total = probs.sum()
+        if not abs(total - 1.0) <= 1e-6:
+            raise FormatError(
+                f"probability record {recno}: probabilities sum to {float(total)!r}"
+            )
+        yield ExternalProbs(
+            paper_id=str(obj["paper_id"]),
+            paragraph=paragraph,
+            word_index=word_index,
+            subword_index=subword_index,
+            probs=probs / total,
+        )
+
+
+def group_external_probs_ref(records):
+    """Group records into {(paper_id, paragraph): (word_idx array, probs matrix)}.
+
+    Within a paragraph, records must be in strictly increasing
+    (word_index, subword_index) order, as the file format requires; a repeated
+    or out-of-order pair is an AlignmentError.
+    """
+    grouped: dict[tuple[str, int], tuple[list[int], list[int], list[np.ndarray]]] = {}
+    for record in records:
+        key = (record.paper_id, record.paragraph)
+        word_idx, sub_idx, probs = grouped.setdefault(key, ([], [], []))
+        word_idx.append(record.word_index)
+        sub_idx.append(record.subword_index)
+        probs.append(record.probs)
+    out = {}
+    for key, (word_idx, sub_idx, probs) in grouped.items():
+        idx = np.asarray(word_idx, dtype=np.int64)
+        d_word = np.diff(idx)
+        d_sub = np.diff(np.asarray(sub_idx, dtype=np.int64))
+        if ((d_word < 0) | ((d_word == 0) & (d_sub <= 0))).any():
+            raise AlignmentError(
+                f"probability records for {key[0]} paragraph {key[1]} are out of "
+                "order or repeat a (word_index, subword_index) pair"
+            )
+        out[key] = (idx, np.vstack(probs))
+    return out

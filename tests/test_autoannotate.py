@@ -273,6 +273,13 @@ class TestAnnotateCorpus:
         with pytest.raises(AlignmentError, match="paragraph 0"):
             annotate_corpus(load_external_probs(iter(lines)), paragraphs, GateConfig())
 
+    @pytest.mark.parametrize("covered", [[0, 2], [1, 2]])
+    def test_stream_missing_a_word_names_count(self, covered):
+        lines = [prob_line(peaked_distribution(0, 0.999), word_index=w) for w in covered]
+        paragraphs = [carrier(["one", "two", "three"])]
+        with pytest.raises(AlignmentError, match="paragraph 0 cover 2 of 3 words"):
+            annotate_corpus(load_external_probs(iter(lines)), paragraphs, GateConfig())
+
     def test_missing_paragraph_in_stream(self):
         paragraphs = [carrier(["one"])]
         with pytest.raises(AlignmentError, match=r"no probability records"):

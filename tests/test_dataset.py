@@ -4,9 +4,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import dataset as ds
-from sciner.corpus_ingest import PaperRecord, hash_url
+from sciner.corpus_ingest import PaperRecord, hash_url, tokenize
 from sciner.errors import FormatError
 from sciner import tag_schema as ts
 
@@ -271,3 +273,58 @@ class TestAnnotationFiles:
             sink = io.StringIO()
             ds.write_annotations([p], sink)
             assert ds.read_annotations(io.StringIO(sink.getvalue())) == [p]
+
+    def test_words_starting_with_hash(self):
+        words = tokenize("#1 beats #tags and # alone")
+        assert words[0] == "#1"
+        p = paragraph("h", 0, labels=["O"] * len(words), words=words)
+        sink = io.StringIO()
+        ds.write_annotations([p], sink)
+        assert ds.read_annotations(io.StringIO(sink.getvalue())) == [p]
+
+    def test_header_without_blank_line_still_rejected(self):
+        text = (
+            "# paper_id=abc paragraph=0 provenance=manual\n"
+            "x\tO\n"
+            "# paper_id=abc paragraph=1 provenance=manual\n"
+            "y\tO\n\n"
+        )
+        with pytest.raises(FormatError, match=":3: header inside paragraph"):
+            ds.read_annotations(io.StringIO(text))
+
+
+# a token: what a token file line holds between single spaces
+TOKEN = st.text(min_size=1, max_size=6).filter(lambda w: w.split() == [w])
+
+
+@st.composite
+def auto_paragraph(draw):
+    n = draw(st.integers(1, 8))
+    labels, prev = [], None
+    for _ in range(n):
+        options = [l for l in [*ts.MODEL_LABELS, ts.AMB] if ts.is_legal_transition(prev, l)]
+        prev = draw(st.sampled_from(options))
+        labels.append(prev)
+    return ds.AnnotatedParagraph(
+        paper_id=draw(TOKEN),
+        paragraph_index=draw(st.integers(0, 10**6)),
+        words=draw(st.lists(TOKEN, min_size=n, max_size=n)),
+        labels=labels,
+        provenance="auto",
+        annotator=draw(st.none() | st.lists(TOKEN, min_size=1, max_size=2).map(" ".join)),
+        confidence=draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(auto_paragraph(), max_size=6))
+def test_annotation_file_round_trip(paragraphs):
+    sink = io.StringIO()
+    assert ds.write_annotations(paragraphs, sink) == len(paragraphs)
+    text = sink.getvalue()
+    back = ds.read_annotations(io.StringIO(text))
+    assert back == paragraphs
+    again = io.StringIO()
+    ds.write_annotations(back, again)
+    assert again.getvalue() == text
+

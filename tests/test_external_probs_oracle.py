@@ -1,0 +1,245 @@
+"""The columnar probability-file reader and grouping against the record-at-a-time oracle.
+
+On a well-formed file both must give the same groups, bit for bit; on a
+malformed one, the same exception type with the same message.  The reader's
+block size is patched down so that short files span several blocks.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sciner import tagger
+
+from kernel_oracles import group_external_probs_ref, load_external_probs_ref
+
+N_CLASSES = 15
+
+
+def distribution(rng):
+    """A distribution whose sum is off by up to 5e-7, so renormalizing changes bits."""
+    dist = rng.random(N_CLASSES) + 1e-3
+    dist /= dist.sum()
+    return (dist * (1.0 + rng.uniform(-5e-7, 5e-7))).tolist()
+
+
+def valid_records(rng, n_paragraphs, max_words):
+    """Records of each paragraph in strictly increasing (word, subword) order."""
+    per_paragraph = []
+    for k in range(n_paragraphs):
+        paper_id = ["p", "q", 7][k % 3]  # a non-string id is read as str(id)
+        records = []
+        for w in range(int(rng.integers(1, max_words + 1))):
+            for s in range(int(rng.integers(1, 4))):
+                records.append({"paper_id": paper_id, "paragraph": k // 3,
+                                "word_index": w, "subword_index": s,
+                                "probs": distribution(rng)})
+        per_paragraph.append(records)
+    return per_paragraph
+
+
+def interleave(rng, per_paragraph, mix):
+    """File order: whole paragraphs one after another, or (mix) randomly interleaved."""
+    if not mix:
+        return [r for records in per_paragraph for r in records]
+    queues = [list(records) for records in per_paragraph]
+    out = []
+    while any(queues):
+        live = [q for q in queues if q]
+        out.append(live[int(rng.integers(len(live)))].pop(0))
+    return out
+
+
+def with_probs(record, probs):
+    return dict(record, probs=probs)
+
+
+def with_index(key, value):
+    return lambda record, rng: json.dumps(dict(record, **{key: value}))
+
+
+def without(key):
+    return lambda record, rng: json.dumps({k: v for k, v in record.items() if k != key})
+
+
+def scaled_probs(factor):
+    return lambda record, rng: json.dumps(
+        with_probs(record, [p * factor for p in record["probs"]]))
+
+
+def one_entry(value):
+    def make(record, rng):
+        probs = list(record["probs"])
+        probs[int(rng.integers(N_CLASSES))] = value
+        return json.dumps(with_probs(record, probs))
+    return make
+
+
+def negative_entry(record, rng):
+    probs = list(record["probs"])
+    i = int(rng.integers(N_CLASSES))
+    probs[i] = -probs[i]
+    return json.dumps(with_probs(record, probs))
+
+
+# One entry per malformed-record kind: (record, rng) -> the line to write instead.
+MALFORMED = {
+    "bad_json": lambda record, rng: json.dumps(record)[:-1],
+    "list": lambda record, rng: "[1, 2]",
+    "number": lambda record, rng: "3",
+    "string": lambda record, rng: '"text"',
+    "null": lambda record, rng: "null",
+    "true": lambda record, rng: "true",
+    "no_paper_id": without("paper_id"),
+    "no_probs": without("probs"),
+    "no_subword_index": without("subword_index"),
+    "paragraph_one": with_index("paragraph", "one"),
+    "word_index_1.5_string": with_index("word_index", "1.5"),
+    "subword_index_2_string": with_index("subword_index", "2"),
+    "word_index_1.7": with_index("word_index", 1.7),
+    "word_index_1.0": with_index("word_index", 1.0),
+    "word_index_true": with_index("word_index", True),
+    "word_index_null": with_index("word_index", None),
+    "paragraph_negative": with_index("paragraph", -1),
+    "word_index_negative": with_index("word_index", -1),
+    "subword_index_negative": with_index("subword_index", -1),
+    "probs_strings": lambda record, rng: json.dumps(with_probs(record, ["x"] * N_CLASSES)),
+    "probs_ragged": lambda record, rng: json.dumps(with_probs(record, [[0.5], [0.5, 0.5]])),
+    "probs_object": lambda record, rng: json.dumps(with_probs(record, {"a": 1})),
+    "probs_nested": lambda record, rng: json.dumps(
+        with_probs(record, [[p] for p in record["probs"]])),
+    "probs_14": lambda record, rng: json.dumps(with_probs(record, record["probs"][:14])),
+    "probs_string_entry": one_entry("x"),
+    "probs_huge_int": one_entry(10 ** 400),  # OverflowError, not a FormatError
+    "probs_nan": one_entry(float("nan")),
+    "probs_negative": negative_entry,
+    "probs_sum": scaled_probs(1.0 + 5e-5),
+    "duplicate_pair": lambda record, rng: json.dumps(record) + "\n" + json.dumps(record),
+}
+
+
+def outcome(load, group, lines):
+    try:
+        grouped = group(load(iter(lines)))
+    except Exception as exc:  # the outcome under test may be any exception
+        return type(exc), str(exc)
+    return grouped
+
+
+def assert_same_outcome(lines):
+    expected = outcome(load_external_probs_ref, group_external_probs_ref, lines)
+    got = outcome(tagger.load_external_probs, tagger.group_external_probs, lines)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, dict), got
+    assert list(got) == list(expected)
+    for key, (word_idx, probs) in expected.items():
+        assert np.array_equal(got[key][0], word_idx)
+        assert got[key][0].dtype == word_idx.dtype
+        assert np.array_equal(got[key][1], probs)
+        assert got[key][1].dtype == probs.dtype
+
+
+def inject(records, bad, rng):
+    """JSON lines for `records`; record number k is a malformed line of kind bad[k]."""
+    lines = [json.dumps(r) for r in records]
+    for recno, kind in bad.items():
+        lines[recno - 1] = MALFORMED[kind](records[recno - 1], rng)
+    return "\n".join(lines).split("\n")  # a duplicate_pair line is two lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_paragraphs=st.integers(0, 7),
+    max_words=st.integers(1, 5),
+    mix=st.booleans(),
+    block=st.integers(1, 9),
+    blank_every=st.sampled_from([0, 0, 2, 5]),
+    injections=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(MALFORMED))), max_size=2
+    ),
+)
+def test_reader_matches_oracle(seed, n_paragraphs, max_words, mix, block, blank_every,
+                               injections):
+    rng = np.random.default_rng(seed)
+    records = interleave(rng, valid_records(rng, n_paragraphs, max_words), mix)
+    bad = {index % len(records) + 1: kind for index, kind in injections} if records else {}
+    lines = inject(records, bad, rng)
+    if blank_every:
+        lines = [x for i, line in enumerate(lines)
+                 for x in ([line, ""] if i % blank_every == 0 else [line])]
+    with mock.patch.object(tagger, "_BLOCK_RECORDS", block):
+        assert_same_outcome(lines)
+
+
+@pytest.mark.parametrize("mix", [False, True])
+def test_out_of_order_pair_matches_oracle(mix):
+    rng = np.random.default_rng(5)
+    per_paragraph = valid_records(rng, 4, 4)
+    records = per_paragraph[2]
+    records[1], records[2] = records[2], records[1]
+    lines = [json.dumps(r) for r in interleave(rng, per_paragraph, mix)]
+    with mock.patch.object(tagger, "_BLOCK_RECORDS", 3):
+        assert_same_outcome(lines)
+
+
+class TestFirstBadRecordWins:
+    """Probabilities are checked a block at a time; the file order still decides."""
+
+    @pytest.mark.parametrize("bad, first", [
+        ({3: "probs_sum", 6: "no_probs"}, 3),
+        ({3: "probs_negative", 6: "bad_json"}, 3),
+        ({3: "probs_nested", 6: "list"}, 3),
+        ({3: "probs_strings", 6: "probs_sum"}, 3),
+        ({3: "probs_sum", 6: "probs_strings"}, 3),
+        ({3: "word_index_negative", 6: "probs_sum"}, 3),
+        ({8: "probs_nan", 9: "null"}, 8),  # last of a block, then the next block
+        ({9: "probs_nan", 16: "probs_strings"}, 9),
+    ])
+    def test_small_blocks(self, bad, first):
+        rng = np.random.default_rng(1)
+        records = [r for recs in valid_records(rng, 10, 10) for r in recs][:20]
+        assert len(records) == 20
+        lines = inject(records, bad, rng)
+        with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
+            assert_same_outcome(lines)
+            with pytest.raises(Exception, match=f"record {first}:"):
+                tagger.load_external_probs(iter(lines))
+
+    @pytest.mark.parametrize("bad", [
+        {},
+        {tagger._BLOCK_RECORDS - 1: "probs_sum", tagger._BLOCK_RECORDS + 1: "null"},
+        {tagger._BLOCK_RECORDS + 5: "probs_nan", 2 * tagger._BLOCK_RECORDS - 3: "bad_json"},
+        {2 * tagger._BLOCK_RECORDS + 7: "probs_strings"},
+    ])
+    def test_real_block_size(self, bad):
+        rng = np.random.default_rng(2)
+        n = 2 * tagger._BLOCK_RECORDS + 50
+        records = interleave(rng, valid_records(rng, 1000, 12), mix=True)[:n]
+        assert len(records) == n
+        assert_same_outcome(inject(records, bad, rng))
+
+
+def test_table_iterates_as_records():
+    rng = np.random.default_rng(4)
+    records = interleave(rng, valid_records(rng, 5, 4), mix=True)
+    lines = [json.dumps(r) for r in records]
+    table = tagger.load_external_probs(iter(lines))
+    got, expected = list(table), list(load_external_probs_ref(iter(lines)))
+    assert len(got) == len(expected) == len(records)
+    for a, b in zip(got, expected):
+        assert (a.paper_id, a.paragraph, a.word_index, a.subword_index) == (
+            b.paper_id, b.paragraph, b.word_index, b.subword_index)
+        assert type(a.word_index) is int
+        assert np.array_equal(a.probs, b.probs)
+    # grouping the records again gives what grouping the table gives
+    regrouped = tagger.group_external_probs(iter(got))
+    for key, (word_idx, probs) in tagger.group_external_probs(table).items():
+        assert np.array_equal(regrouped[key][0], word_idx)
+        assert np.array_equal(regrouped[key][1], probs)

@@ -48,7 +48,10 @@ class TestBackendSelection:
         assert kernels.BACKEND in ("numba", "numpy")
 
     def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, SCINER_BACKEND="numpy")
+        # the child must import the same package, whether or not PYTHONPATH is set
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, SCINER_BACKEND="numpy", PYTHONPATH=pythonpath)
         out = subprocess.run(
             [sys.executable, "-c", "import sciner.kernels as k; print(k.BACKEND)"],
             env=env, capture_output=True, text=True, check=True,

@@ -318,6 +318,12 @@ class TestPredict:
         probs = tagger.predict_probs(model, ["tiny", "elaborate"])
         assert [tp.word_index for tp in probs] == [0, 1, 1, 1]
 
+    def test_token_probs_reject_nan(self):
+        dist = np.full(ts.NUM_CLASSES, 1.0 / ts.NUM_CLASSES)
+        dist[2] = np.nan
+        with pytest.raises(ValueError, match="sums to nan"):
+            tagger.TokenProbs(0, dist)
+
 
 class TestModelFile:
     def test_roundtrip_bit_identical_predictions(self, tmp_path):
