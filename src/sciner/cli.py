@@ -190,7 +190,7 @@ def cmd_loop(args) -> int:
     test = _read_annotation_file(cfg["test_annotations"])
     auto_corpus = _read_token_corpus(cfg["token_dir"])
 
-    records, final_model = selftrain.run_loop(
+    records, _ = selftrain.run_loop(
         manual, auto_corpus, loop_cfg, test_set=test,
         run_dir=run_dir, resume=args.resume,
     )
@@ -207,12 +207,8 @@ def cmd_loop(args) -> int:
             )
         print(line)
 
-    first_model = TaggerModel.load(records[0].model_path)
-    gate = loop_cfg.gate
-    pred_first, _ = annotate_corpus(first_model, test, gate)
-    pred_final, _ = annotate_corpus(final_model, test, gate)
     result = evaluation.bootstrap_compare(
-        test, pred_first, pred_final,
+        test, records[0].test_predictions, records[-1].test_predictions,
         draws=int(cfg["draws"]), draw_size=int(cfg["draw_size"]),
         seed=loop_cfg.seed,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dataset, evaluation
+from . import __version__, dataset, evaluation
 from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
 from .util import atomic_write
@@ -67,6 +67,8 @@ class IterationRecord:
     model_path: str | None
     duration_seconds: float
     warnings: list[str] = field(default_factory=list)
+    # the step-3 model's annotation of the test set; not persisted
+    test_predictions: list | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -82,11 +84,6 @@ class IterationRecord:
 def _step_seed(master: int, iteration: int, step: int) -> int:
     seq = np.random.SeedSequence(entropy=(master, iteration, step))
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**31))
-
-
-def _test_metrics(model: TaggerModel, test_set, gate: GateConfig):
-    predicted, _ = annotate_corpus(model, test_set, gate)
-    return evaluation.score(test_set, predicted)
 
 
 def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int = 1,
@@ -117,11 +114,13 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     step3_cfg = replace(config.step3, seed=_step_seed(config.seed, iteration, 3))
     model = train(merged, step3_cfg, init=step1_model)
 
-    metrics = None
+    metrics = test_predictions = None
     if test_set is not None:
+        step1_predictions, _ = annotate_corpus(step1_model, test_set, config.gate)
+        test_predictions, _ = annotate_corpus(model, test_set, config.gate)
         metrics = {
-            "step1": _test_metrics(step1_model, test_set, config.gate).to_dict(),
-            "step3": _test_metrics(model, test_set, config.gate).to_dict(),
+            "step1": evaluation.score(test_set, step1_predictions).to_dict(),
+            "step3": evaluation.score(test_set, test_predictions).to_dict(),
         }
 
     record = IterationRecord(
@@ -131,6 +130,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
         model_path=None,
         duration_seconds=time.monotonic() - started,
         warnings=warnings,
+        test_predictions=test_predictions,
     )
     return model, record, auto_annotated
 
@@ -211,7 +211,9 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
 
     With `run_dir`, each iteration's model and record are persisted and
     `resume=True` skips iterations whose artifacts already exist.  The final
-    model is the last iteration's step-3 output.
+    model is the last iteration's step-3 output.  With `test_set`, every
+    record carries that model's `test_predictions`; a resumed iteration's are
+    made from its loaded model.
     """
     manual_train = list(manual_train)
     auto_corpus = list(auto_corpus)
@@ -231,8 +233,11 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             rec_path = _record_path(run_dir, iteration)
             model_path = _model_path(run_dir, iteration)
             if os.path.exists(rec_path) and os.path.exists(model_path):
-                records.append(_load_record(rec_path, **stamp))
+                record = _load_record(rec_path, **stamp)
                 model = TaggerModel.load(model_path)
+                if test_set is not None:
+                    record.test_predictions, _ = annotate_corpus(model, test_set, config.gate)
+                records.append(record)
                 log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
         init = model if config.carry_forward else None
@@ -247,7 +252,8 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             model_path = _model_path(run_dir, iteration)
             model.save(model_path)
             record.model_path = model_path
-            payload = {**record.to_dict(), **stamp}
+            # the package version is recorded, but resume does not check it
+            payload = {**record.to_dict(), **stamp, "package_version": __version__}
             with atomic_write(_record_path(run_dir, iteration)) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
         records.append(record)

@@ -94,7 +94,7 @@ class Featurizer:
     """Deterministic hashed features for subwords in context.
 
     Feature strings are CRC32-hashed into `dim` buckets; collisions are
-    accepted noise.  Word-level parts are memoized since corpora repeat a
+    accepted noise.  Each word's ids are memoized since corpora repeat a
     small vocabulary heavily.
     """
 
@@ -102,89 +102,50 @@ class Featurizer:
         if dim < 2:
             raise ValueError("hash dimension must be >= 2")
         self.dim = dim
-        self._word_cache: dict[str, list[int]] = {}
-        self._subword_cache: dict[str, list[list[int]]] = {}
-        self._neighbor_cache: dict[tuple[int, str], int] = {}
+        self._word_cache: dict[str, tuple[list[list[int]], list[int]]] = {}
 
     def _h(self, text: str) -> int:
         return zlib.crc32(text.encode("utf-8")) % self.dim
 
-    def _word_features(self, word: str) -> list[int]:
+    def _word_ids(self, word: str) -> tuple[list[list[int]], list[int]]:
+        """`word`'s own ids, one list per subword (the word's features, then
+        the subword's), and its ids as the neighbour at offsets -2..+2."""
         cached = self._word_cache.get(word)
         if cached is None:
-            cached = [
+            word_feats = [
                 self._h("bias"),
                 self._h("w=" + word),
                 self._h("shape=" + word_shape(word)),
             ]
             for k in range(1, min(3, len(word)) + 1):
-                cached.append(self._h(f"pre{k}=" + word[:k]))
-                cached.append(self._h(f"suf{k}=" + word[-k:]))
-            self._word_cache[word] = cached
+                word_feats.append(self._h(f"pre{k}=" + word[:k]))
+                word_feats.append(self._h(f"suf{k}=" + word[-k:]))
+            own = [
+                word_feats + [
+                    self._h("sub=" + sub.text),
+                    self._h("pos=" + ("cont" if sub.is_continuation else "first")),
+                ]
+                for sub in segment_word(word)
+            ]
+            as_neighbor = [self._h(f"n{offset}=" + word) for offset in range(-2, 3)]
+            cached = self._word_cache[word] = (own, as_neighbor)
         return cached
-
-    def _subword_features(self, word: str) -> list[list[int]]:
-        cached = self._subword_cache.get(word)
-        if cached is None:
-            cached = []
-            for sub in segment_word(word):
-                pos = "cont" if sub.is_continuation else "first"
-                cached.append([self._h("sub=" + sub.text), self._h("pos=" + pos)])
-            self._subword_cache[word] = cached
-        return cached
-
-    def _neighbor(self, offset: int, word: str) -> int:
-        key = (offset, word)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = self._h(f"n{offset}=" + word)
-            self._neighbor_cache[key] = cached
-        return cached
-
-    def _context_features(self, words, index: int) -> list[int]:
-        out = []
-        for offset in range(-2, 3):
-            j = index + offset
-            if j < 0:
-                neighbor = "<s>"
-            elif j >= len(words):
-                neighbor = "</s>"
-            else:
-                neighbor = words[j]
-            out.append(self._neighbor(offset, neighbor))
-        return out
-
-    def featurize(self, subword: SubwordToken, words) -> np.ndarray:
-        """Feature ids for one subword of words[subword.word_index]."""
-        if not 0 <= subword.word_index < len(words):
-            raise ValueError(f"word_index {subword.word_index} out of range")
-        word = words[subword.word_index]
-        subs = self._subword_features(word)
-        position = 0
-        for k, sub in enumerate(segment_word(word, subword.word_index)):
-            if sub == subword:
-                position = k
-                break
-        else:
-            raise ValueError(f"{subword!r} is not a subword of {word!r}")
-        feats = (
-            self._word_features(word)
-            + subs[position]
-            + self._context_features(words, subword.word_index)
-        )
-        return np.asarray(feats, dtype=np.int64)
 
     def paragraph_arrays(self, words):
-        """(feat, offsets, word_idx) arrays for all subwords of a paragraph."""
+        """(feat, offsets, word_idx) arrays for all subwords of a paragraph.
+
+        A subword's ids are its own (word, then subword) followed by the
+        context of words -2..+2, `<s>`/`</s>` past the ends.  The order is
+        part of the result: the kernels add a subword's weight rows in it.
+        """
+        padded = [self._word_ids(w) for w in ("<s>", "<s>", *words, "</s>", "</s>")]
         feat: list[int] = []
         offsets = [0]
         word_idx: list[int] = []
-        for i, word in enumerate(words):
-            word_feats = self._word_features(word)
-            context = self._context_features(words, i)
-            for sub_feats in self._subword_features(word):
-                feat.extend(word_feats)
-                feat.extend(sub_feats)
+        for i in range(len(words)):
+            context = [padded[i + k][1][k] for k in range(5)]
+            for own in padded[i + 2][0]:
+                feat.extend(own)
                 feat.extend(context)
                 offsets.append(len(feat))
                 word_idx.append(i)
@@ -193,10 +154,6 @@ class Featurizer:
             np.asarray(offsets, dtype=np.int64),
             np.asarray(word_idx, dtype=np.int64),
         )
-
-
-def featurize(subword: SubwordToken, words, dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
-    return Featurizer(dim).featurize(subword, words)
 
 
 @dataclass
@@ -407,25 +364,6 @@ def training_loss(model: TaggerModel, data) -> float:
     return float(-np.log(np.maximum(p_true, 1e-300)).mean())
 
 
-def training_loss_gradient(model: TaggerModel, data) -> np.ndarray:
-    """Analytic gradient of :func:`training_loss` w.r.t. the weights."""
-    featurizer = Featurizer(model.hash_dim)
-    prepared = prepare_examples(list(data), featurizer)
-    if prepared.n_effective == 0:
-        raise ValueError("no unmasked training tokens")
-    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
-    grad = np.zeros_like(model.weights)
-    n = prepared.n_effective
-    for t in range(len(prepared.labels)):
-        if not prepared.mask[t]:
-            continue
-        g = probs[t].copy()
-        g[prepared.labels[t]] -= 1.0
-        rows = prepared.feat[prepared.offsets[t] : prepared.offsets[t + 1]]
-        np.add.at(grad, rows, g / n)
-    return grad
-
-
 def predict_probs(model: TaggerModel, words, featurizer: Featurizer | None = None) -> list[TokenProbs]:
     """Per-subword class distributions for one paragraph."""
     words = list(words)
@@ -457,6 +395,7 @@ class ExternalProbs:
 
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
+_INDEX_LIMIT = 1 << 63  # word and subword indices are stored as int64
 
 # Records per numpy pass over their probabilities: large enough that numpy's
 # per-call cost vanishes, small enough that a block's Python lists stay small.
@@ -529,6 +468,11 @@ def _record_fields(recno: int, line: str):
             f"probability record {recno}: {key} must be a non-negative integer, "
             f"got {obj[key]!r}"
         )
+    if word_index >= _INDEX_LIMIT or subword_index >= _INDEX_LIMIT:
+        key = "word_index" if word_index >= _INDEX_LIMIT else "subword_index"
+        raise FormatError(
+            f"probability record {recno}: {key} must be below 2**63, got {obj[key]!r}"
+        )
     return str(paper_id), paragraph, word_index, subword_index, probs
 
 
@@ -577,8 +521,9 @@ def load_external_probs(source) -> ExternalProbsTable:
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
     anything worse (NaN included), a wrong class count, a negative or
-    non-numeric entry, a line that is not a JSON object, or an index that is
-    not a non-negative integer is a FormatError naming the record number.
+    non-numeric entry, a line that is not a JSON object, an index that is
+    not a non-negative integer, or a word or subword index of 2**63 or more
+    is a FormatError naming the record number.
     Records from different paragraphs may interleave.
 
     Each line is parsed and its fields checked in Python; the probabilities

@@ -8,15 +8,26 @@ rule that `autoannotate.gate_label` must match.
 `load_external_probs_ref` and `group_external_probs_ref` read and group a
 probability file one record at a time; the columnar reader and grouping must
 give the same groups, bit for bit, or raise the same error.
+`featurize_ref` hashes one subword's feature strings in the order that
+`Featurizer.paragraph_arrays` must give them.  `training_loss_gradient` is the
+analytic gradient of `tagger.training_loss`, one subword at a time.
 """
 
 import json
+import zlib
 
 import numpy as np
 
-from sciner import tag_schema
+from sciner import kernels, tag_schema
 from sciner.errors import AlignmentError, FormatError
-from sciner.tagger import ExternalProbs
+from sciner.tagger import (
+    DEFAULT_HASH_DIM,
+    ExternalProbs,
+    Featurizer,
+    prepare_examples,
+    segment_word,
+    word_shape,
+)
 
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
@@ -117,6 +128,43 @@ def gate_label_ref(scores, gamma):
     """Class index of the argmax (lowest index on ties) if it reaches gamma, else 15 (amb)."""
     best = int(np.argmax(scores))
     return best if scores[best] >= gamma else len(scores)
+
+
+def featurize_ref(subword, words, dim=DEFAULT_HASH_DIM):
+    """Feature ids of one subword of words[subword.word_index]: the word's,
+    the subword's, then those of the words at offsets -2..+2."""
+    if not 0 <= subword.word_index < len(words):
+        raise ValueError(f"word_index {subword.word_index} out of range")
+    word = words[subword.word_index]
+    if subword not in segment_word(word, subword.word_index):
+        raise ValueError(f"{subword!r} is not a subword of {word!r}")
+    strings = ["bias", "w=" + word, "shape=" + word_shape(word)]
+    for k in range(1, min(3, len(word)) + 1):
+        strings += [f"pre{k}=" + word[:k], f"suf{k}=" + word[-k:]]
+    strings += ["sub=" + subword.text, "pos=" + ("cont" if subword.is_continuation else "first")]
+    for offset in range(-2, 3):
+        j = subword.word_index + offset
+        neighbor = "<s>" if j < 0 else "</s>" if j >= len(words) else words[j]
+        strings.append(f"n{offset}=" + neighbor)
+    return np.array([zlib.crc32(s.encode("utf-8")) % dim for s in strings], dtype=np.int64)
+
+
+def training_loss_gradient(model, data):
+    """Analytic gradient of `tagger.training_loss` w.r.t. the weights."""
+    prepared = prepare_examples(list(data), Featurizer(model.hash_dim))
+    if prepared.n_effective == 0:
+        raise ValueError("no unmasked training tokens")
+    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
+    grad = np.zeros_like(model.weights)
+    n = prepared.n_effective
+    for t in range(len(prepared.labels)):
+        if not prepared.mask[t]:
+            continue
+        g = probs[t].copy()
+        g[prepared.labels[t]] -= 1.0
+        rows = prepared.feat[prepared.offsets[t] : prepared.offsets[t + 1]]
+        np.add.at(grad, rows, g / n)
+    return grad
 
 
 def load_external_probs_ref(source):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sciner import cli, corpus_ingest, dataset, synth
+from sciner import autoannotate, cli, corpus_ingest, dataset, selftrain, synth, tagger
 from sciner.errors import FormatError
 from test_corpus_ingest import PROCEEDINGS_BIB
 
@@ -268,6 +268,66 @@ class TestLoop:
         )
         assert code == 0
         assert (run_dir / "comparison.json").exists()
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """Every model load and annotation, in order, with a mark where run_loop returns."""
+    log = []
+    load = tagger.TaggerModel.load
+
+    def counted_load(path):
+        log.append("load")
+        return load(path)
+
+    annotate = autoannotate.annotate_corpus
+
+    def counted_annotate(*args, **kwargs):
+        log.append("annotate")
+        return annotate(*args, **kwargs)
+
+    run_loop = selftrain.run_loop
+
+    def marked_run_loop(*args, **kwargs):
+        result = run_loop(*args, **kwargs)
+        log.append("run_loop returned")
+        return result
+
+    monkeypatch.setattr(tagger.TaggerModel, "load", staticmethod(counted_load))
+    for module in (autoannotate, selftrain, cli):
+        monkeypatch.setattr(module, "annotate_corpus", counted_annotate)
+    monkeypatch.setattr(selftrain, "run_loop", marked_run_loop)
+    return log
+
+
+class TestLoopEvaluatesOnce:
+    """The iteration-1 vs final comparison reuses the loop's own test predictions."""
+
+    def test_fresh_loop_loads_nothing_and_annotates_only_inside(self, workspace, tmp_path,
+                                                                capsys, call_log):
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(workspace / "run.cfg"),
+            "--run-dir", str(tmp_path / "run"),
+        )
+        assert code == 0, err
+        # per iteration: the auto corpus, then the test set with the step-1 and step-3 models
+        assert call_log == ["annotate"] * 6 + ["run_loop returned"]
+
+    def test_resume_of_complete_run_reproduces_report(self, workspace, tmp_path, capsys,
+                                                      call_log):
+        run_dir = tmp_path / "run"
+        argv = ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(run_dir)]
+        code, fresh_out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        fresh_comparison = (run_dir / "comparison.json").read_bytes()
+        (run_dir / "comparison.json").unlink()
+        del call_log[:]
+        code, resumed_out, err = run_cli(capsys, *argv, "--resume")
+        assert code == 0, err
+        assert resumed_out == fresh_out
+        assert (run_dir / "comparison.json").read_bytes() == fresh_comparison
+        # each loaded iteration's model annotates the test set once, inside run_loop
+        assert call_log == ["load", "annotate"] * 2 + ["run_loop returned"]
 
 
 @pytest.fixture(scope="module")

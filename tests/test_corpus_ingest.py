@@ -5,6 +5,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import corpus_ingest as ci
 from sciner.errors import FormatError
@@ -362,6 +364,31 @@ class TestTokenize:
             once = ci.tokenize(text)
             again = ci.tokenize(" ".join(once))
             assert again == once
+
+
+# Arbitrary text, weighted toward what the tokenizer and the BibTeX scanner
+# treat specially: brackets, quotes, punctuation, hyphens, digits, whitespace.
+SPECIAL_CHARACTERS = st.sampled_from(list('()[]{}"?:;!.,-%@=#\\“” \t\n\u00a0\u2028'))
+ANY_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), SPECIAL_CHARACTERS))
+BIB_PIECES = st.sampled_from([
+    "@article{", "@inproceedings{k,", "@misc(", "title = ", "year = ", "month = dec",
+    'url = "https://aclanthology.org/2022.acl-long.1"', "{", "}", '"', ",", "\n", "2022",
+])
+BIB_TEXT = st.lists(st.one_of(BIB_PIECES, ANY_TEXT), max_size=30).map("".join)
+
+
+class TestIngestProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_TEXT)
+    def test_tokenize_idempotent(self, text):
+        once = ci.tokenize(text)
+        assert ci.tokenize(" ".join(once)) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(BIB_TEXT)
+    def test_parse_bibtex_never_raises(self, text):
+        result = ci.parse_bibtex(text)
+        assert result.skipped == len(result.errors)
 
 
 class TestTokenFiles:

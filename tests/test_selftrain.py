@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sciner
 from sciner import synth
-from sciner.autoannotate import GateConfig
+from sciner.autoannotate import GateConfig, annotate_corpus
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
 from sciner.tagger import TrainConfig
 
@@ -226,6 +227,32 @@ class TestRunLoop:
         assert data["iteration"] == 1
         assert data["gate_stats"]["total_words"] == records[0].gate_stats.total_words
         assert data["model_path"].endswith("model_iter01.npz")
+
+    def test_record_files_carry_unchecked_package_version(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        record = tmp_path / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["package_version"] == sciner.__version__
+        data["package_version"] = "0.0.0-elsewhere"
+        record.write_text(json.dumps(data), encoding="utf-8")
+        records, model = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                                  resume=True)
+        assert model is not None and records[0].iteration == 1
+
+    def test_records_carry_step3_test_predictions(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config()
+        fresh, model = run_loop(corpus.manual, corpus.auto_inputs, cfg,
+                                test_set=corpus.test, run_dir=tmp_path)
+        assert fresh[-1].test_predictions == annotate_corpus(model, corpus.test, cfg.gate)[0]
+        resumed, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg,
+                              test_set=corpus.test, run_dir=tmp_path, resume=True)
+        for a, b in zip(fresh, resumed):
+            assert a.test_predictions and a.test_predictions == b.test_predictions
+        untested, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg)
+        assert all(r.test_predictions is None for r in untested)
 
     def test_carry_forward_differs_from_fresh(self):
         corpus = small_corpus(13)

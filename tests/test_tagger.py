@@ -7,11 +7,14 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import tag_schema as ts
 from sciner import tagger
 from sciner.dataset import TrainingExample
 from sciner.errors import AlignmentError, FormatError
+from kernel_oracles import featurize_ref, training_loss_gradient
 
 
 class TestSegmentation:
@@ -51,19 +54,19 @@ class TestFeaturize:
     def test_deterministic(self):
         words = ["We", "evaluate", "GateFormer", "."]
         sub = tagger.segment_word("GateFormer", 2)[1]
-        a = tagger.featurize(sub, words)
-        b = tagger.featurize(sub, words)
+        a = featurize_ref(sub, words)
+        b = featurize_ref(sub, words)
         assert np.array_equal(a, b)
 
     def test_digit_shape_feature_present(self):
         f = tagger.Featurizer(1 << 16)
-        feats = f.featurize(tagger.segment_word("2022", 0)[0], ["2022"])
+        feats = featurize_ref(tagger.segment_word("2022", 0)[0], ["2022"], f.dim)
         assert f._h("shape=dddd") in feats
 
     def test_context_changes_features(self):
         sub = tagger.segment_word("target", 1)[0]
-        a = tagger.featurize(sub, ["left", "target", "right"])
-        b = tagger.featurize(sub, ["other", "target", "right"])
+        a = featurize_ref(sub, ["left", "target", "right"])
+        b = featurize_ref(sub, ["other", "target", "right"])
         assert not np.array_equal(np.sort(a), np.sort(b))
 
     def test_word_shape(self):
@@ -76,10 +79,58 @@ class TestFeaturize:
         subs = tagger.segment_paragraph(words)
         assert len(offsets) == len(subs) + 1
         for s, sub in enumerate(subs):
-            expected = np.sort(f.featurize(sub, words))
+            expected = np.sort(featurize_ref(sub, words, f.dim))
             got = np.sort(feat[offsets[s] : offsets[s + 1]])
             assert np.array_equal(got, expected)
             assert word_idx[s] == sub.word_index
+
+
+# Words of 1-13 characters (one to four subwords) from any non-space,
+# non-control characters: letters, digits, punctuation and non-ASCII.
+WORD = st.text(
+    alphabet=st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    min_size=1, max_size=13,
+)
+HASH_DIMS = [2, 1 << 10, 1 << 20]
+FIXED_PARAGRAPHS = [
+    ["a"],
+    ["ab", "7"],
+    ["abc", "0.1", "%"],
+    ["Hyperparamete"],
+    ["naïve", "β-VAE", "(2019)"],
+    ["数据集", "F1", "."],
+    ["x", "x", "x"],
+    ["GPT-3.5", "<s>"],
+]
+
+
+class TestFeaturizeExactOrder:
+    """paragraph_arrays against featurize_ref, id by id and in order."""
+
+    def assert_matches_ref(self, featurizer, words):
+        feat, offsets, word_idx = featurizer.paragraph_arrays(words)
+        assert feat.dtype == offsets.dtype == word_idx.dtype == np.int64
+        subs = tagger.segment_paragraph(words)
+        assert len(offsets) == len(subs) + 1
+        assert offsets[0] == 0 and offsets[-1] == len(feat)
+        for s, sub in enumerate(subs):
+            expected = featurize_ref(sub, words, featurizer.dim)
+            assert feat[offsets[s] : offsets[s + 1]].tolist() == expected.tolist(), (s, sub)
+            assert word_idx[s] == sub.word_index
+
+    @pytest.mark.parametrize("dim", HASH_DIMS)
+    def test_fixed_paragraphs_share_one_featurizer(self, dim):
+        featurizer = tagger.Featurizer(dim)
+        for _ in range(2):  # the second pass reads the caches
+            for words in FIXED_PARAGRAPHS:
+                self.assert_matches_ref(featurizer, words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(WORD, min_size=1, max_size=3), dim=st.sampled_from(HASH_DIMS))
+    def test_arbitrary_paragraphs(self, words, dim):
+        featurizer = tagger.Featurizer(dim)
+        self.assert_matches_ref(featurizer, words)
+        self.assert_matches_ref(featurizer, words)
 
 
 def tiny_examples():
@@ -245,7 +296,7 @@ class TestTrain:
         model = tagger.TaggerModel.fresh(1 << 10)
         cfg = tagger.TrainConfig(epochs=1, learning_rate=0.3, batch_size=len(examples), seed=0)
         stepped = tagger.train(examples, cfg, init=model)
-        grad = tagger.training_loss_gradient(model, examples)
+        grad = training_loss_gradient(model, examples)
         assert np.allclose(stepped.weights, model.weights - 0.3 * grad, atol=1e-12)
 
 
@@ -257,7 +308,7 @@ class TestGradient:
         model = tagger.TaggerModel(
             rng.normal(scale=0.5, size=(dim, ts.NUM_CLASSES)), dim
         )
-        grad = tagger.training_loss_gradient(model, examples)
+        grad = training_loss_gradient(model, examples)
         h = 1e-5  # loss is smooth; smaller steps are roundoff-dominated
         # probe coordinates that actually carry features, plus a few that do not
         featurizer = tagger.Featurizer(dim)
@@ -308,7 +359,7 @@ class TestPredict:
         featurizer = tagger.Featurizer(dim)
         words = ["target"]
         before = tagger.predict_probs(model, words, featurizer)[0].distribution[3]
-        feats = featurizer.featurize(tagger.segment_word("target", 0)[0], words)
+        feats = featurize_ref(tagger.segment_word("target", 0)[0], words, featurizer.dim)
         model.weights[feats[0], 3] += 1.0
         after = tagger.predict_probs(model, words, featurizer)[0].distribution[3]
         assert after > before
@@ -589,3 +640,13 @@ class TestExternalProbsMalformed:
     def test_negative_index_rejected(self, key):
         with pytest.raises(FormatError, match=f"record 2: {key} must be a non-negative"):
             self.load(probs_line(), probs_line(**{key: -1}))
+
+    @pytest.mark.parametrize("key", ["word_index", "subword_index"])
+    @pytest.mark.parametrize("value", [2**63, 10**30])
+    def test_index_past_int64_rejected(self, key, value):
+        with pytest.raises(FormatError, match=rf"record 2: {key} must be below 2\*\*63"):
+            self.load(probs_line(), probs_line(**{key: value}))
+
+    def test_earlier_bad_probabilities_win_over_index_past_int64(self):
+        with pytest.raises(FormatError, match="record 1: probabilities sum to"):
+            self.load(probs_line(probs=[0.1] * 15), probs_line(word_index=2**63))
