@@ -155,7 +155,8 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
     """Label every paragraph via gated constrained decoding.
 
     `source` is either a TaggerModel, an ExternalProbsTable, or an iterable
-    of ExternalProbs records.
+    of ExternalProbs records.  Records for a paragraph not in `paragraphs`
+    are an AlignmentError, raised before any paragraph is decoded.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
     `parallelism` is accepted and ignored: annotation is one serial pass,
@@ -171,6 +172,15 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
 
     else:
         grouped = group_external_probs(source)
+        paragraphs = list(paragraphs)
+        in_corpus = {(p.paper_id, p.paragraph_index) for p in paragraphs}
+        outside = [key for key in grouped if key not in in_corpus]
+        if outside:
+            paper_id, paragraph = outside[0]
+            raise AlignmentError(
+                f"probability records for {len(outside)} paragraph(s) not in the corpus, "
+                f"first {paper_id} paragraph {paragraph}"
+            )
 
         def score_paragraph(p):
             return _word_scores_from_stream(grouped, p)

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import urllib.request
 
 from . import corpus_ingest, dataset, evaluation, selftrain
 from .autoannotate import GateConfig, annotate_corpus
@@ -116,6 +115,8 @@ def _read_token_corpus(token_dir):
 # ---------------------------------------------------------------------------
 
 def _urllib_fetcher(url: str) -> bytes:
+    import urllib.request  # only `ingest --fetch` downloads; kept out of start-up
+
     with urllib.request.urlopen(url, timeout=60) as response:
         return response.read()
 

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
+from .util import atomic_write
 
 CSV_COLUMNS = (
     "Unnamed: 0",
@@ -414,10 +415,8 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
                 if attempt < max_attempts:
                     sleep(1)
                 continue
-            tmp = path + ".part"
-            with open(tmp, "wb") as handle:
+            with atomic_write(path, "wb", encoding=None) as handle:
                 handle.write(data)
-            os.replace(tmp, path)
             return ManifestEntry(entry.paper_id, entry.url, "ok", attempt)
         return ManifestEntry(entry.paper_id, entry.url, "failed", max_attempts, last_error)
 

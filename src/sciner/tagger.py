@@ -10,6 +10,7 @@ reader instead, so the rest of the pipeline is agnostic to the source.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import zlib
@@ -90,46 +91,46 @@ def word_shape(word: str) -> str:
     )
 
 
+def _hash(text: str, dim: int) -> int:
+    return zlib.crc32(text.encode("utf-8")) % dim
+
+
+@functools.cache
+def _word_ids(word: str, dim: int) -> tuple[list[list[int]], list[int]]:
+    """`word`'s own ids, one list per subword (the word's features, then
+    the subword's), and its ids as the neighbour at offsets -2..+2.
+
+    Memoized once per process per `(word, dim)`, as read-only lists.  The
+    memo keeps one entry per distinct word the process featurizes; a single
+    `annotate_corpus` call already held its corpus's whole vocabulary.
+    """
+    h = functools.partial(_hash, dim=dim)
+    word_feats = [h("bias"), h("w=" + word), h("shape=" + word_shape(word))]
+    for k in range(1, min(3, len(word)) + 1):
+        word_feats.append(h(f"pre{k}=" + word[:k]))
+        word_feats.append(h(f"suf{k}=" + word[-k:]))
+    own = [
+        word_feats + [h("sub=" + sub.text), h("pos=" + ("cont" if sub.is_continuation else "first"))]
+        for sub in segment_word(word)
+    ]
+    return own, [h(f"n{offset}=" + word) for offset in range(-2, 3)]
+
+
 class Featurizer:
     """Deterministic hashed features for subwords in context.
 
     Feature strings are CRC32-hashed into `dim` buckets; collisions are
-    accepted noise.  Each word's ids are memoized since corpora repeat a
-    small vocabulary heavily.
+    accepted noise.  A word's ids depend only on the word and `dim`, so all
+    featurizers share one memo of them.
     """
 
     def __init__(self, dim: int = DEFAULT_HASH_DIM):
         if dim < 2:
             raise ValueError("hash dimension must be >= 2")
         self.dim = dim
-        self._word_cache: dict[str, tuple[list[list[int]], list[int]]] = {}
 
     def _h(self, text: str) -> int:
-        return zlib.crc32(text.encode("utf-8")) % self.dim
-
-    def _word_ids(self, word: str) -> tuple[list[list[int]], list[int]]:
-        """`word`'s own ids, one list per subword (the word's features, then
-        the subword's), and its ids as the neighbour at offsets -2..+2."""
-        cached = self._word_cache.get(word)
-        if cached is None:
-            word_feats = [
-                self._h("bias"),
-                self._h("w=" + word),
-                self._h("shape=" + word_shape(word)),
-            ]
-            for k in range(1, min(3, len(word)) + 1):
-                word_feats.append(self._h(f"pre{k}=" + word[:k]))
-                word_feats.append(self._h(f"suf{k}=" + word[-k:]))
-            own = [
-                word_feats + [
-                    self._h("sub=" + sub.text),
-                    self._h("pos=" + ("cont" if sub.is_continuation else "first")),
-                ]
-                for sub in segment_word(word)
-            ]
-            as_neighbor = [self._h(f"n{offset}=" + word) for offset in range(-2, 3)]
-            cached = self._word_cache[word] = (own, as_neighbor)
-        return cached
+        return _hash(text, self.dim)
 
     def paragraph_arrays(self, words):
         """(feat, offsets, word_idx) arrays for all subwords of a paragraph.
@@ -138,7 +139,7 @@ class Featurizer:
         context of words -2..+2, `<s>`/`</s>` past the ends.  The order is
         part of the result: the kernels add a subword's weight rows in it.
         """
-        padded = [self._word_ids(w) for w in ("<s>", "<s>", *words, "</s>", "</s>")]
+        padded = [_word_ids(w, self.dim) for w in ("<s>", "<s>", *words, "</s>", "</s>")]
         feat: list[int] = []
         offsets = [0]
         word_idx: list[int] = []
@@ -364,16 +365,12 @@ def training_loss(model: TaggerModel, data) -> float:
     return float(-np.log(np.maximum(p_true, 1e-300)).mean())
 
 
-def predict_probs(model: TaggerModel, words, featurizer: Featurizer | None = None) -> list[TokenProbs]:
+def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
     """Per-subword class distributions for one paragraph."""
     words = list(words)
     if not words:
         return []
-    if featurizer is None:
-        featurizer = Featurizer(model.hash_dim)
-    elif featurizer.dim != model.hash_dim:
-        raise ValueError("featurizer dimension does not match model")
-    feat, offsets, word_idx = featurizer.paragraph_arrays(words)
+    feat, offsets, word_idx = Featurizer(model.hash_dim).paragraph_arrays(words)
     probs = kernels.score_subwords(model.weights, feat, offsets)
     return [TokenProbs(int(word_idx[s]), probs[s]) for s in range(len(word_idx))]
 

@@ -285,6 +285,21 @@ class TestAnnotateCorpus:
         with pytest.raises(AlignmentError, match=r"no probability records"):
             annotate_corpus(iter([]), paragraphs, GateConfig())
 
+    def test_records_outside_corpus_rejected(self):
+        dist = peaked_distribution(0, 0.999)
+        lines = [
+            prob_line(dist, paper="a", paragraph=0),
+            prob_line(dist, paper="a", paragraph=7),
+            prob_line(dist, paper="zz", paragraph=2**70),
+        ]
+        paragraphs = [carrier(["one"], paper="a", index=0)]
+        with pytest.raises(
+            AlignmentError,
+            match=r"^probability records for 2 paragraph\(s\) not in the corpus, "
+                  r"first a paragraph 7$",
+        ):
+            annotate_corpus(load_external_probs(iter(lines)), iter(paragraphs), GateConfig())
+
     def test_parallel_matches_serial(self):
         rng = np.random.default_rng(11)
         dim = 1 << 10
@@ -357,7 +372,7 @@ class TestWordApiIsPipeline:
                 kernels.score_subwords(model.weights, feat, offsets), word_idx, len(p.words)
             )
             by_word = collections.defaultdict(list)
-            for tp in predict_probs(model, p.words, featurizer):
+            for tp in predict_probs(model, p.words):
                 by_word[tp.word_index].append(tp)
             subword_counts.update(len(v) for v in by_word.values())
             word_probs = [aggregate_word_probs(by_word[w]) for w in range(len(p.words))]

@@ -2,6 +2,9 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,23 @@ class TestIngest:
         assert "1 (50.0%)" in out
         manifest = (tmp_path / "manifest.tsv").read_text(encoding="utf-8")
         assert "failed" in manifest and "ok" in manifest
+
+    def test_import_leaves_out_urllib_request(self):
+        # the child must import the same package, whether or not PYTHONPATH is set
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sciner.cli; print('urllib.request' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_urllib_fetcher_reads_file_url(self, tmp_path):
+        pdf = tmp_path / "paper.pdf"
+        pdf.write_bytes(b"%PDF-1.4 body")
+        assert cli._urllib_fetcher(pdf.as_uri()) == b"%PDF-1.4 body"
 
 
 class TestPartition:

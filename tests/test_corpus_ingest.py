@@ -292,6 +292,11 @@ class TestFetchPdfs:
         for r in records:
             assert (tmp_path / f"{r.paper_id}.pdf").read_bytes() == b"%PDF"
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            ci.fetch_pdfs(self.records(1), lambda url: "not bytes", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_parallel_matches_serial(self, tmp_path):
         records = self.records(30)
         failing = {records[7].url, records[21].url}

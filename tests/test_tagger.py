@@ -4,6 +4,7 @@ import io
 import json
 import random
 import string
+import zlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from sciner import tag_schema as ts
 from sciner import tagger
-from sciner.dataset import TrainingExample
+from sciner.autoannotate import annotate_corpus
+from sciner.dataset import AnnotatedParagraph, TrainingExample
 from sciner.errors import AlignmentError, FormatError
 from kernel_oracles import featurize_ref, training_loss_gradient
 
@@ -133,6 +135,35 @@ class TestFeaturizeExactOrder:
         self.assert_matches_ref(featurizer, words)
 
 
+class TestFeaturizerMemo:
+    # words that no other test featurizes, so the first pass must hash them
+    WORDS = ["memoOnlyHere", "ζmemo-7", "mq"]
+
+    def test_second_pass_hashes_nothing(self, monkeypatch):
+        calls = []
+        real_crc32 = zlib.crc32
+
+        def counting_crc32(*args):
+            calls.append(args[0])
+            return real_crc32(*args)
+
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+        dim = 1 << 12
+        model = tagger.TaggerModel.fresh(dim)
+        first = tagger.Featurizer(dim).paragraph_arrays(self.WORDS)
+        assert calls
+        calls.clear()
+        again = tagger.Featurizer(dim).paragraph_arrays(self.WORDS)
+        probs = tagger.predict_probs(model, self.WORDS)
+        paragraph = AnnotatedParagraph(
+            paper_id="m", paragraph_index=0, words=list(self.WORDS), provenance="unannotated"
+        )
+        annotated, _ = annotate_corpus(model, [paragraph])
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert len(probs) == len(first[2]) and len(annotated[0].labels) == len(self.WORDS)
+
+
 def tiny_examples():
     """Two-class toy problem: Alpha is always B-MethodName, beta always O."""
     examples = []
@@ -238,10 +269,9 @@ class TestTrain:
         assert solver_accuracy(examples) == 1.0  # oracle: the set is separable
         cfg = tagger.TrainConfig(epochs=20, learning_rate=16.0, batch_size=8, seed=0)
         model = tagger.train(examples, cfg, hash_dim=1 << 12)
-        featurizer = tagger.Featurizer(model.hash_dim)
         correct = total = 0
         for example in examples:
-            probs = tagger.predict_probs(model, example.words, featurizer)
+            probs = tagger.predict_probs(model, example.words)
             for tp in probs:
                 total += 1
                 correct += int(
@@ -358,10 +388,10 @@ class TestPredict:
         model = tagger.TaggerModel.fresh(dim)
         featurizer = tagger.Featurizer(dim)
         words = ["target"]
-        before = tagger.predict_probs(model, words, featurizer)[0].distribution[3]
+        before = tagger.predict_probs(model, words)[0].distribution[3]
         feats = featurize_ref(tagger.segment_word("target", 0)[0], words, featurizer.dim)
         model.weights[feats[0], 3] += 1.0
-        after = tagger.predict_probs(model, words, featurizer)[0].distribution[3]
+        after = tagger.predict_probs(model, words)[0].distribution[3]
         assert after > before
 
     def test_word_alignment(self):
