@@ -90,7 +90,7 @@ def constrained_decode(paragraph_word_probs, config: GateConfig = GateConfig()) 
         return []
     matrix = np.vstack([wp.scores for wp in paragraph_word_probs])
     labels_idx, _ = kernels.decode_constrained(matrix, _LEGAL_U8, config.gamma, _START_ROW)
-    return [tag_schema.index_label(int(i)) for i in labels_idx]
+    return [tag_schema.index_label(i) for i in labels_idx.tolist()]
 
 
 @dataclass
@@ -193,7 +193,7 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
         labels_idx, conf = kernels.decode_constrained(
             score_paragraph(p), _LEGAL_U8, config.gamma, _START_ROW
         )
-        labels = [tag_schema.index_label(int(i)) for i in labels_idx]
+        labels = [tag_schema.index_label(i) for i in labels_idx.tolist()]
         stats.merge_counts(labels)
         annotated.append(
             AnnotatedParagraph(
@@ -202,7 +202,7 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
                 words=list(p.words),
                 labels=labels,
                 provenance="auto",
-                confidence=[float(c) for c in conf],
+                confidence=conf.tolist(),
             )
         )
     return annotated, stats

@@ -382,9 +382,10 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
 
     `fetcher(url)` returns the PDF bytes or raises.  Files already present in
     `out_dir` are not refetched, so a rerun resumes where the last one failed.
-    Failures are retried up to `max_attempts` with 1-second spacing (`sleep`
-    is injectable for tests).  Entries keep input order even when fetches run
-    on `parallelism` > 1 workers.
+    A fetch error or an OSError while writing (a full disk) fails the attempt;
+    a fetcher that returns no bytes raises TypeError.  Failures are retried up
+    to `max_attempts` with 1-second spacing (`sleep` is injectable for tests).
+    Entries keep input order even when fetches run on `parallelism` > 1 workers.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -406,19 +407,22 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
         path = os.path.join(out_dir, f"{entry.paper_id}.pdf")
         if os.path.exists(path):
             return ManifestEntry(entry.paper_id, entry.url, "ok", 1, "already present")
-        last_error = ""
         for attempt in range(1, max_attempts + 1):
             try:
                 data = fetcher(entry.url)
             except Exception as exc:
-                last_error = str(exc) or type(exc).__name__
-                if attempt < max_attempts:
-                    sleep(1)
-                continue
-            with atomic_write(path, "wb", encoding=None) as handle:
-                handle.write(data)
-            return ManifestEntry(entry.paper_id, entry.url, "ok", attempt)
-        return ManifestEntry(entry.paper_id, entry.url, "failed", max_attempts, last_error)
+                error = exc
+            else:
+                try:
+                    with atomic_write(path, "wb", encoding=None) as handle:
+                        handle.write(data)
+                    return ManifestEntry(entry.paper_id, entry.url, "ok", attempt)
+                except OSError as exc:
+                    error = exc
+            if attempt < max_attempts:
+                sleep(1)
+        note = str(error) or type(error).__name__
+        return ManifestEntry(entry.paper_id, entry.url, "failed", max_attempts, note)
 
     if parallelism > 1 and jobs:
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:

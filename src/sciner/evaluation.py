@@ -215,7 +215,7 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
     per_draw_a = []
     per_draw_b = []
     for _ in range(draws):
-        idx = rng.choice(len(gold), size=draw_size, replace=False)
+        idx = rng.choice(len(gold), size=draw_size, replace=False).tolist()
         g = [gold[i] for i in idx]
         per_draw_a.append(score(g, [predictions_a[i] for i in idx]))
         per_draw_b.append(score(g, [predictions_b[i] for i in idx]))

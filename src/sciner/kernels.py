@@ -107,25 +107,20 @@ def aggregate_words(probs, word_idx, n_words):
 
 
 def decode_constrained(scores, legal, gamma, start_row):
-    n_words, n_classes = scores.shape
-    out = np.empty(n_words, dtype=np.int64)
-    conf = np.empty(n_words)
-    amb = legal.shape[0] - 1
-    prev = -1
-    for w in range(n_words):
-        row = legal[start_row] if prev < 0 else legal[prev]
-        best = -1
-        best_score = -1.0
-        for c in range(n_classes):
-            if row[c] and scores[w, c] > best_score:
-                best = c
-                best_score = scores[w, c]
-        if best_score >= gamma:
-            out[w] = best
-            prev = best
-        else:
-            out[w] = amb
-            prev = amb
-        conf[w] = best_score
-    return out, conf
+    """Each word gets the best class legal after the previous label (lowest
+    index on ties) if its score reaches `gamma`, else amb, the last row of
+    `legal`.  Returns (labels, each word's best legal score)."""
+    # choice table: for each previous label r and word w, the best legal class,
+    # its score, and the label w gets after r
+    masked = np.where(legal[:, None, :] != 0, scores, -1.0)
+    best = masked.argmax(axis=2)
+    top = np.take_along_axis(masked, best[:, :, None], axis=2)[:, :, 0]
+    gated = np.where(top >= gamma, best, legal.shape[0] - 1)
+    # one walk through the table finds each word's previous label
+    prev = [start_row]
+    for choice in gated.T.tolist():
+        prev.append(choice[prev[-1]])
+    rows = np.array(prev[:-1], dtype=np.intp)
+    words = np.arange(len(rows))
+    return gated[rows, words], top[rows, words]
 

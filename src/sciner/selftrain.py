@@ -240,7 +240,8 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
                 records.append(record)
                 log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
-        init = model if config.carry_forward else None
+        # hold one finished model at a time: the last one only if it seeds this one
+        init, model = (model if config.carry_forward else None), None
         try:
             model, record, _ = run_iteration(
                 manual_train, auto_corpus, config, iteration=iteration,

@@ -39,10 +39,6 @@ class SubwordToken:
     def is_continuation(self) -> bool:
         return self.text.startswith(CONTINUATION_MARK)
 
-    @property
-    def chunk(self) -> str:
-        return self.text[len(CONTINUATION_MARK):] if self.is_continuation else self.text
-
 
 def segment_word(word: str, word_index: int = 0) -> list[SubwordToken]:
     """Fixed-width chunking: at most 4 characters per subword, left to right."""
@@ -53,13 +49,6 @@ def segment_word(word: str, word_index: int = 0) -> list[SubwordToken]:
         chunk = word[start : start + SUBWORD_WIDTH]
         text = chunk if start == 0 else CONTINUATION_MARK + chunk
         out.append(SubwordToken(text, word_index))
-    return out
-
-
-def segment_paragraph(words) -> list[SubwordToken]:
-    out = []
-    for i, word in enumerate(words):
-        out.extend(segment_word(word, i))
     return out
 
 
@@ -128,9 +117,6 @@ class Featurizer:
         if dim < 2:
             raise ValueError("hash dimension must be >= 2")
         self.dim = dim
-
-    def _h(self, text: str) -> int:
-        return _hash(text, self.dim)
 
     def paragraph_arrays(self, words):
         """(feat, offsets, word_idx) arrays for all subwords of a paragraph.
@@ -287,7 +273,7 @@ def prepare_examples(examples, featurizer: Featurizer) -> _Prepared:
         feat_parts.append(f)
         offsets.append(o[1:] + base)
         base += len(f)
-        for wi in widx:
+        for wi in widx.tolist():
             label = example.labels[wi]
             masked_in = example.mask[wi] and label != tag_schema.AMB
             if masked_in and not tag_schema.is_model_label(label):
@@ -353,18 +339,6 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     )
 
 
-def training_loss(model: TaggerModel, data) -> float:
-    """Mean cross-entropy per unmasked subword (forward pass only)."""
-    featurizer = Featurizer(model.hash_dim)
-    prepared = prepare_examples(list(data), featurizer)
-    if prepared.n_effective == 0:
-        raise ValueError("no unmasked training tokens")
-    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
-    live = prepared.mask != 0
-    p_true = probs[live, prepared.labels[live]]
-    return float(-np.log(np.maximum(p_true, 1e-300)).mean())
-
-
 def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
     """Per-subword class distributions for one paragraph."""
     words = list(words)
@@ -372,7 +346,7 @@ def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
         return []
     feat, offsets, word_idx = Featurizer(model.hash_dim).paragraph_arrays(words)
     probs = kernels.score_subwords(model.weights, feat, offsets)
-    return [TokenProbs(int(word_idx[s]), probs[s]) for s in range(len(word_idx))]
+    return [TokenProbs(w, row) for w, row in zip(word_idx.tolist(), probs)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ rule that `autoannotate.gate_label` must match.
 probability file one record at a time; the columnar reader and grouping must
 give the same groups, bit for bit, or raise the same error.
 `featurize_ref` hashes one subword's feature strings in the order that
-`Featurizer.paragraph_arrays` must give them.  `training_loss_gradient` is the
-analytic gradient of `tagger.training_loss`, one subword at a time.
+`Featurizer.paragraph_arrays` must give them; `segment_paragraph` and `chunk`
+give the subwords it takes and their text.  `training_loss` is the mean
+cross-entropy that training descends, and `training_loss_gradient` its
+analytic gradient, one subword at a time.
 """
 
 import json
@@ -21,6 +23,7 @@ import numpy as np
 from sciner import kernels, tag_schema
 from sciner.errors import AlignmentError, FormatError
 from sciner.tagger import (
+    CONTINUATION_MARK,
     DEFAULT_HASH_DIM,
     ExternalProbs,
     Featurizer,
@@ -130,6 +133,20 @@ def gate_label_ref(scores, gamma):
     return best if scores[best] >= gamma else len(scores)
 
 
+def segment_paragraph(words):
+    """Every subword of `words`, in order, each carrying its word's index."""
+    out = []
+    for i, word in enumerate(words):
+        out.extend(segment_word(word, i))
+    return out
+
+
+def chunk(subword):
+    """A subword's characters, without the continuation mark."""
+    text = subword.text
+    return text[len(CONTINUATION_MARK):] if subword.is_continuation else text
+
+
 def featurize_ref(subword, words, dim=DEFAULT_HASH_DIM):
     """Feature ids of one subword of words[subword.word_index]: the word's,
     the subword's, then those of the words at offsets -2..+2."""
@@ -149,8 +166,19 @@ def featurize_ref(subword, words, dim=DEFAULT_HASH_DIM):
     return np.array([zlib.crc32(s.encode("utf-8")) % dim for s in strings], dtype=np.int64)
 
 
+def training_loss(model, data):
+    """Mean cross-entropy per unmasked subword (forward pass only)."""
+    prepared = prepare_examples(list(data), Featurizer(model.hash_dim))
+    if prepared.n_effective == 0:
+        raise ValueError("no unmasked training tokens")
+    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
+    live = prepared.mask != 0
+    p_true = probs[live, prepared.labels[live]]
+    return float(-np.log(np.maximum(p_true, 1e-300)).mean())
+
+
 def training_loss_gradient(model, data):
-    """Analytic gradient of `tagger.training_loss` w.r.t. the weights."""
+    """Analytic gradient of `training_loss` w.r.t. the weights."""
     prepared = prepare_examples(list(data), Featurizer(model.hash_dim))
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")

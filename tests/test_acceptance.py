@@ -33,9 +33,9 @@ from sciner.corpus_ingest import (
 from sciner.dataset import merge_for_retraining
 from sciner.evaluation import bootstrap_compare, score
 from sciner.selftrain import LoopConfig, run_iteration, run_loop
-from sciner.tagger import Featurizer, TaggerModel, TokenProbs, TrainConfig, prepare_examples, train, training_loss
+from sciner.tagger import Featurizer, TaggerModel, TokenProbs, TrainConfig, prepare_examples, train
 
-from kernel_oracles import training_loss_gradient
+from kernel_oracles import training_loss, training_loss_gradient
 from test_corpus_ingest import PROCEEDINGS_BIB
 from test_evaluation import para, random_pair
 

@@ -1,6 +1,9 @@
 """Bibliography parsing, catalog CSV, hashing, fetching, and tokenizer tests."""
 
+import contextlib
+import errno
 import io
+import os
 import random
 import string
 
@@ -296,6 +299,32 @@ class TestFetchPdfs:
         with pytest.raises(TypeError):
             ci.fetch_pdfs(self.records(1), lambda url: "not bytes", tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_fails_one_entry(self, tmp_path, monkeypatch):
+        records = self.records(3)
+        full = os.path.join(tmp_path, f"{records[1].paper_id}.pdf")
+        real_write = ci.atomic_write
+
+        @contextlib.contextmanager
+        def disk_full_for_second(path, *args, **kwargs):
+            with real_write(path, *args, **kwargs) as handle:
+                if path == full:
+                    handle.write(b"%P")
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                yield handle
+
+        monkeypatch.setattr(ci, "atomic_write", disk_full_for_second)
+        sleeps = []
+        manifest = ci.fetch_pdfs(
+            records, lambda url: b"%PDF", tmp_path, max_attempts=2, sleep=sleeps.append
+        )
+        assert [e.status for e in manifest.entries] == ["ok", "failed", "ok"]
+        assert manifest.entries[1].attempts == 2
+        assert os.strerror(errno.ENOSPC) in manifest.entries[1].error_note
+        assert sleeps == [1]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"{r.paper_id}.pdf" for r in (records[0], records[2])
+        )
 
     def test_parallel_matches_serial(self, tmp_path):
         records = self.records(30)

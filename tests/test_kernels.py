@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sciner import kernels
 from sciner import tag_schema as ts
@@ -163,3 +166,28 @@ class TestDecode:
                 lr, cr = decode_constrained_ref(scores, legal, gamma, start)
                 assert np.array_equal(la, lr)
                 assert np.array_equal(ca, cr)
+
+
+# scores and gamma on a 1/4 grid, so argmax ties and a score equal to gamma are common
+QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def decode_problems(draw):
+    """(scores, legal, gamma, start_row): a random (16, 15) uint8 legality
+    matrix with at least one legal class per row, 0-40 words."""
+    legal = draw(hnp.arrays(np.uint8, (16, 15), elements=st.sampled_from([0, 1, 2, 255])))
+    legal[np.arange(16), draw(hnp.arrays(np.int64, 16, elements=st.integers(0, 14)))] = 1
+    scores = draw(hnp.arrays(np.float64, (draw(st.integers(0, 40)), 15), elements=QUARTERS))
+    gamma = draw(QUARTERS.filter(lambda g: g > 0))
+    return scores, legal, gamma, draw(st.integers(0, 15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_problems())
+def test_decode_matches_reference_on_any_legality_matrix(problem):
+    labels, conf = kernels.decode_constrained(*problem)
+    labels_ref, conf_ref = decode_constrained_ref(*problem)
+    assert labels.dtype == labels_ref.dtype and conf.dtype == conf_ref.dtype
+    assert np.array_equal(labels, labels_ref)
+    assert np.array_equal(conf.view(np.int64), conf_ref.view(np.int64))

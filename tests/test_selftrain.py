@@ -1,13 +1,15 @@
 """Self-training loop tests: determinism, degenerate gates, resume."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sciner
-from sciner import synth
+from sciner import selftrain, synth
 from sciner.autoannotate import GateConfig, annotate_corpus
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
 from sciner.tagger import TrainConfig
@@ -264,6 +266,45 @@ class TestRunLoop:
         )
         assert not np.array_equal(fresh_model.weights, carry_model.weights)
         assert carry_model.epochs_run > fresh_model.epochs_run
+
+    @staticmethod
+    def _track_models(monkeypatch):
+        """Wrap run_iteration; return (weakrefs to the models it returned,
+        per call: whether each earlier model was alive after gc.collect() and
+        whether `init` was the model of the call before)."""
+        returned, calls = [], []
+        real = selftrain.run_iteration
+
+        def tracked(*args, init=None, **kwargs):
+            gc.collect()
+            calls.append((
+                [ref() is not None for ref in returned],
+                init is not None and init is returned[-1](),
+            ))
+            model, record, annotated = real(*args, init=init, **kwargs)
+            returned.append(weakref.ref(model))
+            return model, record, annotated
+
+        monkeypatch.setattr(selftrain, "run_iteration", tracked)
+        return returned, calls
+
+    def test_previous_model_freed_before_next_iteration(self, monkeypatch):
+        corpus = small_corpus()
+        returned, calls = self._track_models(monkeypatch)
+        run_loop(corpus.manual, corpus.auto_inputs, fast_config())
+        assert len(returned) == 2
+        alive, init_is_previous = calls[1]
+        assert alive == [False]
+        assert not init_is_previous
+
+    def test_carry_forward_keeps_previous_model_as_init(self, monkeypatch):
+        corpus = small_corpus()
+        returned, calls = self._track_models(monkeypatch)
+        run_loop(corpus.manual, corpus.auto_inputs, fast_config(carry_forward=True))
+        assert len(returned) == 2
+        alive, init_is_previous = calls[1]
+        assert alive == [True]
+        assert init_is_previous
 
     def test_iteration_error_names_iteration(self):
         corpus = small_corpus()

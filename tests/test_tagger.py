@@ -16,7 +16,13 @@ from sciner import tagger
 from sciner.autoannotate import annotate_corpus
 from sciner.dataset import AnnotatedParagraph, TrainingExample
 from sciner.errors import AlignmentError, FormatError
-from kernel_oracles import featurize_ref, training_loss_gradient
+from kernel_oracles import (
+    chunk,
+    featurize_ref,
+    segment_paragraph,
+    training_loss,
+    training_loss_gradient,
+)
 
 
 class TestSegmentation:
@@ -28,7 +34,7 @@ class TestSegmentation:
 
     def test_14_char_word_chunked_4_4_4_2(self):
         subs = tagger.segment_word("Hyperparameter")
-        assert [s.chunk for s in subs] == ["Hype", "rpar", "amet", "er"]
+        assert [chunk(s) for s in subs] == ["Hype", "rpar", "amet", "er"]
         assert [s.is_continuation for s in subs] == [False, True, True, True]
         assert subs[1].text == "##rpar"
 
@@ -38,11 +44,11 @@ class TestSegmentation:
         for _ in range(1000):
             word = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 20)))
             subs = tagger.segment_word(word, word_index=3)
-            assert "".join(s.chunk for s in subs) == word
+            assert "".join(chunk(s) for s in subs) == word
             assert all(s.word_index == 3 for s in subs)
 
     def test_paragraph_segmentation_indices(self):
-        subs = tagger.segment_paragraph(["short", "lengthier"])
+        subs = segment_paragraph(["short", "lengthier"])
         assert [s.word_index for s in subs] == [0, 0, 1, 1, 1]
 
     def test_whitespace_rejected(self):
@@ -63,7 +69,7 @@ class TestFeaturize:
     def test_digit_shape_feature_present(self):
         f = tagger.Featurizer(1 << 16)
         feats = featurize_ref(tagger.segment_word("2022", 0)[0], ["2022"], f.dim)
-        assert f._h("shape=dddd") in feats
+        assert tagger._hash("shape=dddd", f.dim) in feats
 
     def test_context_changes_features(self):
         sub = tagger.segment_word("target", 1)[0]
@@ -78,7 +84,7 @@ class TestFeaturize:
         f = tagger.Featurizer(1 << 16)
         words = ["The", "learning", "rate", "was", "0.1", "."]
         feat, offsets, word_idx = f.paragraph_arrays(words)
-        subs = tagger.segment_paragraph(words)
+        subs = segment_paragraph(words)
         assert len(offsets) == len(subs) + 1
         for s, sub in enumerate(subs):
             expected = np.sort(featurize_ref(sub, words, f.dim))
@@ -112,7 +118,7 @@ class TestFeaturizeExactOrder:
     def assert_matches_ref(self, featurizer, words):
         feat, offsets, word_idx = featurizer.paragraph_arrays(words)
         assert feat.dtype == offsets.dtype == word_idx.dtype == np.int64
-        subs = tagger.segment_paragraph(words)
+        subs = segment_paragraph(words)
         assert len(offsets) == len(subs) + 1
         assert offsets[0] == 0 and offsets[-1] == len(feat)
         for s, sub in enumerate(subs):
@@ -318,7 +324,7 @@ class TestTrain:
         for _ in range(6):
             cfg = tagger.TrainConfig(epochs=1, learning_rate=1e-4, batch_size=8, seed=2)
             model = tagger.train(examples, cfg, init=model, hash_dim=1 << 10)
-            losses.append(tagger.training_loss(model, examples))
+            losses.append(training_loss(model, examples))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_one_sgd_step_equals_analytic_gradient(self):
@@ -352,10 +358,10 @@ class TestGradient:
             w_plus[row, col] += h
             w_minus = model.weights.copy()
             w_minus[row, col] -= h
-            loss_plus = tagger.training_loss(
+            loss_plus = training_loss(
                 tagger.TaggerModel(w_plus, dim), examples
             )
-            loss_minus = tagger.training_loss(
+            loss_minus = training_loss(
                 tagger.TaggerModel(w_minus, dim), examples
             )
             fd = (loss_plus - loss_minus) / (2 * h)
