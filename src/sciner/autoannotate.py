@@ -167,7 +167,7 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
 
         def score_paragraph(p):
             feat, offsets, word_idx = featurizer.paragraph_arrays(p.words)
-            probs = kernels.score_subwords(source.weights, feat, offsets)
+            probs = source.subword_probs(feat, offsets)
             return kernels.aggregate_words(probs, word_idx, len(p.words))
 
     else:

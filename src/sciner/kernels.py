@@ -5,8 +5,8 @@ mini-batch and reproduces the token-by-token reference loop in
 tests/kernel_oracles.py bit for bit; the tests compare the two.
 
 All kernels work on primitive arrays:
-  weights      (dim, 15) float64
-  feat         flat int64 feature indices for all subwords
+  weights      (n_rows, 15) float64
+  feat         flat integer row indices into weights for all subwords
   offsets      (n_subwords + 1) int64, subword s owns feat[offsets[s]:offsets[s+1]]
   labels/mask  per-subword class index / loss-mask
   par_offsets  (n_paragraphs + 1) int64 subword boundaries per paragraph

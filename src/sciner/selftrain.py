@@ -67,6 +67,8 @@ class IterationRecord:
     model_path: str | None
     duration_seconds: float
     warnings: list[str] = field(default_factory=list)
+    # mean training loss per epoch: {"step1": [...], "step3": [...]}
+    train_loss: dict | None = None
     # the step-3 model's annotation of the test set; not persisted
     test_predictions: list | None = field(default=None, repr=False, compare=False)
 
@@ -78,6 +80,7 @@ class IterationRecord:
             "model_path": self.model_path,
             "duration_seconds": self.duration_seconds,
             "warnings": self.warnings,
+            "train_loss": self.train_loss,
         }
 
 
@@ -130,6 +133,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
         model_path=None,
         duration_seconds=time.monotonic() - started,
         warnings=warnings,
+        train_loss={"step1": step1_model.epoch_loss, "step3": model.epoch_loss},
         test_predictions=test_predictions,
     )
     return model, record, auto_annotated
@@ -202,6 +206,7 @@ def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> I
         model_path=data["model_path"],
         duration_seconds=data["duration_seconds"],
         warnings=data.get("warnings", []),
+        train_loss=data.get("train_loss"),
     )
 
 

@@ -159,44 +159,94 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass
 class TaggerModel:
-    weights: np.ndarray  # (hash_dim, 15)
-    hash_dim: int
-    epochs_run: int = 0
-    learning_rate: float = 0.0
-    seed: int = 0
+    """Hashed-feature weights, holding only the rows that training touched.
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.hash_dim, tag_schema.NUM_CLASSES):
+    `rows` are sorted, unique hashed feature ids and `values` their
+    `(len(rows), 15)` float64 weights; every other row of the
+    `(hash_dim, 15)` weight matrix is zero.  Training touches a few thousand
+    of the 2^20 default rows, so training, scoring, saving and loading never
+    hold the dense matrix.
+
+    `TaggerModel(weights, hash_dim)` converts a dense matrix into a model that
+    holds every row; with `rows`, `weights` are the weights of just those ids.
+    `epoch_loss` is the mean training loss of each epoch of the `train` call
+    that made the model; it lives in memory only and is not saved.
+    """
+
+    def __init__(self, weights, hash_dim: int, epochs_run: int = 0,
+                 learning_rate: float = 0.0, seed: int = 0, *, rows=None,
+                 epoch_loss=()):
+        n_classes = tag_schema.NUM_CLASSES
+        if rows is None:
+            rows = np.arange(hash_dim, dtype=np.int64)
+        else:
+            rows = _checked_rows(rows, hash_dim)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(rows), n_classes):
             raise ValueError(
-                f"weights shape {self.weights.shape} does not match "
-                f"({self.hash_dim}, {tag_schema.NUM_CLASSES})"
+                f"weights shape {weights.shape} does not match ({len(rows)}, {n_classes})"
             )
-        if not np.isfinite(self.weights).all():
+        if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
+        rows.flags.writeable = False  # the id -> row index is built from them once
+        # one all-zero row after the values stands for every id not in `rows`
+        self._table = np.zeros((len(rows) + 1, n_classes))
+        self._table[:-1] = weights
+        self._index = None
+        self.rows = rows
+        self.values = self._table[:-1]
+        self.hash_dim = hash_dim
+        self.epochs_run = epochs_run
+        self.learning_rate = learning_rate
+        self.seed = seed
+        self.epoch_loss = list(epoch_loss)
 
     @classmethod
     def fresh(cls, hash_dim: int = DEFAULT_HASH_DIM) -> "TaggerModel":
         return cls(np.zeros((hash_dim, tag_schema.NUM_CLASSES)), hash_dim)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense `(hash_dim, 15)` weight matrix, for tests.
+
+        When the model holds every row this is `values` itself, so writes to
+        it change the model; otherwise it is a new array.
+        """
+        if len(self.rows) == self.hash_dim:
+            return self.values
+        dense = np.zeros((self.hash_dim, tag_schema.NUM_CLASSES))
+        dense[self.rows] = self.values
+        return dense
+
+    def subword_probs(self, feat, offsets) -> np.ndarray:
+        """Class distributions of the subwords whose hashed feature ids are
+        `feat[offsets[s]:offsets[s + 1]]`, bit-identical to scoring with the
+        dense matrix."""
+        if self._index is None:
+            # hashed id -> row of the table, in the smallest dtype that holds
+            # the zero row's number (uint16, 2 MB at 2^20, below 65,536 rows)
+            index = np.full(self.hash_dim, len(self.rows), np.min_scalar_type(len(self.rows)))
+            index[self.rows] = np.arange(len(self.rows))
+            self._index = index
+        return kernels.score_subwords(self._table, self._index[feat], offsets)
+
     def save(self, path) -> None:
         """Write the model to `path` (".npz" appended if missing), atomically.
 
-        Only rows with a nonzero bit pattern are stored: hashed features touch
-        few rows, and comparing bits rather than values keeps rows of -0.0.
+        Only rows with a nonzero bit pattern are stored: comparing bits rather
+        than values keeps rows of -0.0.
         """
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
-        rows = np.flatnonzero(self.weights.view(np.int64).any(axis=1))
+        keep = _nonzero_bits(self.values)
         with atomic_write(path, "wb", encoding=None) as handle:
             np.savez_compressed(
                 handle,
                 format=MODEL_FORMAT,
-                rows=rows,
-                values=self.weights[rows],
+                rows=self.rows[keep],
+                values=self.values[keep],
                 hash_dim=self.hash_dim,
                 epochs_run=self.epochs_run,
                 learning_rate=self.learning_rate,
@@ -205,46 +255,55 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path) -> "TaggerModel":
-        """Read a model written by :meth:`save` (or a dense v1 file)."""
+        """Read a model written by :meth:`save`, or a dense v1 file, of which
+        the rows with a nonzero bit pattern are kept."""
         with np.load(path, allow_pickle=False) as data:
             try:
                 fmt = str(data["format"])
-                if fmt == MODEL_FORMAT:
-                    hash_dim = int(data["hash_dim"])
-                    weights = _scatter_rows(path, data["rows"], data["values"], hash_dim)
-                elif fmt == MODEL_FORMAT_V1:
-                    weights = data["weights"]
-                    hash_dim = int(data["hash_dim"])
-                else:
+                if fmt not in (MODEL_FORMAT, MODEL_FORMAT_V1):
                     raise FormatError(f"{path}: unknown model format {fmt!r}")
-                return cls(
-                    weights=weights,
-                    hash_dim=hash_dim,
+                hash_dim = int(data["hash_dim"])
+                meta = dict(
                     epochs_run=int(data["epochs_run"]),
                     learning_rate=float(data["learning_rate"]),
                     seed=int(data["seed"]),
                 )
+                if fmt == MODEL_FORMAT:
+                    rows, values = data["rows"], data["values"]
+                    if values.dtype != np.float64:
+                        raise FormatError(f"{path}: values are {values.dtype}, expected float64")
+                else:
+                    dense = np.asarray(data["weights"], dtype=np.float64)
+                    if dense.shape != (hash_dim, tag_schema.NUM_CLASSES):
+                        raise FormatError(
+                            f"{path}: weights have shape {dense.shape}, expected "
+                            f"({hash_dim}, {tag_schema.NUM_CLASSES})"
+                        )
+                    rows = np.flatnonzero(_nonzero_bits(dense))
+                    values = dense[rows]
             except KeyError as exc:
                 raise FormatError(f"{path}: model file lacks {exc.args[0]!r}") from None
+        try:
+            return cls(values, hash_dim, rows=rows, **meta)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
-def _scatter_rows(path, rows, values, hash_dim: int) -> np.ndarray:
-    """Dense weights from a v2 file's sorted nonzero `rows` and their `values`."""
-    n_classes = tag_schema.NUM_CLASSES
+def _checked_rows(rows, hash_dim: int) -> np.ndarray:
+    """`rows` as a new int64 array, once they are sorted, unique ids in [0, hash_dim)."""
+    rows = np.asarray(rows)
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
-        raise FormatError(f"{path}: rows must be a 1-D integer array")
-    if (np.diff(rows) <= 0).any():
-        raise FormatError(f"{path}: rows must be strictly increasing")
+        raise ValueError("rows must be a 1-D integer array")
+    if (rows[1:] <= rows[:-1]).any():
+        raise ValueError("rows must be strictly increasing")
     if len(rows) and (rows[0] < 0 or rows[-1] >= hash_dim):
-        raise FormatError(f"{path}: rows must lie in [0, {hash_dim})")
-    if values.dtype != np.float64 or values.shape != (len(rows), n_classes):
-        raise FormatError(
-            f"{path}: values are {values.dtype} {values.shape}, "
-            f"expected float64 ({len(rows)}, {n_classes})"
-        )
-    weights = np.zeros((hash_dim, n_classes))
-    weights[rows] = values
-    return weights
+        raise ValueError(f"rows must lie in [0, {hash_dim})")
+    return rows.astype(np.int64)
+
+
+def _nonzero_bits(values) -> np.ndarray:
+    """Which rows of a float64 matrix hold a bit other than zero (-0.0 does)."""
+    return values.view(np.int64).any(axis=1)
 
 
 @dataclass
@@ -302,26 +361,33 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     epoch from `config.seed`, so a rerun is bit-identical.  `init` continues
     training an existing model (its hash_dim wins); otherwise training starts
     from zero weights.
+
+    Only the rows the features touch, and `init`'s rows, are held: feature
+    ids are mapped once to positions among those sorted rows, and
+    `epoch_sgd` updates that compact matrix in the order it would update the
+    dense one, so the weights are bit-identical to dense training.
     """
     data = list(data)
     if init is not None:
         hash_dim = init.hash_dim
-        weights = init.weights.copy()
-        epochs_before = init.epochs_run
-    else:
-        weights = np.zeros((hash_dim, tag_schema.NUM_CLASSES))
-        epochs_before = 0
-    featurizer = Featurizer(hash_dim)
-    prepared = prepare_examples(data, featurizer)
+    prepared = prepare_examples(data, Featurizer(hash_dim))
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
+    rows = np.unique(prepared.feat)
+    if init is not None:
+        rows = np.union1d(init.rows, rows)
+    weights = np.zeros((len(rows), tag_schema.NUM_CLASSES))
+    if init is not None:
+        weights[np.searchsorted(rows, init.rows)] = init.values
+    feat = np.searchsorted(rows, prepared.feat)
 
     rng = np.random.default_rng(config.seed)
+    epoch_loss = []
     for _ in range(config.epochs):
         order = rng.permutation(prepared.n_paragraphs).astype(np.int64)
-        kernels.epoch_sgd(
+        loss, tokens = kernels.epoch_sgd(
             weights,
-            prepared.feat,
+            feat,
             prepared.offsets,
             prepared.labels,
             prepared.mask,
@@ -330,12 +396,15 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
             config.batch_size,
             config.learning_rate,
         )
+        epoch_loss.append(loss / tokens)
     return TaggerModel(
-        weights=weights,
-        hash_dim=hash_dim,
-        epochs_run=epochs_before + config.epochs,
+        weights,
+        hash_dim,
+        epochs_run=(0 if init is None else init.epochs_run) + config.epochs,
         learning_rate=config.learning_rate,
         seed=config.seed,
+        rows=rows,
+        epoch_loss=epoch_loss,
     )
 
 
@@ -345,7 +414,7 @@ def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
     if not words:
         return []
     feat, offsets, word_idx = Featurizer(model.hash_dim).paragraph_arrays(words)
-    probs = kernels.score_subwords(model.weights, feat, offsets)
+    probs = model.subword_probs(feat, offsets)
     return [TokenProbs(w, row) for w, row in zip(word_idx.tolist(), probs)]
 
 

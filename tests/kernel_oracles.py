@@ -12,7 +12,9 @@ give the same groups, bit for bit, or raise the same error.
 `Featurizer.paragraph_arrays` must give them; `segment_paragraph` and `chunk`
 give the subwords it takes and their text.  `training_loss` is the mean
 cross-entropy that training descends, and `training_loss_gradient` its
-analytic gradient, one subword at a time.
+analytic gradient, one subword at a time.  `train_dense_ref` trains on the
+dense `(hash_dim, 15)` matrix; `tagger.train`, which holds only the rows its
+features touch, must give the same weights bit for bit.
 """
 
 import json
@@ -27,6 +29,7 @@ from sciner.tagger import (
     DEFAULT_HASH_DIM,
     ExternalProbs,
     Featurizer,
+    TaggerModel,
     prepare_examples,
     segment_word,
     word_shape,
@@ -193,6 +196,32 @@ def training_loss_gradient(model, data):
         rows = prepared.feat[prepared.offsets[t] : prepared.offsets[t + 1]]
         np.add.at(grad, rows, g / n)
     return grad
+
+
+def train_dense_ref(data, config, init=None, hash_dim=DEFAULT_HASH_DIM):
+    """`tagger.train` on the dense matrix: zeros, or a copy of `init.weights`,
+    updated by the same `epoch_sgd` calls on the hashed feature ids."""
+    data = list(data)
+    if init is not None:
+        hash_dim = init.hash_dim
+        weights = init.weights.copy()
+    else:
+        weights = np.zeros((hash_dim, tag_schema.NUM_CLASSES))
+    prepared = prepare_examples(data, Featurizer(hash_dim))
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(prepared.n_paragraphs).astype(np.int64)
+        kernels.epoch_sgd(
+            weights, prepared.feat, prepared.offsets, prepared.labels, prepared.mask,
+            prepared.par_offsets, order, config.batch_size, config.learning_rate,
+        )
+    return TaggerModel(
+        weights,
+        hash_dim,
+        epochs_run=(0 if init is None else init.epochs_run) + config.epochs,
+        learning_rate=config.learning_rate,
+        seed=config.seed,
+    )
 
 
 def load_external_probs_ref(source):

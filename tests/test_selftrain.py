@@ -256,6 +256,20 @@ class TestRunLoop:
         untested, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg)
         assert all(r.test_predictions is None for r in untested)
 
+    def test_records_carry_per_epoch_train_loss_through_resume(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config()
+        fresh, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        for record in fresh:
+            assert len(record.train_loss["step1"]) == cfg.step1.epochs
+            assert len(record.train_loss["step3"]) == cfg.step3.epochs
+            assert np.isfinite(record.train_loss["step1"] + record.train_loss["step3"]).all()
+        data = json.loads((tmp_path / "iteration_02.json").read_text(encoding="utf-8"))
+        assert data["train_loss"] == fresh[1].train_loss
+        resumed, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                              resume=True)
+        assert [r.to_dict() for r in resumed] == [r.to_dict() for r in fresh]
+
     def test_carry_forward_differs_from_fresh(self):
         corpus = small_corpus(13)
         fresh_records, fresh_model = run_loop(
