@@ -154,9 +154,9 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
                     parallelism: int = 1):
     """Label every paragraph via gated constrained decoding.
 
-    `source` is either a TaggerModel, an ExternalProbsTable, or an iterable
-    of ExternalProbs records.  Records for a paragraph not in `paragraphs`
-    are an AlignmentError, raised before any paragraph is decoded.
+    `source` is either a TaggerModel or an ExternalProbsTable.  Records for
+    a paragraph not in `paragraphs` are an AlignmentError, raised before any
+    paragraph is decoded.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
     `parallelism` is accepted and ignored: annotation is one serial pass,

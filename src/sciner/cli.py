@@ -8,38 +8,42 @@ comments; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 from . import corpus_ingest, dataset, evaluation, selftrain
-from .autoannotate import GateConfig, annotate_corpus
+from .autoannotate import DEFAULT_GAMMA, GateConfig, annotate_corpus
 from .errors import FormatError
-from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig
+from .tagger import TaggerModel, TrainConfig
 from .util import atomic_write
 
 RUN_DIR_ENV = "SELFTRAIN_RUN_DIR"
+
+# defaults come from the objects that own them
+_LOOP_DEFAULTS = selftrain.LoopConfig()
+_BOOTSTRAP_DEFAULTS = inspect.signature(evaluation.bootstrap_compare).parameters
 
 CONFIG_DEFAULTS = {
     "train_annotations": "",
     "test_annotations": "",
     "token_dir": "",
     "run_dir": "",
-    "iterations": "2",
-    "gamma": "0.98",
-    "seed": "0",
-    "amb_policy": "ignore_positions",
-    "hash_dim": str(DEFAULT_HASH_DIM),
-    "carry_forward": "false",
+    "iterations": str(_LOOP_DEFAULTS.iterations),
+    "gamma": str(_LOOP_DEFAULTS.gate.gamma),
+    "seed": str(_LOOP_DEFAULTS.seed),
+    "amb_policy": _LOOP_DEFAULTS.amb_policy,
+    "hash_dim": str(_LOOP_DEFAULTS.hash_dim),
+    "carry_forward": str(_LOOP_DEFAULTS.carry_forward).lower(),
     "parallelism": "1",  # accepted and ignored; annotation is serial
-    "step1_epochs": "20",
-    "step1_learning_rate": "1e-4",
-    "step1_batch_size": "8",
-    "step3_epochs": "5",
-    "step3_learning_rate": "1e-4",
-    "step3_batch_size": "8",
-    "draws": "12",
-    "draw_size": "50",
+    **{
+        f"{step}_{key}": str(getattr(getattr(_LOOP_DEFAULTS, step), key))
+        for step in ("step1", "step3")
+        for key in ("epochs", "learning_rate", "batch_size")
+    },
+    "draws": str(_BOOTSTRAP_DEFAULTS["draws"].default),
+    "draw_size": str(_BOOTSTRAP_DEFAULTS["draw_size"].default),
 }
 
 
@@ -96,8 +100,12 @@ def _read_token_corpus(token_dir):
         raise FileNotFoundError(f"no .txt token files in {token_dir}")
     for name in names:
         paper_id = name[: -len(".txt")]
-        with open(os.path.join(token_dir, name), encoding="utf-8") as handle:
-            doc = corpus_ingest.read_token_file(handle, paper_id=paper_id)
+        path = os.path.join(token_dir, name)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = corpus_ingest.read_token_file(handle, paper_id=paper_id)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         for i, words in enumerate(doc.paragraphs):
             paragraphs.append(
                 dataset.AnnotatedParagraph(
@@ -189,6 +197,8 @@ def cmd_loop(args) -> int:
 
     manual = _read_annotation_file(cfg["train_annotations"])
     test = _read_annotation_file(cfg["test_annotations"])
+    draws, draw_size = int(cfg["draws"]), int(cfg["draw_size"])
+    evaluation.check_draws(draws, draw_size, len(test))  # before any training
     auto_corpus = _read_token_corpus(cfg["token_dir"])
 
     records, _ = selftrain.run_loop(
@@ -210,8 +220,7 @@ def cmd_loop(args) -> int:
 
     result = evaluation.bootstrap_compare(
         test, records[0].test_predictions, records[-1].test_predictions,
-        draws=int(cfg["draws"]), draw_size=int(cfg["draw_size"]),
-        seed=loop_cfg.seed,
+        draws=draws, draw_size=draw_size, seed=loop_cfg.seed,
     )
     table = result.render(name_a="iteration 1", name_b="final")
     print(table)
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--tokens", dest="token_dir", required=True, help="directory of <paper_id>.txt files")
     p.add_argument("--out", required=True, help="annotation file output path")
-    p.add_argument("--gamma", type=float, default=0.98)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--parallelism", type=int, default=1, help="accepted and ignored")
     p.add_argument("--stats-json", help="also write gate statistics as JSON")
     p.set_defaults(func=cmd_annotate)
@@ -319,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("predictions")
     p.add_argument("predictions_b", nargs="?", help="second model's predictions")
-    p.add_argument("--draws", type=int, default=12)
-    p.add_argument("--draw-size", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--draws", type=int, default=_BOOTSTRAP_DEFAULTS["draws"].default)
+    p.add_argument("--draw-size", type=int, default=_BOOTSTRAP_DEFAULTS["draw_size"].default)
+    p.add_argument("--seed", type=int, default=_BOOTSTRAP_DEFAULTS["seed"].default)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 

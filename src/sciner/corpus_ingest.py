@@ -436,44 +436,12 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
 # Tokenization
 # ---------------------------------------------------------------------------
 
-# characters always detached as single-character tokens
-_DETACH = set('()[]{}"“”:;!?')
-
-
-def _split_hyphens(piece: str) -> list[str]:
-    """Detach hyphens that have non-hyphen material on both sides.
-
-    Edge hyphens stay attached ("picto-" survives as one token), matching how
-    line-break hyphenation comes out of text extraction.
-    """
-    non_hyphen = [i for i, c in enumerate(piece) if c != "-"]
-    if not non_hyphen:
-        return [piece]
-    lo, hi = non_hyphen[0], non_hyphen[-1]
-    out = []
-    current = piece[:lo]
-    for i in range(lo, hi + 1):
-        c = piece[i]
-        if c == "-":
-            if current:
-                out.append(current)
-                current = ""
-            out.append("-")
-        else:
-            current += c
-    current += piece[hi + 1 :]
-    if current:
-        out.append(current)
-    return out
-
-
-def _strip_trailing_punct(piece: str) -> list[str]:
-    suffix = []
-    while len(piece) > 1 and piece[-1] in ".,":
-        suffix.append(piece[-1])
-        piece = piece[:-1]
-    suffix.reverse()
-    return [piece] + suffix
+# a piece is one character always detached as its own token, or a run of
+# anything else up to whitespace or such a character
+_PIECE = re.compile(r'[()\[\]{}"“”:;!?]|[^\s()\[\]{}"“”:;!?]+')
+# a piece all of hyphens stays whole; otherwise each hyphen inside it is a
+# token, and hyphens at its edges stay on the core next to them ("picto-")
+_HYPHEN_PART = re.compile(r"^-+\Z|(?:^-*)?[^-]+(?:-*\Z)?|-")
 
 
 def tokenize(paragraph: str) -> list[str]:
@@ -485,28 +453,12 @@ def tokenize(paragraph: str) -> list[str]:
     an empty token, and re-tokenizing its own space-joined output is a no-op.
     """
     tokens: list[str] = []
-    for chunk in paragraph.split():
-        pieces = []
-        current = ""
-        for c in chunk:
-            if c in _DETACH:
-                if current:
-                    pieces.append(current)
-                    current = ""
-                pieces.append(c)
-            else:
-                current += c
-        if current:
-            pieces.append(current)
-        for piece in pieces:
-            if piece in _DETACH:
-                tokens.append(piece)
-                continue
-            for part in _split_hyphens(piece):
-                if part == "-":
-                    tokens.append(part)
-                else:
-                    tokens.extend(_strip_trailing_punct(part))
+    for piece in _PIECE.findall(paragraph):
+        for part in _HYPHEN_PART.findall(piece):
+            # each trailing '.' and ',' is a token; a part of only those keeps its first
+            head = part.rstrip(".,") or part[0]
+            tokens.append(head)
+            tokens.extend(part[len(head):])
     return tokens
 
 

@@ -191,6 +191,16 @@ def _mean_std(per_draw: list[MetricSet]):
     return mean, std
 
 
+def check_draws(draws: int, draw_size: int, n_paragraphs: int) -> None:
+    """ValueError unless `draws` draws of `draw_size` fit `n_paragraphs`."""
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    if draw_size < 1:
+        raise ValueError("draw_size must be >= 1")
+    if draw_size > n_paragraphs:
+        raise ValueError(f"draw_size {draw_size} exceeds evaluation set size {n_paragraphs}")
+
+
 def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
                       draw_size: int = 50, seed: int = 0) -> BootstrapResult:
     """Score both models on `draws` random subsets of `draw_size` paragraphs.
@@ -203,14 +213,7 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
     predictions_b = list(predictions_b)
     _check_aligned(gold, predictions_a)
     _check_aligned(gold, predictions_b)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    if draw_size < 1:
-        raise ValueError("draw_size must be >= 1")
-    if draw_size > len(gold):
-        raise ValueError(
-            f"draw_size {draw_size} exceeds evaluation set size {len(gold)}"
-        )
+    check_draws(draws, draw_size, len(gold))
     rng = np.random.default_rng(seed)
     per_draw_a = []
     per_draw_b = []
@@ -237,20 +240,12 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
 def label_counts(paragraphs) -> dict[str, int]:
     """Histogram over the 14 B-/I- classes (plus amb if present); O is omitted."""
     counts = {label: 0 for label in NON_O_LABELS}
-    saw_amb = False
     for p in paragraphs:
         if p.labels is None:
             continue
         for label in p.labels:
-            if label == tag_schema.O_LABEL:
-                continue
-            if label == tag_schema.AMB:
-                saw_amb = True
+            if label != tag_schema.O_LABEL:
                 counts[label] = counts.get(label, 0) + 1
-            else:
-                counts[label] += 1
-    if not saw_amb:
-        counts.pop(tag_schema.AMB, None)
     return counts
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+import lzma
 import os
+import zipfile
 import zlib
 from dataclasses import dataclass
 
@@ -178,6 +180,8 @@ class TaggerModel:
                  learning_rate: float = 0.0, seed: int = 0, *, rows=None,
                  epoch_loss=()):
         n_classes = tag_schema.NUM_CLASSES
+        if not 2 <= hash_dim <= 1 << 32:  # hashed ids are CRC32 values mod hash_dim
+            raise ValueError("hash dimension must lie in [2, 2**32]")
         if rows is None:
             rows = np.arange(hash_dim, dtype=np.int64)
         else:
@@ -204,7 +208,8 @@ class TaggerModel:
 
     @classmethod
     def fresh(cls, hash_dim: int = DEFAULT_HASH_DIM) -> "TaggerModel":
-        return cls(np.zeros((hash_dim, tag_schema.NUM_CLASSES)), hash_dim)
+        """The untrained model: no rows, so every weight is zero."""
+        return cls(np.zeros((0, tag_schema.NUM_CLASSES)), hash_dim, rows=np.zeros(0, np.int64))
 
     @property
     def weights(self) -> np.ndarray:
@@ -256,37 +261,55 @@ class TaggerModel:
     @classmethod
     def load(cls, path) -> "TaggerModel":
         """Read a model written by :meth:`save`, or a dense v1 file, of which
-        the rows with a nonzero bit pattern are kept."""
-        with np.load(path, allow_pickle=False) as data:
-            try:
+        the rows with a nonzero bit pattern are kept.
+
+        A file that cannot be read as a model (not an archive, truncated, a
+        missing or malformed field) is a FormatError naming `path`.
+        """
+        try:
+            data = np.load(path, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
                 fmt = str(data["format"])
                 if fmt not in (MODEL_FORMAT, MODEL_FORMAT_V1):
-                    raise FormatError(f"{path}: unknown model format {fmt!r}")
-                hash_dim = int(data["hash_dim"])
+                    raise ValueError(f"unknown model format {fmt!r}")
+                hash_dim = _scalar(data, "hash_dim", "iu")
                 meta = dict(
-                    epochs_run=int(data["epochs_run"]),
-                    learning_rate=float(data["learning_rate"]),
-                    seed=int(data["seed"]),
+                    epochs_run=_scalar(data, "epochs_run", "iu"),
+                    learning_rate=float(_scalar(data, "learning_rate", "iuf")),
+                    seed=_scalar(data, "seed", "iu"),
                 )
                 if fmt == MODEL_FORMAT:
                     rows, values = data["rows"], data["values"]
                     if values.dtype != np.float64:
-                        raise FormatError(f"{path}: values are {values.dtype}, expected float64")
+                        raise ValueError(f"values are {values.dtype}, expected float64")
                 else:
                     dense = np.asarray(data["weights"], dtype=np.float64)
                     if dense.shape != (hash_dim, tag_schema.NUM_CLASSES):
-                        raise FormatError(
-                            f"{path}: weights have shape {dense.shape}, expected "
+                        raise ValueError(
+                            f"weights have shape {dense.shape}, expected "
                             f"({hash_dim}, {tag_schema.NUM_CLASSES})"
                         )
                     rows = np.flatnonzero(_nonzero_bits(dense))
                     values = dense[rows]
-            except KeyError as exc:
-                raise FormatError(f"{path}: model file lacks {exc.args[0]!r}") from None
-        try:
             return cls(values, hash_dim, rows=rows, **meta)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        except KeyError as exc:
+            raise FormatError(f"{path}: model file lacks {exc.args[0]!r}") from None
+        # zipfile raises RuntimeError for an encrypted member and its subclass
+        # NotImplementedError for an unknown compression method or version
+        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
+                zlib.error, lzma.LZMAError) as exc:
+            raise FormatError(f"{path}: not a readable model file: {exc}") from None
+
+
+def _scalar(data, name: str, kinds: str):
+    """Field `name` of a model file as a Python number, once it is a 0-d
+    array whose dtype kind is one of `kinds`."""
+    value = data[name]
+    if value.shape != () or value.dtype.kind not in kinds:
+        raise ValueError(f"{name} is not a scalar of dtype kind {kinds!r}")
+    return value.item()
 
 
 def _checked_rows(rows, hash_dim: int) -> np.ndarray:
@@ -360,25 +383,21 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     Batches are `batch_size` paragraphs; paragraph order is reshuffled every
     epoch from `config.seed`, so a rerun is bit-identical.  `init` continues
     training an existing model (its hash_dim wins); otherwise training starts
-    from zero weights.
+    from the fresh, all-zero model.
 
     Only the rows the features touch, and `init`'s rows, are held: feature
     ids are mapped once to positions among those sorted rows, and
     `epoch_sgd` updates that compact matrix in the order it would update the
     dense one, so the weights are bit-identical to dense training.
     """
-    data = list(data)
-    if init is not None:
-        hash_dim = init.hash_dim
-    prepared = prepare_examples(data, Featurizer(hash_dim))
+    if init is None:
+        init = TaggerModel.fresh(hash_dim)
+    prepared = prepare_examples(data, Featurizer(init.hash_dim))
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
-    rows = np.unique(prepared.feat)
-    if init is not None:
-        rows = np.union1d(init.rows, rows)
+    rows = np.union1d(init.rows, prepared.feat)
     weights = np.zeros((len(rows), tag_schema.NUM_CLASSES))
-    if init is not None:
-        weights[np.searchsorted(rows, init.rows)] = init.values
+    weights[np.searchsorted(rows, init.rows)] = init.values
     feat = np.searchsorted(rows, prepared.feat)
 
     rng = np.random.default_rng(config.seed)
@@ -399,8 +418,8 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
         epoch_loss.append(loss / tokens)
     return TaggerModel(
         weights,
-        hash_dim,
-        epochs_run=(0 if init is None else init.epochs_run) + config.epochs,
+        init.hash_dim,
+        epochs_run=init.epochs_run + config.epochs,
         learning_rate=config.learning_rate,
         seed=config.seed,
         rows=rows,
@@ -464,23 +483,6 @@ class ExternalProbsTable:
         ):
             paper_id, paragraph = self.keys[kid]
             yield ExternalProbs(paper_id, paragraph, word_index, subword_index, probs)
-
-    @classmethod
-    def from_records(cls, records) -> "ExternalProbsTable":
-        key_ids: dict[tuple[str, int], int] = {}
-        kids, words, subs, rows = [], [], [], []
-        for r in records:
-            kids.append(key_ids.setdefault((r.paper_id, r.paragraph), len(key_ids)))
-            words.append(r.word_index)
-            subs.append(r.subword_index)
-            rows.append(r.probs)
-        return cls(
-            keys=list(key_ids),
-            key_id=np.array(kids, dtype=np.int64),
-            word_index=np.array(words, dtype=np.int64),
-            subword_index=np.array(subs, dtype=np.int64),
-            probs=np.array(rows, dtype=np.float64).reshape(len(rows), tag_schema.NUM_CLASSES),
-        )
 
 
 def _record_fields(recno: int, line: str):
@@ -602,19 +604,14 @@ def load_external_probs(source) -> ExternalProbsTable:
     )
 
 
-def group_external_probs(records):
-    """Group records into {(paper_id, paragraph): (word_idx array, probs matrix)}.
+def group_external_probs(table: ExternalProbsTable):
+    """Group a table's records into {(paper_id, paragraph): (word_idx array, probs matrix)}.
 
-    `records` is an ExternalProbsTable or any iterable of ExternalProbs; the
-    values are views into the table's columns.  Within a paragraph, records
-    must be in strictly increasing (word_index, subword_index) order, as the
-    file format requires; a repeated or out-of-order pair is an
+    The values are views into the table's columns.  Within a paragraph,
+    records must be in strictly increasing (word_index, subword_index) order,
+    as the file format requires; a repeated or out-of-order pair is an
     AlignmentError naming the first such paragraph in order of appearance.
     """
-    if isinstance(records, ExternalProbsTable):
-        table = records
-    else:
-        table = ExternalProbsTable.from_records(records)
     key_id, word_idx, sub_idx, probs = (
         table.key_id, table.word_index, table.subword_index, table.probs
     )

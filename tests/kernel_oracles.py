@@ -15,6 +15,8 @@ cross-entropy that training descends, and `training_loss_gradient` its
 analytic gradient, one subword at a time.  `train_dense_ref` trains on the
 dense `(hash_dim, 15)` matrix; `tagger.train`, which holds only the rows its
 features touch, must give the same weights bit for bit.
+`tokenize_ref` walks a paragraph one character at a time; the regular
+expressions of `corpus_ingest.tokenize` must give the same tokens.
 """
 
 import json
@@ -308,3 +310,77 @@ def group_external_probs_ref(records):
             )
         out[key] = (idx, np.vstack(probs))
     return out
+
+
+# characters always detached as single-character tokens
+_DETACH = set('()[]{}"“”:;!?')
+
+
+def _split_hyphens(piece: str) -> list[str]:
+    """Detach hyphens that have non-hyphen material on both sides.
+
+    Edge hyphens stay attached ("picto-" survives as one token), matching how
+    line-break hyphenation comes out of text extraction.
+    """
+    non_hyphen = [i for i, c in enumerate(piece) if c != "-"]
+    if not non_hyphen:
+        return [piece]
+    lo, hi = non_hyphen[0], non_hyphen[-1]
+    out = []
+    current = piece[:lo]
+    for i in range(lo, hi + 1):
+        c = piece[i]
+        if c == "-":
+            if current:
+                out.append(current)
+                current = ""
+            out.append("-")
+        else:
+            current += c
+    current += piece[hi + 1 :]
+    if current:
+        out.append(current)
+    return out
+
+
+def _strip_trailing_punct(piece: str) -> list[str]:
+    suffix = []
+    while len(piece) > 1 and piece[-1] in ".,":
+        suffix.append(piece[-1])
+        piece = piece[:-1]
+    suffix.reverse()
+    return [piece] + suffix
+
+
+def tokenize_ref(paragraph: str) -> list[str]:
+    """Deterministic rule tokenization of one paragraph, a character at a time.
+
+    Splits on whitespace; detaches brackets, quotes, and :;!? anywhere;
+    detaches word-final '.' and ','; splits internal hyphens into standalone
+    '-' tokens.  Commas between digits ("3,2") are kept intact.  Never emits
+    an empty token, and re-tokenizing its own space-joined output is a no-op.
+    """
+    tokens: list[str] = []
+    for chunk in paragraph.split():
+        pieces = []
+        current = ""
+        for c in chunk:
+            if c in _DETACH:
+                if current:
+                    pieces.append(current)
+                    current = ""
+                pieces.append(c)
+            else:
+                current += c
+        if current:
+            pieces.append(current)
+        for piece in pieces:
+            if piece in _DETACH:
+                tokens.append(piece)
+                continue
+            for part in _split_hyphens(piece):
+                if part == "-":
+                    tokens.append(part)
+                else:
+                    tokens.extend(_strip_trailing_punct(part))
+    return tokens

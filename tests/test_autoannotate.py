@@ -283,7 +283,7 @@ class TestAnnotateCorpus:
     def test_missing_paragraph_in_stream(self):
         paragraphs = [carrier(["one"])]
         with pytest.raises(AlignmentError, match=r"no probability records"):
-            annotate_corpus(iter([]), paragraphs, GateConfig())
+            annotate_corpus(load_external_probs(iter([])), paragraphs, GateConfig())
 
     def test_records_outside_corpus_rejected(self):
         dist = peaked_distribution(0, 0.999)

@@ -10,6 +10,7 @@ import pytest
 
 from sciner import autoannotate, cli, corpus_ingest, dataset, selftrain, synth, tagger
 from sciner.errors import FormatError
+from test_compact_model import UNREADABLE_KINDS, write_unreadable_model
 from test_corpus_ingest import PROCEEDINGS_BIB
 
 
@@ -279,6 +280,28 @@ class TestLoop:
         with pytest.raises(FormatError, match="mystery_knob"):
             cli.read_config(config)
 
+    def test_config_defaults_are_the_loop_defaults(self):
+        assert cli._loop_config(dict(cli.CONFIG_DEFAULTS)) == selftrain.LoopConfig()
+
+    def test_draw_size_past_test_set_exits_before_training(self, workspace, corpus,
+                                                          tmp_path, capsys):
+        with open(tmp_path / "test10.ann", "w", encoding="utf-8") as handle:
+            dataset.write_annotations(corpus.test[:10], handle)
+        config = tmp_path / "small_test.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8")
+            .replace(str(workspace / "test.ann"), str(tmp_path / "test10.ann"))
+            .replace("draw_size=50\n", ""),  # the default, 50
+            encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert "draw_size 50 exceeds evaluation set size 10" in err
+        assert not list(tmp_path.rglob("*.npz"))
+
     def test_env_var_run_dir(self, workspace, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "envrun"
         monkeypatch.setenv(cli.RUN_DIR_ENV, str(run_dir))
@@ -440,6 +463,33 @@ class TestAnnotateEvalCountsDiff:
         )
         assert code == 2
         assert "gamma" in err
+
+    @pytest.mark.parametrize("kind", UNREADABLE_KINDS)
+    def test_annotate_unreadable_model_exits_two_naming_it(self, workspace, tmp_path,
+                                                          capsys, kind):
+        path = write_unreadable_model(tmp_path / "model.npz", kind)
+        code, out, err = run_cli(
+            capsys, "annotate", "--model", str(path),
+            "--tokens", str(workspace / "tokens"), "--out", str(tmp_path / "x.ann"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("content, message", [
+        ("a  b\n", "paragraph 0: token '' is empty or has whitespace"),
+        ("a b\n\nc\n", "token file line 2: empty paragraph"),
+    ])
+    def test_annotate_bad_token_file_error_names_it(self, trained_run, tmp_path, capsys,
+                                                    content, message):
+        tokens = tmp_path / "tokens"
+        tokens.mkdir()
+        (tokens / "paper.txt").write_text(content, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "annotate", "--model", str(trained_run / "model_iter02.npz"),
+            "--tokens", str(tokens), "--out", str(tmp_path / "x.ann"),
+        )
+        assert code == 2
+        assert err == f"error: {tokens / 'paper.txt'}: {message}\n"
 
     def test_eval_single_prediction_scores(self, workspace, capsys):
         code, out, err = run_cli(

@@ -127,6 +127,59 @@ def test_nonfinite_values_in_v2_file_rejected_with_path(tmp_path):
     assert str(path) in str(info.value)
 
 
+def write_unreadable_model(path, kind):
+    """A model file that `TaggerModel.load` cannot read, of the given kind."""
+    if kind == "truncated":
+        tagger.TaggerModel.fresh(16).save(path)
+        path.write_bytes(path.read_bytes()[:100])
+    elif kind == "not_npz":
+        path.write_text("this is not a model\n", encoding="utf-8")
+    elif kind == "unknown_method":  # the first member's compression method is 99
+        tagger.TaggerModel.fresh(16).save(path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"PK\x01\x02") + 10  # method field of its central directory entry
+        data[at:at + 2] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+    elif kind == "npy":
+        with open(path, "wb") as handle:
+            np.save(handle, np.zeros(3))
+    else:  # a v2 file with no rows whose hash_dim is out of range or not a scalar
+        hash_dim = {"hash_dim_1": 1, "hash_dim_2_62": 2**62, "hash_dim_pair": [16, 16]}[kind]
+        np.savez_compressed(
+            path, format=tagger.MODEL_FORMAT, rows=np.zeros(0, np.int64),
+            values=np.zeros((0, ts.NUM_CLASSES)), hash_dim=hash_dim, epochs_run=0,
+            learning_rate=0.0, seed=0,
+        )
+    return path
+
+
+UNREADABLE_KINDS = ["truncated", "not_npz", "unknown_method", "npy", "hash_dim_1",
+                    "hash_dim_2_62", "hash_dim_pair"]
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_KINDS)
+def test_unreadable_model_file_rejected_with_path(tmp_path, kind):
+    path = write_unreadable_model(tmp_path / "model.npz", kind)
+    with pytest.raises(FormatError) as info:
+        tagger.TaggerModel.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_fresh_model_is_empty_and_saves_like_the_dense_zero_model(tmp_path):
+    tracemalloc.start()
+    try:
+        fresh = tagger.TaggerModel.fresh(1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fresh.rows) == 0 and fresh.hash_dim == 1 << 20
+    assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    dim = 1 << 12
+    tagger.TaggerModel.fresh(dim).save(tmp_path / "fresh.npz")
+    tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim).save(tmp_path / "dense.npz")
+    assert (tmp_path / "fresh.npz").read_bytes() == (tmp_path / "dense.npz").read_bytes()
+
+
 def test_epoch_loss_is_finite_and_one_per_epoch():
     corpus = synth.make_corpus(n_manual=10, n_auto=0, n_test=0, seed=2)
     model = tagger.train(merge_for_retraining(corpus.manual, []), STEP1, hash_dim=1 << 12)

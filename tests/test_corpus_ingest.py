@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sciner import corpus_ingest as ci
 from sciner.errors import FormatError
 
+from kernel_oracles import tokenize_ref
 from sha256_oracle import sha256_hex
 
 # the proceedings entry from the anthology snapshot
@@ -411,12 +412,28 @@ BIB_PIECES = st.sampled_from([
 BIB_TEXT = st.lists(st.one_of(BIB_PIECES, ANY_TEXT), max_size=30).map("".join)
 
 
+# every character the tokenizer treats specially, digits, ASCII and other
+# letters, and ASCII and Unicode whitespace
+TOKENIZER_ALPHABET = (
+    '()[]{}"“”:;!?-.,' + string.digits + "azAZéß"
+    + " \t\n\r\x0b\x0c\x1c\x85\u00a0\u1680\u2003\u2028\u2029\u202f\u3000"
+)
+TOKENIZER_TEXT = st.text(st.one_of(
+    st.sampled_from(TOKENIZER_ALPHABET), st.characters(exclude_categories=("Cs",)),
+))
+
+
 class TestIngestProperties:
     @settings(max_examples=500, deadline=None)
     @given(ANY_TEXT)
     def test_tokenize_idempotent(self, text):
         once = ci.tokenize(text)
         assert ci.tokenize(" ".join(once)) == once
+
+    @settings(max_examples=2000, deadline=None)
+    @given(TOKENIZER_TEXT)
+    def test_tokenize_matches_reference(self, text):
+        assert ci.tokenize(text) == tokenize_ref(text)
 
     @settings(max_examples=500, deadline=None)
     @given(BIB_TEXT)

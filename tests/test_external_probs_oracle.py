@@ -238,8 +238,3 @@ def test_table_iterates_as_records():
             b.paper_id, b.paragraph, b.word_index, b.subword_index)
         assert type(a.word_index) is int
         assert np.array_equal(a.probs, b.probs)
-    # grouping the records again gives what grouping the table gives
-    regrouped = tagger.group_external_probs(iter(got))
-    for key, (word_idx, probs) in tagger.group_external_probs(table).items():
-        assert np.array_equal(regrouped[key][0], word_idx)
-        assert np.array_equal(regrouped[key][1], probs)

@@ -391,7 +391,7 @@ class TestPredict:
 
     def test_raising_active_weight_raises_probability(self):
         dim = 1 << 10
-        model = tagger.TaggerModel.fresh(dim)
+        model = tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim)
         featurizer = tagger.Featurizer(dim)
         words = ["target"]
         before = tagger.predict_probs(model, words)[0].distribution[3]
