@@ -1,11 +1,14 @@
 """Numeric inner loops: subword scoring, SGD epochs, word aggregation, decoding.
 
-One numpy implementation of each kernel.  `epoch_sgd` is vectorized per
-mini-batch and reproduces the token-by-token reference loop in
-tests/kernel_oracles.py bit for bit; the tests compare the two.
+One numpy implementation of each kernel.  `epoch_sgd` runs all epochs of a
+training call in one call: it lays out the unmasked tokens' feature rows once,
+then each mini-batch is a few slices and vectorized steps.  It reproduces the
+token-by-token reference loop in tests/kernel_oracles.py bit for bit; the
+tests compare the two.
 
 All kernels work on primitive arrays:
-  weights      (n_rows, 15) float64
+  weights      (n_rows, 15) float64; for `epoch_sgd` the last row is zero and
+               is no feature's row
   feat         flat integer row indices into weights for all subwords
   offsets      (n_subwords + 1) int64, subword s owns feat[offsets[s]:offsets[s+1]]
   labels/mask  per-subword class index / loss-mask
@@ -32,63 +35,99 @@ def score_subwords(weights, feat, offsets):
     return logits
 
 
-def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, order,
-              batch_pars, lr):
-    """One epoch of mini-batch SGD on masked cross-entropy, updating `weights` in place.
+def _masked_layout(feat, offsets, labels, mask, par_offsets, pad_row):
+    """The part of SGD that depends on the corpus alone, built once per call.
 
-    Each batch is `batch_pars` paragraphs taken from `order`.  The gradient of
-    the batch-mean loss is computed against the pre-update weights, then
-    applied.  Every sum runs in the same order as a token-by-token loop would
-    (the oracle in tests/kernel_oracles.py), so the weights come out bit for
-    bit identical to it.  `weights` must be C-contiguous.  Returns
-    (summed loss, unmasked token count).
+    Returns None when no token is unmasked, else
+      padded  (kmax, n_masked) int32 row ids: column t holds unmasked token
+              t's feature rows, then `pad_row`; feature-major, so that each
+              feature slot of a batch is one contiguous block
+      ids     the same ids unpadded, in token then feature order
+      k       each unmasked token's feature count
+      y       each unmasked token's label
+      tok_at  paragraph p's unmasked tokens are tok_at[p]:tok_at[p + 1]
+      id_at   and their ids are ids[id_at[p]:id_at[p + 1]]
+    (tok_at and id_at as lists, for Python slicing).
+    """
+    masked = np.flatnonzero(mask)
+    if len(masked) == 0:
+        return None
+    k = np.diff(offsets)[masked]
+    live = np.arange(k.max()) < k[:, None]
+    ids = feat[(offsets[masked][:, None] + np.arange(live.shape[1]))[live]]
+    if ids.max() >= pad_row or ids.min() < 0:
+        raise ValueError("feature ids must index the rows before the zero row")
+    ids = ids.astype(np.int32)
+    padded = np.full(live.shape[::-1], pad_row, dtype=np.int32)
+    padded.T[live] = ids
+    tok_at = np.searchsorted(masked, par_offsets)
+    id_at = np.concatenate(([0], np.cumsum(k)))[tok_at]
+    return padded, ids, k, labels[masked], tok_at.tolist(), id_at.tolist()
+
+
+def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
+              batch_pars, lr):
+    """Mini-batch SGD on masked cross-entropy, updating `weights` in place:
+    one epoch per paragraph order in `orders`, all epochs in this one call.
+
+    Each batch is `batch_pars` paragraphs taken from its epoch's order.  The
+    gradient of the batch-mean loss is computed against the pre-update
+    weights, then applied.  Every sum runs in the same order as a
+    token-by-token loop would (the oracle in tests/kernel_oracles.py), so the
+    weights come out bit for bit identical to it.  `weights` must be
+    C-contiguous, and its last row must be zero and no feature's: padding
+    gathers it, and it stays zero.  Returns one (summed loss, unmasked token
+    count) per epoch.
     """
     if not weights.flags.c_contiguous:
-        # reshape(-1) would silently copy and the update would be lost
+        # the row-major layout `tagger.train` allocates; no other is tested
         raise ValueError("weights must be C-contiguous")
+    if len(weights) == 0 or weights[-1].any():
+        raise ValueError("the last row of weights must be zero")
+    layout = _masked_layout(feat, offsets, labels, mask, par_offsets, len(weights) - 1)
+    if layout is None:  # every batch is empty
+        return [(0.0, 0) for _ in orders]
+    padded, ids, k, y, tok_at, id_at = layout
     n_classes = weights.shape[1]
-    flat = weights.reshape(-1)
-    classes = np.arange(n_classes)
-    n_feat = np.diff(offsets)
-    total_loss = 0.0
-    total_tokens = 0
-    for b_start in range(0, len(order), batch_pars):
-        batch = order[b_start : b_start + batch_pars]
-        counts = par_offsets[batch + 1] - par_offsets[batch]
-        shift = par_offsets[batch] - (np.cumsum(counts) - counts)
-        tokens = np.arange(counts.sum()) + np.repeat(shift, counts)
-        tokens = tokens[mask[tokens] != 0]
-        n_tok = len(tokens)
-        if n_tok == 0:
-            continue
-        # (n_tok, kmax) feature rows; padding slots gather 0.0
-        k = n_feat[tokens]
-        cols = np.arange(k.max())
-        pad = cols >= k[:, None]
-        rows = feat[np.where(pad, 0, offsets[tokens][:, None] + cols)]
-        g = weights[rows]
-        g[pad] = 0.0
-        # add the feature columns left to right, as ndarray.sum(axis=0) does per token
-        z = g[:, 0].copy()
-        for j in range(1, len(cols)):
-            z += g[:, j]
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
-        s = e.sum(axis=1)
-        y = labels[tokens]
-        tok = np.arange(n_tok)
-        # a running (sequential) sum keeps the token-by-token loss grouping
-        total_loss += float(np.cumsum(np.log(s) - (z[tok, y] - m[:, 0]))[-1])
-        grad = e / s[:, None]
-        grad[tok, y] -= 1.0
-        grad *= lr / n_tok
-        # flat (row, class) indices in token, feature, class order: subtract.at
-        # applies repeated rows in exactly the order of the per-token loop
-        keep = ~pad
-        idx = (rows[keep] * n_classes)[:, None] + classes
-        np.subtract.at(flat, idx.reshape(-1), grad[np.nonzero(keep)[0]].reshape(-1))
-        total_tokens += n_tok
-    return total_loss, total_tokens
+    results = []
+    for order in orders:
+        order = order.tolist()
+        total_loss = 0.0
+        total_tokens = 0
+        for b_start in range(0, len(order), batch_pars):
+            batch = order[b_start : b_start + batch_pars]
+            spans = [slice(tok_at[p], tok_at[p + 1]) for p in batch]
+            rows = np.concatenate([padded[:, span] for span in spans], axis=1)
+            n_tok = rows.shape[1]
+            if n_tok == 0:
+                continue
+            # (kmax, n_tok, n_classes): one contiguous block per feature slot
+            g = weights.take(rows, axis=0)
+            # add the feature slots left to right, as ndarray.sum(axis=0) does per token
+            z = g[0].copy()
+            for j in range(1, len(g)):
+                z += g[j]
+            m = z.max(axis=1, keepdims=True)
+            e = np.exp(z - m)
+            s = e.sum(axis=1)
+            yb = np.concatenate([y[span] for span in spans])
+            tok = np.arange(n_tok)
+            # a running (sequential) sum keeps the token-by-token loss grouping
+            total_loss += float(np.cumsum(np.log(s) - (z[tok, yb] - m[:, 0]))[-1])
+            grad = e / s[:, None]
+            grad[tok, yb] -= 1.0
+            grad *= lr / n_tok
+            # one update per class column, rows in token then feature order:
+            # subtract.at applies a repeated row in exactly the order of the
+            # per-token loop, and no two columns share an element
+            idb = np.concatenate([ids[id_at[p] : id_at[p + 1]] for p in batch], dtype=np.intp)
+            kb = np.concatenate([k[span] for span in spans])
+            step = np.repeat(grad.T, kb, axis=1)
+            for c in range(n_classes):
+                np.subtract.at(weights[:, c], idb, step[c])
+            total_tokens += n_tok
+        results.append((total_loss, total_tokens))
+    return results
 
 
 def aggregate_words(probs, word_idx, n_words):

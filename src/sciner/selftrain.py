@@ -258,8 +258,10 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             model_path = _model_path(run_dir, iteration)
             model.save(model_path)
             record.model_path = model_path
-            # the package version is recorded, but resume does not check it
-            payload = {**record.to_dict(), **stamp, "package_version": __version__}
+            # recorded, but resume checks neither: the weight bits also
+            # depend on numpy's subtract.at, exp and log
+            payload = {**record.to_dict(), **stamp, "package_version": __version__,
+                       "numpy_version": np.__version__}
             with atomic_write(_record_path(run_dir, iteration)) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
         records.append(record)

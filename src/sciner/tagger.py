@@ -343,10 +343,11 @@ class _Prepared:
 
 
 def prepare_examples(examples, featurizer: Featurizer) -> _Prepared:
-    feat_parts = []
+    # each list starts with an empty part, so an empty `examples` concatenates
+    feat_parts = [np.zeros(0, dtype=np.int64)]
     offsets = [np.zeros(1, dtype=np.int64)]
-    labels: list[int] = []
-    mask: list[bool] = []
+    label_parts = [np.zeros(0, dtype=np.int64)]
+    mask_parts = [np.zeros(0, dtype=np.uint8)]
     par_offsets = [0]
     base = 0
     n_sub = 0
@@ -355,24 +356,29 @@ def prepare_examples(examples, featurizer: Featurizer) -> _Prepared:
         feat_parts.append(f)
         offsets.append(o[1:] + base)
         base += len(f)
-        for wi in widx.tolist():
-            label = example.labels[wi]
-            masked_in = example.mask[wi] and label != tag_schema.AMB
+        # per word, then gathered per subword by its word's index
+        n_words = len(example.words)
+        word_labels = []
+        word_mask = []
+        for label, unmasked in zip(example.labels[:n_words], example.mask[:n_words]):
+            masked_in = unmasked and label != tag_schema.AMB
             if masked_in and not tag_schema.is_model_label(label):
                 raise ValueError(f"unmasked label {label!r} is not a model class")
-            labels.append(tag_schema.label_index(label) if masked_in else 0)
-            mask.append(masked_in)
+            word_labels.append(tag_schema.label_index(label) if masked_in else 0)
+            word_mask.append(masked_in)
+        label_parts.append(np.asarray(word_labels, dtype=np.int64)[widx])
+        mask_parts.append(np.asarray(word_mask, dtype=np.uint8)[widx])
         n_sub += len(widx)
         par_offsets.append(n_sub)
-    mask_arr = np.asarray(mask, dtype=np.uint8)
+    mask = np.concatenate(mask_parts)
     return _Prepared(
-        feat=np.concatenate(feat_parts) if feat_parts else np.zeros(0, dtype=np.int64),
+        feat=np.concatenate(feat_parts),
         offsets=np.concatenate(offsets),
-        labels=np.asarray(labels, dtype=np.int64),
-        mask=mask_arr,
+        labels=np.concatenate(label_parts),
+        mask=mask,
         par_offsets=np.asarray(par_offsets, dtype=np.int64),
         n_paragraphs=len(par_offsets) - 1,
-        n_effective=int(mask_arr.sum()),
+        n_effective=int(mask.sum()),
     )
 
 
@@ -386,9 +392,10 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     from the fresh, all-zero model.
 
     Only the rows the features touch, and `init`'s rows, are held: feature
-    ids are mapped once to positions among those sorted rows, and
-    `epoch_sgd` updates that compact matrix in the order it would update the
-    dense one, so the weights are bit-identical to dense training.
+    ids are mapped once to positions among those sorted rows, and one
+    `epoch_sgd` call runs every epoch on that compact matrix, updating it in
+    the order it would update the dense one, so the weights are
+    bit-identical to dense training.
     """
     if init is None:
         init = TaggerModel.fresh(hash_dim)
@@ -396,34 +403,34 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
     rows = np.union1d(init.rows, prepared.feat)
-    weights = np.zeros((len(rows), tag_schema.NUM_CLASSES))
+    # one more row, zero, for the kernel's padding
+    weights = np.zeros((len(rows) + 1, tag_schema.NUM_CLASSES))
     weights[np.searchsorted(rows, init.rows)] = init.values
-    feat = np.searchsorted(rows, prepared.feat)
+    # int32 positions among `rows` replace the int64 hashed ids
+    prepared.feat = np.searchsorted(rows, prepared.feat).astype(np.int32)
 
     rng = np.random.default_rng(config.seed)
-    epoch_loss = []
-    for _ in range(config.epochs):
-        order = rng.permutation(prepared.n_paragraphs).astype(np.int64)
-        loss, tokens = kernels.epoch_sgd(
-            weights,
-            feat,
-            prepared.offsets,
-            prepared.labels,
-            prepared.mask,
-            prepared.par_offsets,
-            order,
-            config.batch_size,
-            config.learning_rate,
-        )
-        epoch_loss.append(loss / tokens)
-    return TaggerModel(
+    orders = [rng.permutation(prepared.n_paragraphs).astype(np.int64)
+              for _ in range(config.epochs)]
+    results = kernels.epoch_sgd(
         weights,
+        prepared.feat,
+        prepared.offsets,
+        prepared.labels,
+        prepared.mask,
+        prepared.par_offsets,
+        orders,
+        config.batch_size,
+        config.learning_rate,
+    )
+    return TaggerModel(
+        weights[:-1],
         init.hash_dim,
         epochs_run=init.epochs_run + config.epochs,
         learning_rate=config.learning_rate,
         seed=config.seed,
         rows=rows,
-        epoch_loss=epoch_loss,
+        epoch_loss=[loss / tokens for loss, tokens in results],
     )
 
 

@@ -1,7 +1,9 @@
 """Slow, obviously-correct reference kernels that the fast paths are tested against.
 
 `_epoch_sgd_np` walks the batch one token (subword) at a time; the vectorized
-`sciner.kernels.epoch_sgd` must reproduce its weights and loss bit for bit.
+`sciner.kernels.epoch_sgd`, which runs every epoch in one call on weights with
+an extra zero last row (`with_zero_row`), must reproduce its weights and loss
+bit for bit, epoch by epoch.
 `score_subwords_ref`, `aggregate_words_ref` and `decode_constrained_ref` work
 one subword or one word at a time.  `gate_label_ref` is the argmax-then-gate
 rule that `autoannotate.gate_label` must match.
@@ -13,8 +15,9 @@ give the same groups, bit for bit, or raise the same error.
 give the subwords it takes and their text.  `training_loss` is the mean
 cross-entropy that training descends, and `training_loss_gradient` its
 analytic gradient, one subword at a time.  `train_dense_ref` trains on the
-dense `(hash_dim, 15)` matrix; `tagger.train`, which holds only the rows its
-features touch, must give the same weights bit for bit.
+dense `(hash_dim, 15)` matrix with `_epoch_sgd_np`; `tagger.train`, which
+holds only the rows its features touch and runs the vectorized kernel, must
+give the same weights and epoch losses bit for bit.
 `tokenize_ref` walks a paragraph one character at a time; the regular
 expressions of `corpus_ingest.tokenize` must give the same tokens.
 """
@@ -202,7 +205,8 @@ def training_loss_gradient(model, data):
 
 def train_dense_ref(data, config, init=None, hash_dim=DEFAULT_HASH_DIM):
     """`tagger.train` on the dense matrix: zeros, or a copy of `init.weights`,
-    updated by the same `epoch_sgd` calls on the hashed feature ids."""
+    updated by the token-by-token `_epoch_sgd_np`, one epoch at a time, on
+    the hashed feature ids, with the same paragraph orders."""
     data = list(data)
     if init is not None:
         hash_dim = init.hash_dim
@@ -211,19 +215,27 @@ def train_dense_ref(data, config, init=None, hash_dim=DEFAULT_HASH_DIM):
         weights = np.zeros((hash_dim, tag_schema.NUM_CLASSES))
     prepared = prepare_examples(data, Featurizer(hash_dim))
     rng = np.random.default_rng(config.seed)
+    epoch_loss = []
     for _ in range(config.epochs):
         order = rng.permutation(prepared.n_paragraphs).astype(np.int64)
-        kernels.epoch_sgd(
+        loss, tokens = _epoch_sgd_np(
             weights, prepared.feat, prepared.offsets, prepared.labels, prepared.mask,
             prepared.par_offsets, order, config.batch_size, config.learning_rate,
         )
+        epoch_loss.append(loss / tokens)
     return TaggerModel(
         weights,
         hash_dim,
         epochs_run=(0 if init is None else init.epochs_run) + config.epochs,
         learning_rate=config.learning_rate,
         seed=config.seed,
+        epoch_loss=epoch_loss,
     )
+
+
+def with_zero_row(weights):
+    """`weights` with the all-zero last row that `kernels.epoch_sgd` pads with."""
+    return np.vstack([weights, np.zeros((1, weights.shape[1]))])
 
 
 def load_external_probs_ref(source):

@@ -23,6 +23,7 @@ def assert_same_model(compact, dense):
     assert (compact.hash_dim, compact.epochs_run, compact.learning_rate, compact.seed) == (
         dense.hash_dim, dense.epochs_run, dense.learning_rate, dense.seed
     )
+    assert compact.epoch_loss == dense.epoch_loss
 
 
 # 2^10 makes feature ids collide, so rows are shared between features

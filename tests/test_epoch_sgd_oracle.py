@@ -1,4 +1,4 @@
-"""The vectorized SGD epoch against the token-by-token oracle: bit for bit."""
+"""The vectorized SGD epochs against the token-by-token oracle: bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sciner import kernels
 
-from kernel_oracles import _epoch_sgd_np
+from kernel_oracles import _epoch_sgd_np, with_zero_row
 
 
 def make_problem(paragraphs, dim, seed):
@@ -49,15 +49,15 @@ def random_paragraphs(rng, n_pars, max_feats, dim, p_unmasked=0.8):
 
 def assert_bit_exact(problem, order, batch_pars, lr):
     weights, feat, offsets, labels, mask, par_offsets = problem
-    fast = weights.copy()
+    fast = with_zero_row(weights)
     ref = weights.copy()
-    loss_f, n_f = kernels.epoch_sgd(
-        fast, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr
+    [(loss_f, n_f)] = kernels.epoch_sgd(
+        fast, feat, offsets, labels, mask, par_offsets, [order], batch_pars, lr
     )
     loss_r, n_r = _epoch_sgd_np(
         ref, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr
     )
-    assert np.array_equal(fast, ref)
+    assert np.array_equal(fast[:-1], ref)
     assert loss_f == loss_r
     assert n_f == n_r
 
@@ -105,10 +105,11 @@ def test_non_contiguous_weights_rejected():
     rng = np.random.default_rng(4)
     paragraphs = random_paragraphs(rng, 3, 4, 16, p_unmasked=1.0)
     weights, *rest = make_problem(paragraphs, 16, 4)
+    weights = with_zero_row(weights)
     for strided in (np.asfortranarray(weights), np.hstack([weights, weights])[:, :15]):
         before = strided.copy()
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernels.epoch_sgd(strided, *rest, np.arange(3, dtype=np.int64), 2, 0.5)
+            kernels.epoch_sgd(strided, *rest, [np.arange(3, dtype=np.int64)], 2, 0.5)
         assert np.array_equal(strided, before)
 
 
@@ -131,3 +132,110 @@ subword = st.tuples(
 def test_property_matches_oracle(paragraphs, batch_pars, lr, seed, data):
     order = np.asarray(data.draw(st.permutations(range(len(paragraphs)))), dtype=np.int64)
     assert_bit_exact(make_problem(paragraphs, DIM, seed), order, batch_pars, lr)
+
+
+def assert_epochs_bit_exact(problem, orders, batch_pars, lr):
+    """One `epoch_sgd` call over `orders` against the oracle run once per order."""
+    weights, feat, offsets, labels, mask, par_offsets = problem
+    fast = with_zero_row(weights)
+    ref = weights.copy()
+    results = kernels.epoch_sgd(
+        fast, feat, offsets, labels, mask, par_offsets, orders, batch_pars, lr
+    )
+    expected = [
+        _epoch_sgd_np(ref, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr)
+        for order in orders
+    ]
+    assert results == expected
+    assert np.array_equal(fast[:-1], ref)
+    assert np.array_equal(fast[-1].view(np.int64), np.zeros(15, np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    paragraphs=st.lists(st.lists(subword, max_size=6), min_size=1, max_size=8),
+    n_epochs=st.integers(1, 4),
+    batch_pars=st.integers(1, 10),
+    lr=st.sampled_from([1e-4, 0.5, 16.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_property_epochs_match_oracle_loop(paragraphs, n_epochs, batch_pars, lr, seed, data):
+    # DIM rows for up to 20 features per subword: rows repeat within a batch
+    orders = [
+        np.asarray(data.draw(st.permutations(range(len(paragraphs)))), dtype=np.int64)
+        for _ in range(n_epochs)
+    ]
+    assert_epochs_bit_exact(make_problem(paragraphs, DIM, seed), orders, batch_pars, lr)
+
+
+def test_paragraphs_without_unmasked_tokens_over_epochs():
+    rng = np.random.default_rng(5)
+    paragraphs = random_paragraphs(rng, 7, 9, 16)
+    paragraphs[2] = [(f, y, False) for f, y, _ in paragraphs[2]]
+    paragraphs[4] = []
+    paragraphs[6] = [(f, y, False) for f, y, _ in paragraphs[6]] + [([2, 3], 1, True)]
+    orders = [rng.permutation(7).astype(np.int64) for _ in range(3)]
+    for batch_pars in (1, 2, 4):
+        assert_epochs_bit_exact(make_problem(paragraphs, 16, 5), orders, batch_pars, 0.5)
+
+
+def test_batch_larger_than_corpus_over_epochs():
+    rng = np.random.default_rng(6)
+    paragraphs = random_paragraphs(rng, 3, 20, 16)
+    orders = [rng.permutation(3).astype(np.int64) for _ in range(4)]
+    assert_epochs_bit_exact(make_problem(paragraphs, 16, 6), orders, 50, 0.5)
+
+
+def test_no_orders_returns_nothing_and_leaves_weights():
+    rng = np.random.default_rng(7)
+    weights, *rest = make_problem(random_paragraphs(rng, 4, 6, 16), 16, 7)
+    weights = with_zero_row(weights)
+    before = weights.copy()
+    assert kernels.epoch_sgd(weights, *rest, [], 2, 0.5) == []
+    assert np.array_equal(weights, before)
+
+
+def test_all_masked_corpus_is_a_noop_per_epoch():
+    rng = np.random.default_rng(8)
+    paragraphs = [[(f, y, False) for f, y, _ in par] for par in random_paragraphs(rng, 5, 6, 16)]
+    weights, *rest = make_problem(paragraphs, 16, 8)
+    weights = with_zero_row(weights)
+    before = weights.copy()
+    orders = [np.arange(5, dtype=np.int64), np.arange(5, dtype=np.int64)[::-1]]
+    assert kernels.epoch_sgd(weights, *rest, orders, 2, 0.5) == [(0.0, 0), (0.0, 0)]
+    assert np.array_equal(weights, before)
+
+
+def test_zero_row_stays_zero():
+    # every feature row is hit with a large step, the padding row never
+    rng = np.random.default_rng(9)
+    paragraphs = random_paragraphs(rng, 10, 20, 4, p_unmasked=1.0)
+    weights, *rest = make_problem(paragraphs, 4, 9)
+    weights = with_zero_row(weights)
+    before = weights.copy()
+    orders = [rng.permutation(10).astype(np.int64) for _ in range(5)]
+    kernels.epoch_sgd(weights, *rest, orders, 3, 16.0)
+    assert np.array_equal(weights[-1].view(np.int64), np.zeros(15, np.int64))
+    assert (weights[:-1] != before[:-1]).all()
+
+
+def test_nonzero_last_row_rejected():
+    rng = np.random.default_rng(10)
+    weights, *rest = make_problem(random_paragraphs(rng, 3, 4, 16, p_unmasked=1.0), 16, 10)
+    before = weights.copy()
+    with pytest.raises(ValueError, match="last row"):
+        kernels.epoch_sgd(weights, *rest, [np.arange(3, dtype=np.int64)], 2, 0.5)
+    assert np.array_equal(weights, before)
+
+
+def test_feature_on_the_zero_row_rejected():
+    rng = np.random.default_rng(11)
+    paragraphs = random_paragraphs(rng, 3, 4, 16, p_unmasked=1.0)
+    paragraphs[1].append(([15, 16], 3, True))  # 16 is the zero row's index
+    weights, *rest = make_problem(paragraphs, 16, 11)
+    weights = with_zero_row(weights)
+    before = weights.copy()
+    with pytest.raises(ValueError, match="zero row"):
+        kernels.epoch_sgd(weights, *rest, [np.arange(3, dtype=np.int64)], 2, 0.5)
+    assert np.array_equal(weights, before)

@@ -18,6 +18,7 @@ from kernel_oracles import (
     aggregate_words_ref,
     decode_constrained_ref,
     score_subwords_ref,
+    with_zero_row,
 )
 
 
@@ -85,39 +86,39 @@ class TestEpochSgd:
             weights, feat, offsets, labels, mask, par_offsets = random_problem(rng)
             n_pars = len(par_offsets) - 1
             order = rng.permutation(n_pars).astype(np.int64)
-            w_active = weights.copy()
+            w_active = with_zero_row(weights)
             w_ref = weights.copy()
-            loss_a, n_a = kernels.epoch_sgd(
-                w_active, feat, offsets, labels, mask, par_offsets, order, 2, 0.5
+            [(loss_a, n_a)] = kernels.epoch_sgd(
+                w_active, feat, offsets, labels, mask, par_offsets, [order], 2, 0.5
             )
             loss_r, n_r = _epoch_sgd_np(
                 w_ref, feat, offsets, labels, mask, par_offsets, order, 2, 0.5
             )
             assert n_a == n_r == int(mask.sum())
             assert loss_a == pytest.approx(loss_r, rel=1e-10)
-            np.testing.assert_allclose(w_active, w_ref, atol=1e-12)
+            np.testing.assert_allclose(w_active[:-1], w_ref, atol=1e-12)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         weights, feat, offsets, labels, mask, par_offsets = random_problem(rng)
         order = np.arange(len(par_offsets) - 1, dtype=np.int64)
-        a = weights.copy()
-        b = weights.copy()
-        kernels.epoch_sgd(a, feat, offsets, labels, mask, par_offsets, order, 3, 0.7)
-        kernels.epoch_sgd(b, feat, offsets, labels, mask, par_offsets, order, 3, 0.7)
+        a = with_zero_row(weights)
+        b = with_zero_row(weights)
+        kernels.epoch_sgd(a, feat, offsets, labels, mask, par_offsets, [order], 3, 0.7)
+        kernels.epoch_sgd(b, feat, offsets, labels, mask, par_offsets, [order], 3, 0.7)
         assert np.array_equal(a, b)
 
     def test_all_masked_batch_is_noop(self):
         rng = np.random.default_rng(4)
         weights, feat, offsets, labels, mask, par_offsets = random_problem(rng)
         mask[:] = 0
-        w = weights.copy()
-        loss, n = kernels.epoch_sgd(
+        w = with_zero_row(weights)
+        [(loss, n)] = kernels.epoch_sgd(
             w, feat, offsets, labels, mask, par_offsets,
-            np.arange(len(par_offsets) - 1, dtype=np.int64), 2, 0.5,
+            [np.arange(len(par_offsets) - 1, dtype=np.int64)], 2, 0.5,
         )
         assert n == 0 and loss == 0.0
-        assert np.array_equal(w, weights)
+        assert np.array_equal(w[:-1], weights)
 
 
 class TestAggregateWords:

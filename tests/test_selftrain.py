@@ -243,6 +243,19 @@ class TestRunLoop:
                                   resume=True)
         assert model is not None and records[0].iteration == 1
 
+    def test_record_files_carry_unchecked_numpy_version(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        record = tmp_path / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["numpy_version"] == np.__version__
+        data["numpy_version"] = "0.0.0-elsewhere"
+        record.write_text(json.dumps(data), encoding="utf-8")
+        records, model = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                                  resume=True)
+        assert model is not None and records[0].iteration == 1
+
     def test_records_carry_step3_test_predictions(self, tmp_path):
         corpus = small_corpus()
         cfg = fast_config()

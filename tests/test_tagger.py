@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sciner import synth
 from sciner import tag_schema as ts
 from sciner import tagger
 from sciner.autoannotate import annotate_corpus
-from sciner.dataset import AnnotatedParagraph, TrainingExample
+from sciner.dataset import AnnotatedParagraph, TrainingExample, merge_for_retraining
 from sciner.errors import AlignmentError, FormatError
 from kernel_oracles import (
     chunk,
@@ -367,6 +368,42 @@ class TestGradient:
             fd = (loss_plus - loss_minus) / (2 * h)
             denom = max(abs(fd), abs(grad[row, col]), 1e-8)
             assert abs(fd - grad[row, col]) / denom < 1e-5, (row, col)
+
+
+class TestPrepareExamples:
+    def test_matches_per_subword_labels(self):
+        corpus = synth.make_corpus(n_manual=20, n_auto=0, n_test=0, seed=4)
+        examples = merge_for_retraining(corpus.manual, [])
+        examples.append(TrainingExample(
+            ["Alpha", "convolutional", "amb-word", "x"],
+            ["B-MethodName", "I-MethodName", "amb", "not-a-label"],
+            [True, True, True, False],
+        ))
+        examples.append(TrainingExample([], [], []))
+        featurizer = tagger.Featurizer(1 << 12)
+        prepared = tagger.prepare_examples(examples, featurizer)
+        labels, mask = [], []
+        for example in examples:
+            _, _, word_idx = featurizer.paragraph_arrays(example.words)
+            for wi in word_idx.tolist():
+                live = example.mask[wi] and example.labels[wi] != ts.AMB
+                labels.append(ts.label_index(example.labels[wi]) if live else 0)
+                mask.append(live)
+        assert prepared.labels.dtype == np.int64 and prepared.mask.dtype == np.uint8
+        assert np.array_equal(prepared.labels, labels)
+        assert np.array_equal(prepared.mask, mask)
+        assert prepared.n_effective == sum(mask)
+        assert prepared.n_paragraphs == len(examples)
+
+    def test_unmasked_unknown_label_rejected(self):
+        example = TrainingExample(["a", "b"], ["O", "B-Nonsense"], [True, True])
+        with pytest.raises(ValueError, match="unmasked label 'B-Nonsense' is not a model class"):
+            tagger.prepare_examples([example], tagger.Featurizer(1 << 10))
+
+    def test_empty(self):
+        prepared = tagger.prepare_examples([], tagger.Featurizer(1 << 10))
+        assert (len(prepared.feat), len(prepared.labels), len(prepared.mask)) == (0, 0, 0)
+        assert prepared.offsets.tolist() == [0] and prepared.par_offsets.tolist() == [0]
 
 
 class TestPredict:
