@@ -14,16 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, tag_schema
+from . import kernels, tag_schema, tagger
 from .dataset import AnnotatedParagraph
 from .errors import AlignmentError
-from .tagger import Featurizer, TaggerModel, group_external_probs
+from .tagger import TaggerModel, group_external_probs
 
 DEFAULT_GAMMA = 0.98
+
+# paragraphs per feature table when annotate_corpus compiles its own: one
+# chunk's table and the temporaries that build it take a few MB, whatever
+# the corpus size, and at this size numpy's per-call cost is already small
+CHUNK_PARAGRAPHS = 256
 
 _LEGAL_U8 = tag_schema.LEGAL_TRANSITIONS[:, : tag_schema.NUM_CLASSES].astype(np.uint8)
 _ALL_LEGAL = np.ones_like(_LEGAL_U8)  # gate_label: no transition rules
 _START_ROW = tag_schema.label_index(tag_schema.O_LABEL)
+_LABEL_NAMES = np.array([*tag_schema.MODEL_LABELS, tag_schema.AMB], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,16 @@ class GateStats:
                 lines.append(f"{label:<21}{self.accepted[label]}")
         return "\n".join(lines)
 
+    @classmethod
+    def from_indices(cls, label_idx) -> "GateStats":
+        """The tally of decoded label indices (`tag_schema.AMB_INDEX` for amb)."""
+        counts = np.bincount(label_idx, minlength=tag_schema.NUM_CLASSES + 1).tolist()
+        return cls(
+            total_words=len(label_idx),
+            amb_words=counts[tag_schema.AMB_INDEX],
+            accepted={label: n for label, n in zip(tag_schema.MODEL_LABELS, counts) if n},
+        )
+
     def merge_counts(self, labels) -> None:
         for label in labels:
             self.total_words += 1
@@ -150,29 +166,47 @@ def _word_scores_from_stream(grouped, paragraph: AnnotatedParagraph):
     return kernels.aggregate_words(probs, word_idx, n_words)
 
 
+def _model_word_scores(model: TaggerModel, paragraphs, features):
+    """Each paragraph's aggregated word scores under `model`, scored one
+    paragraph at a time from `features`, or from tables compiled
+    CHUNK_PARAGRAPHS paragraphs at a time."""
+    if features is None:
+        tables = (
+            tagger.featurize([p.words for p in paragraphs[i : i + CHUNK_PARAGRAPHS]],
+                             model.hash_dim)
+            for i in range(0, len(paragraphs), CHUNK_PARAGRAPHS)
+        )
+    else:
+        tables = [features]
+    for table in tables:
+        for feat, offsets, word_idx, n_words in table.paragraphs():
+            probs = model.subword_probs(feat, offsets)
+            yield kernels.aggregate_words(probs, word_idx, n_words)
+
+
 def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
-                    parallelism: int = 1):
+                    parallelism: int = 1, *, features=None):
     """Label every paragraph via gated constrained decoding.
 
     `source` is either a TaggerModel or an ExternalProbsTable.  Records for
     a paragraph not in `paragraphs` are an AlignmentError, raised before any
-    paragraph is decoded.
+    paragraph is decoded.  With a model, `features` may be the compiled
+    `tagger.FeatureTable` of `paragraphs`' words, so that a run that
+    annotates the same paragraphs again featurizes them once.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
     `parallelism` is accepted and ignored: annotation is one serial pass,
     which measured faster than a thread pool.
     """
+    paragraphs = list(paragraphs)
     if isinstance(source, TaggerModel):
-        featurizer = Featurizer(source.hash_dim)
-
-        def score_paragraph(p):
-            feat, offsets, word_idx = featurizer.paragraph_arrays(p.words)
-            probs = source.subword_probs(feat, offsets)
-            return kernels.aggregate_words(probs, word_idx, len(p.words))
-
+        if features is not None:
+            features.check_matches(source.hash_dim, [p.words for p in paragraphs])
+        scores = _model_word_scores(source, paragraphs, features)
+    elif features is not None:
+        raise ValueError("a feature table applies to a model, not to a probability table")
     else:
         grouped = group_external_probs(source)
-        paragraphs = list(paragraphs)
         in_corpus = {(p.paper_id, p.paragraph_index) for p in paragraphs}
         outside = [key for key in grouped if key not in in_corpus]
         if outside:
@@ -181,28 +215,27 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
                 f"probability records for {len(outside)} paragraph(s) not in the corpus, "
                 f"first {paper_id} paragraph {paragraph}"
             )
-
-        def score_paragraph(p):
-            return _word_scores_from_stream(grouped, p)
+        scores = (_word_scores_from_stream(grouped, p) for p in paragraphs)
 
     annotated = []
-    stats = GateStats()
+    decoded = np.zeros(sum(len(p.words) for p in paragraphs), np.uint8)  # label indices
+    end = 0
     for p in paragraphs:
         if not p.words:
             raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
         labels_idx, conf = kernels.decode_constrained(
-            score_paragraph(p), _LEGAL_U8, config.gamma, _START_ROW
+            next(scores), _LEGAL_U8, config.gamma, _START_ROW
         )
-        labels = [tag_schema.index_label(i) for i in labels_idx.tolist()]
-        stats.merge_counts(labels)
+        decoded[end : end + len(labels_idx)] = labels_idx
+        end += len(labels_idx)
         annotated.append(
             AnnotatedParagraph(
                 paper_id=p.paper_id,
                 paragraph_index=p.paragraph_index,
                 words=list(p.words),
-                labels=labels,
+                labels=_LABEL_NAMES[labels_idx].tolist(),
                 provenance="auto",
                 confidence=conf.tolist(),
             )
         )
-    return annotated, stats
+    return annotated, GateStats.from_indices(decoded)

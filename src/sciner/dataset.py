@@ -133,6 +133,21 @@ def _example_from(paragraph: AnnotatedParagraph) -> TrainingExample:
     return TrainingExample(list(paragraph.words), list(paragraph.labels), mask)
 
 
+def retained_auto(auto, amb_policy: str = "ignore_positions") -> list[int]:
+    """Positions of the auto paragraphs that `merge_for_retraining` keeps:
+    all of them under ignore_positions, those without amb under
+    drop_paragraph."""
+    if amb_policy not in ("ignore_positions", "drop_paragraph"):
+        raise ValueError(f"unknown amb policy {amb_policy!r}")
+    kept = []
+    for i, p in enumerate(auto):
+        if p.provenance != "auto":
+            raise ValueError(f"expected provenance 'auto', got {p.provenance!r}")
+        if not (amb_policy == "drop_paragraph" and tag_schema.AMB in p.labels):
+            kept.append(i)
+    return kept
+
+
 def merge_for_retraining(manual, auto, amb_policy: str = "ignore_positions"):
     """Combine manual and auto paragraphs into one training set.
 
@@ -140,18 +155,9 @@ def merge_for_retraining(manual, auto, amb_policy: str = "ignore_positions"):
     loss; drop_paragraph excludes any paragraph containing amb.  Manual
     paragraphs are always included unmodified, ahead of the auto ones.
     """
-    if amb_policy not in ("ignore_positions", "drop_paragraph"):
-        raise ValueError(f"unknown amb policy {amb_policy!r}")
-    merged = []
-    for p in manual:
-        merged.append(_example_from(p))
-    for p in auto:
-        if p.provenance != "auto":
-            raise ValueError(f"expected provenance 'auto', got {p.provenance!r}")
-        if amb_policy == "drop_paragraph" and tag_schema.AMB in p.labels:
-            continue
-        merged.append(_example_from(p))
-    return merged
+    auto = list(auto)
+    kept = retained_auto(auto, amb_policy)
+    return [_example_from(p) for p in manual] + [_example_from(auto[i]) for i in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, dataset, evaluation
+from . import __version__, dataset, evaluation, tagger
 from .autoannotate import GateConfig, GateStats, annotate_corpus
-from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
+from .tagger import DEFAULT_HASH_DIM, FeatureTable, TaggerModel, TrainConfig, train
 from .util import atomic_write
 
 log = logging.getLogger(__name__)
@@ -84,26 +85,52 @@ class IterationRecord:
         }
 
 
+class LoopFeatures(NamedTuple):
+    """The compiled feature tables of a run's manual, auto and test paragraphs."""
+
+    manual: FeatureTable
+    auto: FeatureTable
+    test: FeatureTable | None
+
+    @classmethod
+    def compile(cls, manual_train, auto_corpus, test_set, dim: int) -> "LoopFeatures":
+        def table(paragraphs):
+            return tagger.featurize([p.words for p in paragraphs], dim)
+
+        return cls(table(manual_train), table(auto_corpus),
+                   None if test_set is None else table(test_set))
+
+
 def _step_seed(master: int, iteration: int, step: int) -> int:
     seq = np.random.SeedSequence(entropy=(master, iteration, step))
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
 def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int = 1,
-                  init: TaggerModel | None = None, test_set=None):
-    """One pass of steps 1-3.  Returns (model, IterationRecord, auto annotations)."""
+                  init: TaggerModel | None = None, test_set=None,
+                  features: LoopFeatures | None = None):
+    """One pass of steps 1-3.  Returns (model, IterationRecord, auto annotations).
+
+    `features` are the compiled tables of the three paragraph lists, at
+    `config.hash_dim`; without them they are compiled here.
+    """
     manual_train = list(manual_train)
     if not manual_train:
         raise ValueError("manual training set is empty")
     auto_corpus = list(auto_corpus)
+    test_set = None if test_set is None else list(test_set)
     started = time.monotonic()
     warnings: list[str] = []
+    if features is None:
+        features = LoopFeatures.compile(manual_train, auto_corpus, test_set, config.hash_dim)
 
     manual_examples = dataset.merge_for_retraining(manual_train, [], config.amb_policy)
     step1_cfg = replace(config.step1, seed=_step_seed(config.seed, iteration, 1))
-    step1_model = train(manual_examples, step1_cfg, init=init, hash_dim=config.hash_dim)
+    step1_model = train(manual_examples, step1_cfg, init=init, hash_dim=config.hash_dim,
+                        features=features.manual)
 
-    auto_annotated, gate_stats = annotate_corpus(step1_model, auto_corpus, config.gate)
+    auto_annotated, gate_stats = annotate_corpus(step1_model, auto_corpus, config.gate,
+                                                 features=features.auto)
 
     if gate_stats.total_words and gate_stats.amb_words == gate_stats.total_words:
         message = (
@@ -114,13 +141,18 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
         log.warning(message)
 
     merged = dataset.merge_for_retraining(manual_train, auto_annotated, config.amb_policy)
+    kept = dataset.retained_auto(auto_annotated, config.amb_policy)
     step3_cfg = replace(config.step3, seed=_step_seed(config.seed, iteration, 3))
-    model = train(merged, step3_cfg, init=step1_model)
+    model = train(merged, step3_cfg, init=step1_model, features=tagger.concat_tables(
+        [features.manual, features.auto.select(kept)], config.hash_dim
+    ))
 
     metrics = test_predictions = None
     if test_set is not None:
-        step1_predictions, _ = annotate_corpus(step1_model, test_set, config.gate)
-        test_predictions, _ = annotate_corpus(model, test_set, config.gate)
+        step1_predictions, _ = annotate_corpus(step1_model, test_set, config.gate,
+                                               features=features.test)
+        test_predictions, _ = annotate_corpus(model, test_set, config.gate,
+                                              features=features.test)
         metrics = {
             "step1": evaluation.score(test_set, step1_predictions).to_dict(),
             "step3": evaluation.score(test_set, test_predictions).to_dict(),
@@ -231,6 +263,8 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             "inputs_sha256": _inputs_sha256(manual_train, auto_corpus, test_set),
         }
 
+    # every iteration reads the same words: featurize them once
+    features = LoopFeatures.compile(manual_train, auto_corpus, test_set, config.hash_dim)
     records: list[IterationRecord] = []
     model: TaggerModel | None = None
     for iteration in range(1, config.iterations + 1):
@@ -241,7 +275,9 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
                 record = _load_record(rec_path, **stamp)
                 model = TaggerModel.load(model_path)
                 if test_set is not None:
-                    record.test_predictions, _ = annotate_corpus(model, test_set, config.gate)
+                    record.test_predictions, _ = annotate_corpus(
+                        model, test_set, config.gate, features=features.test
+                    )
                 records.append(record)
                 log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
@@ -250,7 +286,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
         try:
             model, record, _ = run_iteration(
                 manual_train, auto_corpus, config, iteration=iteration,
-                init=init, test_set=test_set,
+                init=init, test_set=test_set, features=features,
             )
         except ValueError as exc:
             raise ValueError(f"iteration {iteration}: {exc}") from exc

@@ -116,15 +116,27 @@ class Violation:
         return f"illegal transition {where} -> {self.label!r} at position {self.position}"
 
 
+# LEGAL_TRANSITIONS as nested lists: one lookup per word, without numpy's
+# per-call cost on paragraph-sized sequences
+_LEGAL_ROWS = LEGAL_TRANSITIONS.tolist()
+
+
 def validate_sequence(labels) -> list[Violation]:
-    """All BIO transition violations in `labels` (empty list = legal)."""
-    violations = []
-    prev = None
-    for i, label in enumerate(labels):
-        if not is_legal_transition(prev, label):
-            violations.append(Violation(i, prev, label))
-        prev = label
-    return violations
+    """All BIO transition violations in `labels` (empty list = legal).
+
+    The labels are mapped to indices once; each transition is then one
+    lookup in the legality matrix, the sequence start checking as O does.
+    """
+    labels = list(labels)
+    index = [LABEL_INDEX.get(label, -1) for label in labels]
+    if -1 in index:
+        label_index(labels[index.index(-1)])  # raises the unknown-label error
+    prev = [LABEL_INDEX[O_LABEL], *index[:-1]]
+    return [
+        Violation(i, labels[i - 1] if i else None, labels[i])
+        for i, (p, j) in enumerate(zip(prev, index))
+        if not _LEGAL_ROWS[p][j]
+    ]
 
 
 @dataclass(frozen=True)

@@ -86,25 +86,178 @@ def _hash(text: str, dim: int) -> int:
     return zlib.crc32(text.encode("utf-8")) % dim
 
 
-@functools.cache
-def _word_ids(word: str, dim: int) -> tuple[list[list[int]], list[int]]:
-    """`word`'s own ids, one list per subword (the word's features, then
-    the subword's), and its ids as the neighbour at offsets -2..+2.
+N_CONTEXT = 5  # the ids of words -2..+2 end every subword's ids
 
-    Memoized once per process per `(word, dim)`, as read-only lists.  The
-    memo keeps one entry per distinct word the process featurizes; a single
-    `annotate_corpus` call already held its corpus's whole vocabulary.
+
+@functools.cache
+def _word_ids(word: str, dim: int) -> np.ndarray:
+    """`word`'s ids as one read-only uint32 block: first its ids as the
+    neighbour at offsets -2..+2, then per subword its own ids (the word's
+    features, then the subword's) followed by 5 zeros, where a paragraph
+    puts the subword's context.
+
+    Memoized once per process per `(word, dim)`.  The memo keeps one entry
+    per distinct word the process featurizes; a single `annotate_corpus`
+    call already held its corpus's whole vocabulary.
     """
     h = functools.partial(_hash, dim=dim)
+    block = [h(f"n{offset}=" + word) for offset in range(-2, 3)]
     word_feats = [h("bias"), h("w=" + word), h("shape=" + word_shape(word))]
     for k in range(1, min(3, len(word)) + 1):
         word_feats.append(h(f"pre{k}=" + word[:k]))
         word_feats.append(h(f"suf{k}=" + word[-k:]))
-    own = [
-        word_feats + [h("sub=" + sub.text), h("pos=" + ("cont" if sub.is_continuation else "first"))]
-        for sub in segment_word(word)
-    ]
-    return own, [h(f"n{offset}=" + word) for offset in range(-2, 3)]
+    for sub in segment_word(word):
+        block += word_feats
+        block += [h("sub=" + sub.text), h("pos=" + ("cont" if sub.is_continuation else "first"))]
+        block += [0] * N_CONTEXT
+    block = np.array(block, np.uint32)
+    block.flags.writeable = False
+    return block
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """The hashed feature ids of every subword of a list of paragraphs.
+
+    Subword s owns `feat[offsets[s]:offsets[s + 1]]` and belongs to word
+    `word_idx[s]` of its paragraph; paragraph p owns subwords
+    `sub_at[p]:sub_at[p + 1]` and words `word_at[p]:word_at[p + 1]`.  The
+    ids are uint32 (CRC32 values mod `dim`); the other arrays are int64.
+    All arrays are read-only, so one table can serve a whole run.
+    """
+
+    dim: int
+    feat: np.ndarray
+    offsets: np.ndarray
+    word_idx: np.ndarray
+    sub_at: np.ndarray
+    word_at: np.ndarray
+
+    def __post_init__(self):
+        for name in ("feat", "offsets", "word_idx", "sub_at", "word_at"):
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.sub_at) - 1
+
+    def word_counts(self) -> list[int]:
+        return np.diff(self.word_at).tolist()
+
+    def check_matches(self, dim: int, paragraphs) -> None:
+        """ValueError unless the table has hash dimension `dim` and one
+        paragraph per word list in `paragraphs`, of the same length."""
+        if self.dim != dim:
+            raise ValueError(f"feature table has hash dimension {self.dim}, not {dim}")
+        if self.word_counts() != [len(words) for words in paragraphs]:
+            raise ValueError("feature table does not match the paragraphs' words")
+
+    def paragraphs(self):
+        """Yield each paragraph's (feat, offsets, word_idx, n_words): views
+        of the table, except `offsets`, which start at 0."""
+        sub_at = self.sub_at.tolist()
+        for p, n_words in enumerate(self.word_counts()):
+            a, b = sub_at[p], sub_at[p + 1]
+            offsets = self.offsets[a : b + 1]
+            start = offsets[0]
+            yield self.feat[start : offsets[-1]], offsets - start, self.word_idx[a:b], n_words
+
+    def select(self, rows) -> "FeatureTable":
+        """The table of paragraphs `rows`, in that order."""
+        rows = list(rows)
+        if rows == list(range(len(self))):
+            return self
+        pieces = list(self.paragraphs())
+        return concat_tables(
+            [FeatureTable(self.dim, feat, offsets, word_idx, np.array([0, len(word_idx)]),
+                          np.array([0, n_words]))
+             for feat, offsets, word_idx, n_words in (pieces[p] for p in rows)],
+            self.dim,
+        )
+
+
+def concat_tables(tables, dim: int) -> FeatureTable:
+    """One table of the paragraphs of `tables`, in order; all have `dim`."""
+    tables = list(tables)
+    if any(t.dim != dim for t in tables):
+        raise ValueError(f"feature tables must all have hash dimension {dim}")
+
+    def bounds(name):
+        # each table's bounds, shifted past the tables before it
+        parts, base = [np.zeros(1, np.int64)], 0
+        for t in tables:
+            part = getattr(t, name)
+            parts.append(part[1:] + base)
+            base += int(part[-1])
+        return np.concatenate(parts)
+
+    return FeatureTable(
+        dim,
+        np.concatenate([np.zeros(0, np.uint32), *(t.feat for t in tables)]),
+        bounds("offsets"),
+        np.concatenate([np.zeros(0, np.int64), *(t.word_idx for t in tables)]),
+        bounds("sub_at"),
+        bounds("word_at"),
+    )
+
+
+def _bounds(counts) -> np.ndarray:
+    """[0, counts[0], counts[0] + counts[1], ...]: where each run starts, then the total."""
+    out = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def featurize(paragraphs, dim: int) -> FeatureTable:
+    """Compile the word lists `paragraphs` into one FeatureTable.
+
+    A subword's ids are its own (word, then subword) followed by the context
+    of words -2..+2 of its paragraph, `<s>`/`</s>` past the ends.  The order
+    is part of the result: the kernels add a subword's weight rows in it.
+
+    The work is one dict pass mapping each word to a slice-local vocabulary
+    id, one `_word_ids` block per vocabulary entry, and numpy gathers from
+    there: each word's own ids are copied from its entry's block, and the
+    context ids come from its neighbours' entries.
+    """
+    # 1. vocabulary ids of every paragraph padded with two <s> and two </s>
+    vocab = {"<s>": 0, "</s>": 1}
+    padded = []
+    for words in paragraphs:
+        padded += (0, 0)
+        padded += [vocab.setdefault(w, len(vocab)) for w in words]
+        padded += (1, 1)
+    padded = np.array(padded, np.int64)
+    n_words = np.array([len(words) for words in paragraphs], np.int64)
+    word_at = _bounds(n_words)
+    # the position of each word in `padded`, and its vocabulary id
+    position = np.arange(word_at[-1]) + np.repeat(4 * np.arange(len(n_words)) + 2, n_words)
+    codes = padded[position]
+
+    # 2. one block of ids per vocabulary entry (see `_word_ids`)
+    ids = np.concatenate([_word_ids(word, dim) for word in vocab])
+    lengths = np.array([len(word) for word in vocab])
+    n_sub = (lengths + SUBWORD_WIDTH - 1) // SUBWORD_WIDTH
+    sub_len = 2 * np.minimum(lengths, 3) + 5 + N_CONTEXT  # ids per subword
+    entry_at = _bounds(N_CONTEXT + n_sub * sub_len)
+
+    # 3. each word's subwords copied from its entry's block, then their
+    # context slots filled with the ids of words -2..+2
+    word_len = (n_sub * sub_len)[codes]
+    word_start = _bounds(word_len)
+    source = np.repeat(entry_at[codes] + N_CONTEXT - word_start[:-1], word_len)
+    source += np.arange(len(source))
+    feat = ids[source]
+    del source
+    neighbours = padded[position[:, None] + np.arange(-2, 3)]
+    context = ids[entry_at[neighbours] + np.arange(N_CONTEXT)]
+
+    sub_word = np.repeat(np.arange(len(codes)), n_sub[codes])
+    offsets = _bounds(sub_len[codes[sub_word]])
+    feat[offsets[1:, None] - np.arange(N_CONTEXT, 0, -1)] = context[sub_word]
+
+    sub_at = _bounds(n_sub[codes])[word_at]
+    word_idx = sub_word - np.repeat(word_at[:-1], np.diff(sub_at))
+    return FeatureTable(dim, feat, offsets, word_idx, sub_at, word_at)
 
 
 class Featurizer:
@@ -121,28 +274,10 @@ class Featurizer:
         self.dim = dim
 
     def paragraph_arrays(self, words):
-        """(feat, offsets, word_idx) arrays for all subwords of a paragraph.
-
-        A subword's ids are its own (word, then subword) followed by the
-        context of words -2..+2, `<s>`/`</s>` past the ends.  The order is
-        part of the result: the kernels add a subword's weight rows in it.
-        """
-        padded = [_word_ids(w, self.dim) for w in ("<s>", "<s>", *words, "</s>", "</s>")]
-        feat: list[int] = []
-        offsets = [0]
-        word_idx: list[int] = []
-        for i in range(len(words)):
-            context = [padded[i + k][1][k] for k in range(5)]
-            for own in padded[i + 2][0]:
-                feat.extend(own)
-                feat.extend(context)
-                offsets.append(len(feat))
-                word_idx.append(i)
-        return (
-            np.asarray(feat, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            np.asarray(word_idx, dtype=np.int64),
-        )
+        """(feat, offsets, word_idx) int64 arrays for all subwords of a
+        paragraph: `featurize` on the one paragraph."""
+        table = featurize([list(words)], self.dim)
+        return table.feat.astype(np.int64), table.offsets.copy(), table.word_idx.copy()
 
 
 @dataclass
@@ -342,54 +477,53 @@ class _Prepared:
     n_effective: int
 
 
-def prepare_examples(examples, featurizer: Featurizer) -> _Prepared:
-    # each list starts with an empty part, so an empty `examples` concatenates
-    feat_parts = [np.zeros(0, dtype=np.int64)]
-    offsets = [np.zeros(1, dtype=np.int64)]
-    label_parts = [np.zeros(0, dtype=np.int64)]
-    mask_parts = [np.zeros(0, dtype=np.uint8)]
-    par_offsets = [0]
-    base = 0
-    n_sub = 0
-    for example in examples:
-        f, o, widx = featurizer.paragraph_arrays(example.words)
-        feat_parts.append(f)
-        offsets.append(o[1:] + base)
-        base += len(f)
-        # per word, then gathered per subword by its word's index
-        n_words = len(example.words)
-        word_labels = []
-        word_mask = []
-        for label, unmasked in zip(example.labels[:n_words], example.mask[:n_words]):
-            masked_in = unmasked and label != tag_schema.AMB
-            if masked_in and not tag_schema.is_model_label(label):
-                raise ValueError(f"unmasked label {label!r} is not a model class")
-            word_labels.append(tag_schema.label_index(label) if masked_in else 0)
-            word_mask.append(masked_in)
-        label_parts.append(np.asarray(word_labels, dtype=np.int64)[widx])
-        mask_parts.append(np.asarray(word_mask, dtype=np.uint8)[widx])
-        n_sub += len(widx)
-        par_offsets.append(n_sub)
-    mask = np.concatenate(mask_parts)
+def prepare_examples(examples, featurizer: Featurizer,
+                     features: FeatureTable | None = None) -> _Prepared:
+    """The kernel arrays of `examples`.  `features` is the table of their
+    words (paragraph i is examples[i]); without it, it is compiled here.
+
+    Labels and the loss mask are looked up once per word and gathered per
+    subword by its word.
+    """
+    examples = list(examples)
+    if features is None:
+        features = featurize([e.words for e in examples], featurizer.dim)
+    else:
+        features.check_matches(featurizer.dim, [e.words for e in examples])
+    labels, unmasked = [], []
+    for e in examples:
+        labels += e.labels[: len(e.words)]
+        unmasked += e.mask[: len(e.words)]
+    if not len(labels) == len(unmasked) == features.word_at[-1]:
+        raise ValueError("every example needs a label and a mask entry per word")
+    index = np.array([tag_schema.LABEL_INDEX.get(label, -1) for label in labels], np.int64)
+    live = np.array(unmasked, dtype=bool) & (index != tag_schema.AMB_INDEX)
+    unknown = live & (index < 0)
+    if unknown.any():
+        label = labels[int(np.argmax(unknown))]
+        raise ValueError(f"unmasked label {label!r} is not a model class")
+    word = features.word_idx + np.repeat(features.word_at[:-1], np.diff(features.sub_at))
+    mask = live.astype(np.uint8)[word]
     return _Prepared(
-        feat=np.concatenate(feat_parts),
-        offsets=np.concatenate(offsets),
-        labels=np.concatenate(label_parts),
+        feat=features.feat,
+        offsets=features.offsets,
+        labels=np.where(live, index, 0)[word],
         mask=mask,
-        par_offsets=np.asarray(par_offsets, dtype=np.int64),
-        n_paragraphs=len(par_offsets) - 1,
+        par_offsets=features.sub_at,
+        n_paragraphs=len(features),
         n_effective=int(mask.sum()),
     )
 
 
 def train(data, config: TrainConfig, init: TaggerModel | None = None,
-          hash_dim: int = DEFAULT_HASH_DIM) -> TaggerModel:
+          hash_dim: int = DEFAULT_HASH_DIM, features: FeatureTable | None = None) -> TaggerModel:
     """Mini-batch gradient descent on masked cross-entropy.
 
     Batches are `batch_size` paragraphs; paragraph order is reshuffled every
     epoch from `config.seed`, so a rerun is bit-identical.  `init` continues
     training an existing model (its hash_dim wins); otherwise training starts
-    from the fresh, all-zero model.
+    from the fresh, all-zero model.  `features`, when given, is the
+    compiled table of `data`'s words (see `prepare_examples`).
 
     Only the rows the features touch, and `init`'s rows, are held: feature
     ids are mapped once to positions among those sorted rows, and one
@@ -399,14 +533,14 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
     """
     if init is None:
         init = TaggerModel.fresh(hash_dim)
-    prepared = prepare_examples(data, Featurizer(init.hash_dim))
+    prepared = prepare_examples(data, Featurizer(init.hash_dim), features)
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
     rows = np.union1d(init.rows, prepared.feat)
     # one more row, zero, for the kernel's padding
     weights = np.zeros((len(rows) + 1, tag_schema.NUM_CLASSES))
     weights[np.searchsorted(rows, init.rows)] = init.values
-    # int32 positions among `rows` replace the int64 hashed ids
+    # int32 positions among `rows` replace the hashed ids
     prepared.feat = np.searchsorted(rows, prepared.feat).astype(np.int32)
 
     rng = np.random.default_rng(config.seed)

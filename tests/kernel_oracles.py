@@ -20,6 +20,9 @@ holds only the rows its features touch and runs the vectorized kernel, must
 give the same weights and epoch losses bit for bit.
 `tokenize_ref` walks a paragraph one character at a time; the regular
 expressions of `corpus_ingest.tokenize` must give the same tokens.
+`validate_sequence_ref` checks a label sequence one transition at a time
+with `tag_schema.is_legal_transition`; `tag_schema.validate_sequence` must
+give the same violations, or raise the same unknown-label error.
 """
 
 import json
@@ -396,3 +399,14 @@ def tokenize_ref(paragraph: str) -> list[str]:
                 else:
                     tokens.extend(_strip_trailing_punct(part))
     return tokens
+
+
+def validate_sequence_ref(labels):
+    """All BIO transition violations in `labels`, one word at a time."""
+    violations = []
+    prev = None
+    for i, label in enumerate(labels):
+        if not tag_schema.is_legal_transition(prev, label):
+            violations.append(tag_schema.Violation(i, prev, label))
+        prev = label
+    return violations

@@ -9,7 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from sciner import dataset, kernels, synth
+import json
+
+from sciner import autoannotate, dataset, kernels, synth, tagger
 from sciner import tag_schema as ts
 from sciner.autoannotate import (
     GateConfig,
@@ -334,6 +336,21 @@ class TestGateStats:
         assert stats.to_dict()["amb_fraction"] == 0.5
 
 
+    def test_from_indices_matches_merge_counts(self):
+        rng = random.Random(21)
+        labels = [*ts.MODEL_LABELS, ts.AMB]
+        for n in [0, 1, 5, 300]:
+            seq = [rng.choice(labels[: rng.randrange(1, 17)]) for _ in range(n)]
+            merged = GateStats()
+            merged.merge_counts(seq)
+            tallied = GateStats.from_indices(np.array([ts.label_index(l) for l in seq], int))
+            assert tallied == merged
+            assert json.dumps(tallied.to_dict(), indent=2, sort_keys=True) == json.dumps(
+                merged.to_dict(), indent=2, sort_keys=True
+            )
+            assert tallied.render() == merged.render()
+
+
 @pytest.fixture(scope="module")
 def trained():
     """A model trained on a small synthetic manual set, and that corpus's test set."""
@@ -428,3 +445,49 @@ class TestSerialAnnotation:
             (p.labels, p.confidence) for p in serial
         ]
         assert stats_a.to_dict() == stats_b.to_dict()
+
+
+class TestFeatureTables:
+    """annotate_corpus scores from a compiled table, or compiles its own in
+    chunks; the annotations are the same either way."""
+
+    @staticmethod
+    def outputs(result):
+        annotated, stats = result
+        return [(p.labels, p.confidence) for p in annotated], stats.to_dict()
+
+    def test_table_chunks_and_whole_agree(self, trained, monkeypatch):
+        model, test_set = trained
+        paragraphs = [carrier(p.words, index=k) for k, p in enumerate(test_set)]
+        table = tagger.featurize([p.words for p in paragraphs], model.hash_dim)
+        expected = self.outputs(annotate_corpus(model, paragraphs, GateConfig(0.9)))
+        assert self.outputs(
+            annotate_corpus(model, paragraphs, GateConfig(0.9), features=table)
+        ) == expected
+        compiled = []
+        real = tagger.featurize
+
+        def counting(word_lists, dim):
+            compiled.append(len(word_lists))
+            return real(word_lists, dim)
+
+        monkeypatch.setattr(tagger, "featurize", counting)
+        monkeypatch.setattr(autoannotate, "CHUNK_PARAGRAPHS", 7)
+        assert self.outputs(annotate_corpus(model, paragraphs, GateConfig(0.9))) == expected
+        assert compiled == [7] * (len(paragraphs) // 7) + [len(paragraphs) % 7]
+        compiled.clear()
+        annotate_corpus(model, paragraphs, GateConfig(0.9), features=table)
+        assert compiled == []
+
+    def test_table_must_match(self, trained):
+        model, test_set = trained
+        paragraphs = [carrier(p.words, index=k) for k, p in enumerate(test_set[:3])]
+        words = [p.words for p in paragraphs]
+        with pytest.raises(ValueError, match="does not match"):
+            annotate_corpus(model, paragraphs[:2], features=tagger.featurize(words, model.hash_dim))
+        with pytest.raises(ValueError, match="hash dimension"):
+            annotate_corpus(model, paragraphs, features=tagger.featurize(words, 1 << 10))
+        lines = [prob_line(np.full(15, 1 / 15))]
+        with pytest.raises(ValueError, match="applies to a model"):
+            annotate_corpus(load_external_probs(iter(lines)), [carrier(["one"])],
+                            features=tagger.featurize([["one"]], 1 << 10))

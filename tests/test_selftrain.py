@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sciner
-from sciner import selftrain, synth
+from sciner import dataset, selftrain, synth, tagger
 from sciner.autoannotate import GateConfig, annotate_corpus
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
 from sciner.tagger import TrainConfig
@@ -104,7 +104,44 @@ class TestRunIteration:
         assert f1_step3 >= f1_step1 - 0.02
 
 
+    def test_drop_paragraph_trains_on_the_kept_rows(self):
+        # step 3 takes the manual rows and the kept auto rows of the run's
+        # tables: the same model as featurizing the merged examples anew
+        corpus = small_corpus()
+        cfg = fast_config(gate=GateConfig(0.8), amb_policy="drop_paragraph")
+        model, _, auto = run_iteration(corpus.manual, corpus.auto_inputs, cfg)
+        merged = dataset.merge_for_retraining(corpus.manual, auto, "drop_paragraph")
+        assert len(corpus.manual) < len(merged) < len(corpus.manual) + len(auto)
+        step1 = tagger.train(
+            dataset.merge_for_retraining(corpus.manual, []),
+            replace(cfg.step1, seed=selftrain._step_seed(cfg.seed, 1, 1)),
+            hash_dim=cfg.hash_dim,
+        )
+        step3 = tagger.train(
+            merged, replace(cfg.step3, seed=selftrain._step_seed(cfg.seed, 1, 3)), init=step1
+        )
+        assert np.array_equal(step3.rows, model.rows)
+        assert np.array_equal(step3.values, model.values)
+
+
 class TestRunLoop:
+    def test_each_paragraph_featurized_once(self, monkeypatch):
+        corpus = small_corpus()
+        compiled = []
+        real = tagger.featurize
+
+        def counting(word_lists, dim):
+            compiled.extend(tuple(words) for words in word_lists)
+            return real(word_lists, dim)
+
+        monkeypatch.setattr(tagger, "featurize", counting)
+        records, _ = run_loop(
+            corpus.manual, corpus.auto_inputs, fast_config(iterations=2), test_set=corpus.test
+        )
+        assert len(records) == 2
+        slices = corpus.manual + corpus.auto_inputs + corpus.test
+        assert sorted(compiled) == sorted(tuple(p.words) for p in slices)
+
     def test_single_iteration_single_record(self):
         corpus = small_corpus()
         records, model = run_loop(

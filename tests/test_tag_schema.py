@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sciner import tag_schema as ts
+from kernel_oracles import validate_sequence_ref
 
 
 class TestLabelSpace:
@@ -105,6 +106,32 @@ class TestValidateSequence:
                 for i in range(len(seq))
             )
             assert (ts.validate_sequence(seq) == []) == pairwise_ok
+
+
+    def test_matches_per_word_walk(self):
+        # random sequences over every label, some with unknown labels: the
+        # same violations, or the same error for the first unknown label
+        rng = random.Random(12)
+        labels = [*ts.MODEL_LABELS, ts.AMB]
+        unknown = ["B-Nonsense", "o", "", "I-", "AMB"]
+        violations = errors = 0
+        for _ in range(3000):
+            seq = [rng.choice(labels) for _ in range(rng.randrange(0, 12))]
+            for _ in range(rng.choice([0, 0, 0, 1, 2])):
+                seq.insert(rng.randrange(len(seq) + 1), rng.choice(unknown))
+            try:
+                expected = validate_sequence_ref(seq)
+            except ValueError as exc:
+                errors += 1
+                with pytest.raises(ValueError) as got:
+                    ts.validate_sequence(seq)
+                assert str(got.value) == str(exc)
+                continue
+            got = ts.validate_sequence(iter(seq))
+            assert got == expected
+            assert [str(v) for v in got] == [str(v) for v in expected]
+            violations += len(expected)
+        assert errors > 500 and violations > 1000
 
 
 def random_legal_sequence(rng, length, allow_amb=False):

@@ -142,6 +142,157 @@ class TestFeaturizeExactOrder:
         self.assert_matches_ref(featurizer, words)
 
 
+class TestGoldenFeaturizerIds:
+    """Literal ids of one paragraph, so a featurizer rewrite that moves any
+    id fails here.  CRC32 does not depend on the platform."""
+
+    WORDS = ["A", "β-VAE", "7"]
+    OFFSETS = [0, 12, 28, 44, 56]
+    WORD_IDX = [0, 1, 1, 2]
+    IDS = {
+        1 << 20: [
+            [485979, 827007, 196141, 44771, 110515, 72538,
+             434915, 335582, 353294, 361220, 201699, 492387],
+            [485979, 739704, 292788, 957125, 813994, 127373, 296677, 276101, 336290, 766777,
+             434915, 335582, 196557, 594813, 81210, 606989],
+            [485979, 739704, 292788, 957125, 813994, 127373, 296677, 276101, 336290, 309036,
+             349777, 335582, 196557, 594813, 81210, 606989],
+            [485979, 674422, 885418, 424682, 490426, 511827,
+             434915, 278932, 91194, 218893, 864675, 606989],
+        ],
+        # collides: 56 ids in 34 buckets here, 36 at 2**20
+        1 << 10: [
+            [603, 639, 557, 739, 947, 858, 739, 734, 14, 772, 995, 867],
+            [603, 376, 948, 709, 938, 397, 741, 645, 418, 825, 739, 734, 973, 893, 314, 781],
+            [603, 376, 948, 709, 938, 397, 741, 645, 418, 812, 593, 734, 973, 893, 314, 781],
+            [603, 630, 682, 746, 954, 851, 739, 404, 58, 781, 419, 781],
+        ],
+    }
+
+    @pytest.mark.parametrize("dim", sorted(IDS))
+    def test_paragraph_arrays(self, dim):
+        feat, offsets, word_idx = tagger.Featurizer(dim).paragraph_arrays(self.WORDS)
+        assert offsets.tolist() == self.OFFSETS
+        assert word_idx.tolist() == self.WORD_IDX
+        assert [feat[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == self.IDS[dim]
+
+    @pytest.mark.parametrize("dim", sorted(IDS))
+    def test_inside_a_table(self, dim):
+        # the paragraph between two others keeps its ids
+        table = tagger.featurize([["x", "y"], self.WORDS, ["z"]], dim)
+        feat, offsets, word_idx, n_words = list(table.paragraphs())[1]
+        assert (offsets.tolist(), word_idx.tolist(), n_words) == (self.OFFSETS, self.WORD_IDX, 3)
+        assert feat.tolist() == [i for ids in self.IDS[dim] for i in ids]
+
+    def test_collisions_at_small_dim(self):
+        flat = [[i for ids in self.IDS[dim] for i in ids] for dim in (1 << 20, 1 << 10)]
+        assert len(set(flat[1])) < len(set(flat[0]))
+
+
+def assert_table_matches_ref(table, paragraphs, dim):
+    """Every subword of `table` against featurize_ref on its own paragraph."""
+    assert table.dim == dim and len(table) == len(paragraphs)
+    assert table.feat.dtype == np.uint32
+    assert table.word_counts() == [len(words) for words in paragraphs]
+    subs = [segment_paragraph(words) for words in paragraphs]
+    assert table.sub_at.tolist() == np.cumsum([0] + [len(s) for s in subs]).tolist()
+    assert table.offsets[0] == 0 and table.offsets[-1] == len(table.feat)
+    s = 0
+    for words, par_subs in zip(paragraphs, subs):
+        for sub in par_subs:
+            got = table.feat[table.offsets[s] : table.offsets[s + 1]]
+            assert got.tolist() == featurize_ref(sub, words, dim).tolist(), (words, sub)
+            assert table.word_idx[s] == sub.word_index
+            s += 1
+    assert s == len(table.offsets) - 1
+
+
+class TestFeatureTable:
+    PARAGRAPHS = [
+        ["one"],
+        ["two", "words"],
+        ["The", "learning", "rate", "was", "0.1", "."],
+        ["Hyperparameter"],
+        ["<s>", "</s>", "x"],
+        ["a", "b", "c", "d", "e"],
+    ]
+
+    @pytest.mark.parametrize("dim", HASH_DIMS)
+    def test_slice_matches_ref(self, dim):
+        assert_table_matches_ref(
+            tagger.featurize(self.PARAGRAPHS, dim), self.PARAGRAPHS, dim
+        )
+
+    def test_ends_see_padding_not_the_neighbour_paragraph(self):
+        dim = 1 << 20
+        table = tagger.featurize(self.PARAGRAPHS, dim)
+        h = lambda text: tagger._hash(text, dim)  # noqa: E731
+        for p, (feat, offsets, word_idx, n_words) in enumerate(table.paragraphs()):
+            contexts = [feat[b - 5 : b].tolist() for b in offsets[1:]]
+            first, last = contexts[0], contexts[-1]
+            assert first[:2] == [h("n-2=<s>"), h("n-1=<s>")]
+            assert last[3:] == [h("n1=</s>"), h("n2=</s>")]
+            if n_words >= 2:
+                second = contexts[int(np.searchsorted(word_idx, 1))]
+                before_last = contexts[int(np.searchsorted(word_idx, n_words - 2))]
+                assert second[0] == h("n-2=<s>")
+                assert before_last[4] == h("n2=</s>")
+
+    def test_word_shared_by_two_slices(self):
+        dim = 1 << 12
+        a = tagger.featurize([["shared", "left"]], dim)
+        b = tagger.featurize([["right", "more", "shared"], ["shared"]], dim)
+        # "shared" is 2 subwords: the first one's own ids, in each place
+        own = a.feat[: a.offsets[1] - 5]
+        assert np.array_equal(b.feat[b.offsets[3] : b.offsets[4] - 5], own)
+        assert np.array_equal(b.feat[b.offsets[5] : b.offsets[6] - 5], own)
+        assert_table_matches_ref(b, [["right", "more", "shared"], ["shared"]], dim)
+
+    def test_empty_slice_and_empty_paragraph(self):
+        empty = tagger.featurize([], 1 << 10)
+        assert len(empty) == 0 and len(empty.feat) == 0
+        assert empty.offsets.tolist() == empty.sub_at.tolist() == empty.word_at.tolist() == [0]
+        table = tagger.featurize([["a"], [], ["b", "c"]], 1 << 10)
+        assert table.word_counts() == [1, 0, 2]
+        assert_table_matches_ref(table, [["a"], [], ["b", "c"]], 1 << 10)
+
+    def test_read_only(self):
+        table = tagger.featurize(self.PARAGRAPHS, 1 << 10)
+        with pytest.raises(ValueError):
+            table.feat[0] = 1
+        with pytest.raises(ValueError):
+            table.offsets[0] = 1
+
+    def test_select_and_concat_equal_a_fresh_compile(self):
+        dim = 1 << 10
+        table = tagger.featurize(self.PARAGRAPHS, dim)
+        assert table.select(range(len(self.PARAGRAPHS))) is table
+        for rows in ([], [3], [5, 0, 2], [1, 1]):
+            expected = tagger.featurize([self.PARAGRAPHS[r] for r in rows], dim)
+            got = table.select(rows)
+            for name in ("feat", "offsets", "word_idx", "sub_at", "word_at"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), (rows, name)
+        joined = tagger.concat_tables([table, table.select([0, 4])], dim)
+        assert_table_matches_ref(joined, self.PARAGRAPHS + [self.PARAGRAPHS[i] for i in (0, 4)],
+                                 dim)
+        with pytest.raises(ValueError, match="hash dimension"):
+            tagger.concat_tables([table], 1 << 12)
+
+    def test_check_matches(self):
+        table = tagger.featurize([["a", "b"], ["c"]], 1 << 10)
+        table.check_matches(1 << 10, [["x", "y"], ["z"]])
+        with pytest.raises(ValueError, match="hash dimension"):
+            table.check_matches(1 << 11, [["a", "b"], ["c"]])
+        with pytest.raises(ValueError, match="does not match"):
+            table.check_matches(1 << 10, [["a"], ["b", "c"]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(paragraphs=st.lists(st.lists(WORD, max_size=4), max_size=4),
+           dim=st.sampled_from(HASH_DIMS))
+    def test_arbitrary_slices(self, paragraphs, dim):
+        assert_table_matches_ref(tagger.featurize(paragraphs, dim), paragraphs, dim)
+
+
 class TestFeaturizerMemo:
     # words that no other test featurizes, so the first pass must hash them
     WORDS = ["memoOnlyHere", "ζmemo-7", "mq"]
@@ -394,6 +545,26 @@ class TestPrepareExamples:
         assert np.array_equal(prepared.mask, mask)
         assert prepared.n_effective == sum(mask)
         assert prepared.n_paragraphs == len(examples)
+
+    def test_table_rows_give_the_same_arrays(self):
+        corpus = synth.make_corpus(n_manual=12, n_auto=0, n_test=0, seed=4)
+        examples = merge_for_retraining(corpus.manual, [])
+        featurizer = tagger.Featurizer(1 << 12)
+        table = tagger.featurize([p.words for p in corpus.manual], featurizer.dim)
+        fresh = tagger.prepare_examples(examples, featurizer)
+        from_table = tagger.prepare_examples(examples, featurizer, table)
+        assert vars(fresh).keys() == vars(from_table).keys()
+        for name, value in vars(fresh).items():
+            assert np.array_equal(value, getattr(from_table, name)), name
+        with pytest.raises(ValueError, match="does not match"):
+            tagger.prepare_examples(examples[1:], featurizer, table)
+        with pytest.raises(ValueError, match="hash dimension"):
+            tagger.prepare_examples(examples, tagger.Featurizer(1 << 10), table)
+
+    def test_short_labels_rejected(self):
+        example = TrainingExample(["a", "b"], ["O"], [True, True])
+        with pytest.raises(ValueError, match="a label and a mask entry per word"):
+            tagger.prepare_examples([example], tagger.Featurizer(1 << 10))
 
     def test_unmasked_unknown_label_rejected(self):
         example = TrainingExample(["a", "b"], ["O", "B-Nonsense"], [True, True])
