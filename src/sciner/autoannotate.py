@@ -21,10 +21,12 @@ from .tagger import TaggerModel, group_external_probs
 
 DEFAULT_GAMMA = 0.98
 
-# paragraphs per feature table when annotate_corpus compiles its own: one
-# chunk's table and the temporaries that build it take a few MB, whatever
-# the corpus size, and at this size numpy's per-call cost is already small
-CHUNK_PARAGRAPHS = 256
+# paragraphs per annotation chunk: each chunk is aggregated and decoded in
+# one call, and is featurized as one table when annotate_corpus compiles its
+# own.  At this size numpy's per-call cost is already small, and a call's
+# transient arrays stay a few MB whatever the corpus size (on a 2,000-paragraph
+# probability table: 2.3, 3.7 and 6.2 MB at 64, 128 and 256 paragraphs)
+CHUNK_PARAGRAPHS = 128
 
 _LEGAL_U8 = tag_schema.LEGAL_TRANSITIONS[:, : tag_schema.NUM_CLASSES].astype(np.uint8)
 _ALL_LEGAL = np.ones_like(_LEGAL_U8)  # gate_label: no transition rules
@@ -146,42 +148,78 @@ class GateStats:
                 self.accepted[label] = self.accepted.get(label, 0) + 1
 
 
-def _word_scores_from_stream(grouped, paragraph: AnnotatedParagraph):
-    key = (paragraph.paper_id, paragraph.paragraph_index)
-    if key not in grouped:
-        raise AlignmentError(
-            f"no probability records for {paragraph.paper_id} "
-            f"paragraph {paragraph.paragraph_index}"
-        )
-    word_idx, probs = grouped[key]
-    n_words = len(paragraph.words)
-    # grouping leaves word_idx sorted, so it covers 0..n_words-1 exactly when
-    # it runs from 0 to n_words - 1 without skipping a word
-    if not (word_idx[0] == 0 and word_idx[-1] == n_words - 1
-            and (np.diff(word_idx) <= 1).all()):
-        raise AlignmentError(
-            f"probability records for {paragraph.paper_id} paragraph "
-            f"{paragraph.paragraph_index} cover {len(np.unique(word_idx))} of {n_words} words"
-        )
-    return kernels.aggregate_words(probs, word_idx, n_words)
+def _no_words(p) -> ValueError:
+    return ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
 
 
-def _model_word_scores(model: TaggerModel, paragraphs, features):
-    """Each paragraph's aggregated word scores under `model`, scored one
-    paragraph at a time from `features`, or from tables compiled
-    CHUNK_PARAGRAPHS paragraphs at a time."""
+def _model_chunk(model: TaggerModel, features, start: int, chunk):
+    """(subword probabilities, chunk-global word index of each subword,
+    word bounds) of paragraphs `chunk` under `model`.  The chunk is
+    paragraphs `start:start + len(chunk)` of `features`, or is compiled here.
+    Each paragraph is scored on its own, from views of the table."""
+    for p in chunk:
+        if not p.words:
+            raise _no_words(p)
     if features is None:
-        tables = (
-            tagger.featurize([p.words for p in paragraphs[i : i + CHUNK_PARAGRAPHS]],
-                             model.hash_dim)
-            for i in range(0, len(paragraphs), CHUNK_PARAGRAPHS)
-        )
-    else:
-        tables = [features]
-    for table in tables:
-        for feat, offsets, word_idx, n_words in table.paragraphs():
-            probs = model.subword_probs(feat, offsets)
-            yield kernels.aggregate_words(probs, word_idx, n_words)
+        features, start = tagger.featurize([p.words for p in chunk], model.hash_dim), 0
+    stop = start + len(chunk)
+    sub_at = features.sub_at[start : stop + 1]
+    word_at = features.word_at[start : stop + 1] - features.word_at[start]
+    probs = np.concatenate([
+        model.subword_probs(feat, offsets)
+        for feat, offsets, _, _ in features.paragraphs(start, stop)
+    ])
+    word_idx = features.word_idx[sub_at[0] : sub_at[-1]]
+    return probs, word_idx + np.repeat(word_at[:-1], np.diff(sub_at)), word_at
+
+
+def _external_chunk(grouped, chunk):
+    """What `_model_chunk` returns, from the grouped probability records of
+    paragraphs `chunk`.  A paragraph with no words or no records, or whose
+    records do not cover its words exactly, is an error; of several, the
+    first paragraph's."""
+    pieces, error = [], None
+    for p in chunk:
+        piece = grouped.get((p.paper_id, p.paragraph_index))
+        if not p.words:
+            error = _no_words(p)
+        elif piece is None:
+            error = AlignmentError(
+                f"no probability records for {p.paper_id} paragraph {p.paragraph_index}"
+            )
+        if error is not None:
+            break
+        pieces.append(piece)
+    word_at = tagger._bounds([len(p.words) for p in chunk[: len(pieces)]])
+    n_words = np.diff(word_at)
+    rec_at = tagger._bounds([len(w) for w, _ in pieces])
+    word_idx = np.concatenate([np.zeros(0, np.int64), *(w for w, _ in pieces)])
+    # grouping leaves each paragraph's word indices sorted, so they cover
+    # 0..n-1 exactly when they run from 0 to n - 1 without skipping a word
+    # (every grouped paragraph has a record)
+    bad = (word_idx[rec_at[:-1]] != 0) | (word_idx[rec_at[1:] - 1] != n_words - 1)
+    step = np.diff(word_idx)
+    step[rec_at[1:-1] - 1] = 0  # pairs that straddle two paragraphs
+    bad[np.searchsorted(rec_at, np.flatnonzero(step > 1), side="right") - 1] = True
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise _coverage_error(chunk[j], pieces[j][0])
+    if error is not None:
+        raise error
+    probs = np.concatenate([np.zeros((0, tag_schema.NUM_CLASSES)), *(pr for _, pr in pieces)])
+    return probs, word_idx + np.repeat(word_at[:-1], np.diff(rec_at)), word_at
+
+
+def _coverage_error(p, word_idx) -> AlignmentError:
+    n_words = len(p.words)
+    inside = word_idx[word_idx < n_words]
+    message = (
+        f"probability records for {p.paper_id} paragraph {p.paragraph_index} "
+        f"cover {len(np.unique(inside))} of {n_words} words"
+    )
+    if len(inside) < len(word_idx):  # sorted: the first one past the end is the smallest
+        message += f"; word_index {int(word_idx[len(inside)])} is past its last word"
+    return AlignmentError(message)
 
 
 def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
@@ -195,14 +233,18 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
     annotates the same paragraphs again featurizes them once.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
-    `parallelism` is accepted and ignored: annotation is one serial pass,
-    which measured faster than a thread pool.
+
+    The paragraphs are annotated CHUNK_PARAGRAPHS at a time: one
+    aggregation and one decode per chunk.  A bad paragraph is an error
+    naming the first one in corpus order.  `parallelism` is accepted and
+    ignored: annotation is one serial pass, which measured faster than a
+    thread pool.
     """
     paragraphs = list(paragraphs)
-    if isinstance(source, TaggerModel):
+    from_model = isinstance(source, TaggerModel)
+    if from_model:
         if features is not None:
             features.check_matches(source.hash_dim, [p.words for p in paragraphs])
-        scores = _model_word_scores(source, paragraphs, features)
     elif features is not None:
         raise ValueError("a feature table applies to a model, not to a probability table")
     else:
@@ -215,27 +257,30 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
                 f"probability records for {len(outside)} paragraph(s) not in the corpus, "
                 f"first {paper_id} paragraph {paragraph}"
             )
-        scores = (_word_scores_from_stream(grouped, p) for p in paragraphs)
 
     annotated = []
-    decoded = np.zeros(sum(len(p.words) for p in paragraphs), np.uint8)  # label indices
-    end = 0
-    for p in paragraphs:
-        if not p.words:
-            raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
+    decoded = []  # label indices, one array per chunk
+    for start in range(0, len(paragraphs), CHUNK_PARAGRAPHS):
+        chunk = paragraphs[start : start + CHUNK_PARAGRAPHS]
+        if from_model:
+            probs, word_idx, word_at = _model_chunk(source, features, start, chunk)
+        else:
+            probs, word_idx, word_at = _external_chunk(grouped, chunk)
         labels_idx, conf = kernels.decode_constrained(
-            next(scores), _LEGAL_U8, config.gamma, _START_ROW
+            kernels.aggregate_words(probs, word_idx, int(word_at[-1])),
+            _LEGAL_U8, config.gamma, _START_ROW, word_at,
         )
-        decoded[end : end + len(labels_idx)] = labels_idx
-        end += len(labels_idx)
-        annotated.append(
-            AnnotatedParagraph(
-                paper_id=p.paper_id,
-                paragraph_index=p.paragraph_index,
-                words=list(p.words),
-                labels=_LABEL_NAMES[labels_idx].tolist(),
-                provenance="auto",
-                confidence=conf.tolist(),
+        decoded.append(labels_idx.astype(np.uint8))
+        labels, conf, bounds = _LABEL_NAMES[labels_idx].tolist(), conf.tolist(), word_at.tolist()
+        for p, a, b in zip(chunk, bounds[:-1], bounds[1:]):
+            annotated.append(
+                AnnotatedParagraph(
+                    paper_id=p.paper_id,
+                    paragraph_index=p.paragraph_index,
+                    words=list(p.words),
+                    labels=labels[a:b],
+                    provenance="auto",
+                    confidence=conf[a:b],
+                )
             )
-        )
-    return annotated, GateStats.from_indices(decoded)
+    return annotated, GateStats.from_indices(np.concatenate([np.zeros(0, np.uint8), *decoded]))

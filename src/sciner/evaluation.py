@@ -3,8 +3,9 @@
 Token metrics treat a predicted `amb` as a miss: it is wrong for accuracy and
 is not a prediction for precision purposes.  Span metrics count a span only on
 an exact (type, start, end) match; span F1 is the headline number.
-All metrics derive from pooled integer counts, so scoring a permutation of the
-same paragraphs is exactly equal.
+All metrics derive from pooled integer counts: each paragraph's counts are one
+row (`count_rows`), and a set of paragraphs is scored from the sum of its
+rows, so scoring a permutation of the same paragraphs is exactly equal.
 """
 
 from __future__ import annotations
@@ -28,6 +29,22 @@ METRIC_NAMES = (
     "span_recall",
     "span_f1",
 )
+
+
+# the columns of a count row (see `count_rows`)
+COUNT_COLUMNS = (
+    "tokens", "correct",
+    *(f"tp {label}" for label in NON_O_LABELS),
+    *(f"fp {label}" for label in NON_O_LABELS),
+    *(f"fn {label}" for label in NON_O_LABELS),
+    "gold spans", "pred spans",
+    *(f"span tp {t}" for t in tag_schema.ENTITY_TYPES),
+)
+_TOKENS, _CORRECT = 0, 1
+_TP, _FP, _FN = (slice(2 + k * len(NON_O_LABELS), 2 + (k + 1) * len(NON_O_LABELS))
+                  for k in range(3))
+_GOLD_SPANS, _PRED_SPANS = _FN.stop, _FN.stop + 1
+_SPAN_TP = slice(_FN.stop + 2, len(COUNT_COLUMNS))
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -68,6 +85,32 @@ class MetricSet:
             lines.append(f"  {label:<21}{p:<8.4f}{r:<8.4f}{f:.4f}")
         return "\n".join(lines)
 
+    @classmethod
+    def from_counts(cls, counts) -> "MetricSet":
+        """The metrics of pooled counts: a `count_rows` row, or a sum of rows."""
+        c = np.asarray(counts).tolist()
+        tp, fp, fn = c[_TP], c[_FP], c[_FN]
+        precision, recall, f1 = _prf(sum(tp), sum(fp), sum(fn))
+        span_tp_by_type = dict(zip(tag_schema.ENTITY_TYPES, c[_SPAN_TP]))
+        span_tp = sum(span_tp_by_type.values())
+        n_gold_spans, n_pred_spans = c[_GOLD_SPANS], c[_PRED_SPANS]
+        span_p, span_r, span_f = _prf(span_tp, n_pred_spans - span_tp, n_gold_spans - span_tp)
+        n_tokens = c[_TOKENS]
+        return cls(
+            token_accuracy=c[_CORRECT] / n_tokens if n_tokens else 0.0,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            span_precision=span_p,
+            span_recall=span_r,
+            span_f1=span_f,
+            per_class={label: _prf(*tfn) for label, tfn in zip(NON_O_LABELS, zip(tp, fp, fn))},
+            n_tokens=n_tokens,
+            n_gold_spans=n_gold_spans,
+            n_pred_spans=n_pred_spans,
+            span_tp_by_type=span_tp_by_type,
+        )
+
 
 def _check_aligned(gold, predicted):
     if len(gold) != len(predicted):
@@ -86,62 +129,47 @@ def _check_aligned(gold, predicted):
             )
 
 
-def score(gold, predicted) -> MetricSet:
-    """Token accuracy plus token- and span-level precision/recall/F1."""
+def count_rows(gold, predicted) -> np.ndarray:
+    """One int64 row of counts per paragraph, in the columns of COUNT_COLUMNS:
+    tokens and correct tokens, true/false positives and false negatives per
+    B-/I- class, gold and predicted spans, and span true positives per type.
+    The counts of a set of paragraphs are the sum of their rows."""
     gold = list(gold)
     predicted = list(predicted)
     _check_aligned(gold, predicted)
+    rows = np.zeros((len(gold), len(COUNT_COLUMNS)), np.int64)
+    lengths = [len(g.labels) for g in gold]
+    index = tag_schema.LABEL_INDEX
+    g = np.array([index[label] for para in gold for label in para.labels], np.int64)
+    p = np.array([index[label] for para in predicted for label in para.labels], np.int64)
+    par = np.repeat(np.arange(len(gold)), lengths)  # each token's paragraph
+    hit = g == p
+    n_labels = len(index)
 
-    n_tokens = 0
-    n_correct = 0
-    tp = {label: 0 for label in NON_O_LABELS}
-    fp = {label: 0 for label in NON_O_LABELS}
-    fn = {label: 0 for label in NON_O_LABELS}
-    span_tp_by_type = {t: 0 for t in tag_schema.ENTITY_TYPES}
-    n_gold_spans = 0
-    n_pred_spans = 0
+    def per_class(labels, where):
+        # each paragraph's count of `labels[where]`, in NON_O_LABELS order
+        flat = np.bincount(par[where] * n_labels + labels[where], minlength=len(gold) * n_labels)
+        return flat.reshape(len(gold), n_labels)[:, 1 : tag_schema.NUM_CLASSES]
 
-    for g, p in zip(gold, predicted):
-        for gl, pl in zip(g.labels, p.labels):
-            n_tokens += 1
-            if gl == pl:
-                n_correct += 1
-            if gl in tp:
-                if pl == gl:
-                    tp[gl] += 1
-                else:
-                    fn[gl] += 1
-            if pl in fp and pl != gl:
-                fp[pl] += 1
-        gold_spans = set(tag_schema.spans_from_labels(g.labels))
-        pred_spans = set(tag_schema.spans_from_labels(p.labels))
-        n_gold_spans += len(gold_spans)
-        n_pred_spans += len(pred_spans)
+    rows[:, _TOKENS] = lengths
+    rows[:, _CORRECT] = np.bincount(par[hit], minlength=len(gold))
+    rows[:, _TP] = per_class(g, hit)
+    rows[:, _FP] = per_class(p, ~hit)
+    rows[:, _FN] = per_class(g, ~hit)
+    type_column = {t: _SPAN_TP.start + i for i, t in enumerate(tag_schema.ENTITY_TYPES)}
+    for row, gp, pp in zip(rows, gold, predicted):
+        gold_spans = set(tag_schema.spans_from_labels(gp.labels))
+        pred_spans = set(tag_schema.spans_from_labels(pp.labels))
+        row[_GOLD_SPANS] = len(gold_spans)
+        row[_PRED_SPANS] = len(pred_spans)
         for span in gold_spans & pred_spans:
-            span_tp_by_type[span.entity_type] += 1
+            row[type_column[span.entity_type]] += 1
+    return rows
 
-    micro_tp = sum(tp.values())
-    micro_fp = sum(fp.values())
-    micro_fn = sum(fn.values())
-    precision, recall, f1 = _prf(micro_tp, micro_fp, micro_fn)
-    span_tp = sum(span_tp_by_type.values())
-    span_p, span_r, span_f = _prf(
-        span_tp, n_pred_spans - span_tp, n_gold_spans - span_tp
-    )
-    return MetricSet(
-        token_accuracy=n_correct / n_tokens if n_tokens else 0.0,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        span_precision=span_p,
-        span_recall=span_r,
-        span_f1=span_f,
-        per_class={label: _prf(tp[label], fp[label], fn[label]) for label in NON_O_LABELS},
-        n_tokens=n_tokens,
-        n_gold_spans=n_gold_spans,
-        n_pred_spans=n_pred_spans,
-        span_tp_by_type=span_tp_by_type,
-    )
+
+def score(gold, predicted) -> MetricSet:
+    """Token accuracy plus token- and span-level precision/recall/F1."""
+    return MetricSet.from_counts(count_rows(gold, predicted).sum(axis=0))
 
 
 @dataclass
@@ -206,22 +234,21 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
     """Score both models on `draws` random subsets of `draw_size` paragraphs.
 
     Each draw samples paragraphs without replacement (independently per draw)
-    and both models are scored on the identical subset.
+    and both models are scored on the identical subset.  Each model's
+    paragraphs are counted once (`count_rows`), and a draw's metrics come
+    from the sum of its rows.
     """
     gold = list(gold)
-    predictions_a = list(predictions_a)
-    predictions_b = list(predictions_b)
-    _check_aligned(gold, predictions_a)
-    _check_aligned(gold, predictions_b)
+    rows_a = count_rows(gold, predictions_a)
+    rows_b = count_rows(gold, predictions_b)
     check_draws(draws, draw_size, len(gold))
     rng = np.random.default_rng(seed)
     per_draw_a = []
     per_draw_b = []
     for _ in range(draws):
-        idx = rng.choice(len(gold), size=draw_size, replace=False).tolist()
-        g = [gold[i] for i in idx]
-        per_draw_a.append(score(g, [predictions_a[i] for i in idx]))
-        per_draw_b.append(score(g, [predictions_b[i] for i in idx]))
+        idx = rng.choice(len(gold), size=draw_size, replace=False)
+        per_draw_a.append(MetricSet.from_counts(rows_a[idx].sum(axis=0)))
+        per_draw_b.append(MetricSet.from_counts(rows_b[idx].sum(axis=0)))
     mean_a, std_a = _mean_std(per_draw_a)
     mean_b, std_b = _mean_std(per_draw_b)
     return BootstrapResult(

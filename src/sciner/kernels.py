@@ -145,21 +145,45 @@ def aggregate_words(probs, word_idx, n_words):
     return scores
 
 
-def decode_constrained(scores, legal, gamma, start_row):
+def decode_constrained(scores, legal, gamma, start_row, word_at=None):
     """Each word gets the best class legal after the previous label (lowest
     index on ties) if its score reaches `gamma`, else amb, the last row of
-    `legal`.  Returns (labels, each word's best legal score)."""
-    # choice table: for each previous label r and word w, the best legal class,
-    # its score, and the label w gets after r
-    masked = np.where(legal[:, None, :] != 0, scores, -1.0)
-    best = masked.argmax(axis=2)
-    top = np.take_along_axis(masked, best[:, :, None], axis=2)[:, :, 0]
-    gated = np.where(top >= gamma, best, legal.shape[0] - 1)
-    # one walk through the table finds each word's previous label
-    prev = [start_row]
-    for choice in gated.T.tolist():
-        prev.append(choice[prev[-1]])
-    rows = np.array(prev[:-1], dtype=np.intp)
-    words = np.arange(len(rows))
+    `legal`.  Returns (labels, each word's best legal score).
+
+    The words of paragraph p are `scores[word_at[p]:word_at[p + 1]]`, and
+    each paragraph starts after `start_row`; `word_at=None` is one paragraph.
+    """
+    n = len(scores)
+    if word_at is None:
+        word_at = [0, n]
+    # choice table, one distinct legality row at a time: for each word w, the
+    # best class legal after a label with that row, its score, and the label
+    # w gets after it (previous labels that allow the same classes share a row)
+    distinct, row_of = np.unique(legal != 0, axis=0, return_inverse=True)
+    row_of = row_of.ravel()  # its shape with `axis` differs across numpy 2.x releases
+    by_class = np.ascontiguousarray(scores.T)
+    best = np.empty((len(distinct), n), np.intp)
+    top = np.empty((len(distinct), n))
+    words = np.arange(n)
+    for r, allowed in enumerate(distinct):
+        cols = np.flatnonzero(allowed)
+        legal_scores = by_class[cols]
+        pick = legal_scores.argmax(axis=0)
+        best[r] = cols[pick]
+        top[r] = legal_scores[pick, words]
+    gated = np.where(top >= gamma, best, len(legal) - 1)
+    # walk word position t of every paragraph at once, longest paragraphs
+    # first, so that the paragraphs still running at t are a prefix
+    word_at = np.asarray(word_at, np.int64)
+    lengths = np.diff(word_at)
+    order = np.argsort(-lengths, kind="stable")
+    at = word_at[:-1][order]
+    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
+    prev = np.full(len(at), start_row, np.intp)  # each paragraph's last label
+    rows = np.empty(n, np.intp)  # the table row each word is read from
+    for t, k in enumerate(running.tolist()):
+        w = at[:k] + t
+        rows[w] = row_of[prev[:k]]
+        prev[:k] = gated[rows[w], w]
     return gated[rows, words], top[rows, words]
 

@@ -151,15 +151,17 @@ class FeatureTable:
         if self.word_counts() != [len(words) for words in paragraphs]:
             raise ValueError("feature table does not match the paragraphs' words")
 
-    def paragraphs(self):
-        """Yield each paragraph's (feat, offsets, word_idx, n_words): views
-        of the table, except `offsets`, which start at 0."""
-        sub_at = self.sub_at.tolist()
-        for p, n_words in enumerate(self.word_counts()):
+    def paragraphs(self, start: int = 0, stop: int | None = None):
+        """Yield the (feat, offsets, word_idx, n_words) of each paragraph from
+        `start` up to `stop`: views of the table, except `offsets`, which
+        start at 0."""
+        stop = len(self) if stop is None else stop
+        sub_at = self.sub_at[start : stop + 1].tolist()
+        for p, n_words in enumerate(np.diff(self.word_at[start : stop + 1]).tolist()):
             a, b = sub_at[p], sub_at[p + 1]
             offsets = self.offsets[a : b + 1]
-            start = offsets[0]
-            yield self.feat[start : offsets[-1]], offsets - start, self.word_idx[a:b], n_words
+            first = offsets[0]
+            yield self.feat[first : offsets[-1]], offsets - first, self.word_idx[a:b], n_words
 
     def select(self, rows) -> "FeatureTable":
         """The table of paragraphs `rows`, in that order."""

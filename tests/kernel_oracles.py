@@ -23,6 +23,9 @@ expressions of `corpus_ingest.tokenize` must give the same tokens.
 `validate_sequence_ref` checks a label sequence one transition at a time
 with `tag_schema.is_legal_transition`; `tag_schema.validate_sequence` must
 give the same violations, or raise the same unknown-label error.
+`score_ref` scores predictions one word and one paragraph at a time;
+`evaluation.score`, which sums per-paragraph count rows, and each draw of
+`evaluation.bootstrap_compare` must give the same MetricSet.
 """
 
 import json
@@ -31,6 +34,7 @@ import zlib
 import numpy as np
 
 from sciner import kernels, tag_schema
+from sciner.evaluation import NON_O_LABELS, MetricSet, _check_aligned, _prf
 from sciner.errors import AlignmentError, FormatError
 from sciner.tagger import (
     CONTINUATION_MARK,
@@ -410,3 +414,62 @@ def validate_sequence_ref(labels):
             violations.append(tag_schema.Violation(i, prev, label))
         prev = label
     return violations
+
+
+def score_ref(gold, predicted):
+    """Token accuracy plus token- and span-level precision/recall/F1, counted
+    one word at a time."""
+    gold = list(gold)
+    predicted = list(predicted)
+    _check_aligned(gold, predicted)
+
+    n_tokens = 0
+    n_correct = 0
+    tp = {label: 0 for label in NON_O_LABELS}
+    fp = {label: 0 for label in NON_O_LABELS}
+    fn = {label: 0 for label in NON_O_LABELS}
+    span_tp_by_type = {t: 0 for t in tag_schema.ENTITY_TYPES}
+    n_gold_spans = 0
+    n_pred_spans = 0
+
+    for g, p in zip(gold, predicted):
+        for gl, pl in zip(g.labels, p.labels):
+            n_tokens += 1
+            if gl == pl:
+                n_correct += 1
+            if gl in tp:
+                if pl == gl:
+                    tp[gl] += 1
+                else:
+                    fn[gl] += 1
+            if pl in fp and pl != gl:
+                fp[pl] += 1
+        gold_spans = set(tag_schema.spans_from_labels(g.labels))
+        pred_spans = set(tag_schema.spans_from_labels(p.labels))
+        n_gold_spans += len(gold_spans)
+        n_pred_spans += len(pred_spans)
+        for span in gold_spans & pred_spans:
+            span_tp_by_type[span.entity_type] += 1
+
+    micro_tp = sum(tp.values())
+    micro_fp = sum(fp.values())
+    micro_fn = sum(fn.values())
+    precision, recall, f1 = _prf(micro_tp, micro_fp, micro_fn)
+    span_tp = sum(span_tp_by_type.values())
+    span_p, span_r, span_f = _prf(
+        span_tp, n_pred_spans - span_tp, n_gold_spans - span_tp
+    )
+    return MetricSet(
+        token_accuracy=n_correct / n_tokens if n_tokens else 0.0,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        span_precision=span_p,
+        span_recall=span_r,
+        span_f1=span_f,
+        per_class={label: _prf(tp[label], fp[label], fn[label]) for label in NON_O_LABELS},
+        n_tokens=n_tokens,
+        n_gold_spans=n_gold_spans,
+        n_pred_spans=n_pred_spans,
+        span_tp_by_type=span_tp_by_type,
+    )

@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sciner.autoannotate import (
 from sciner.dataset import AnnotatedParagraph
 from sciner.errors import AlignmentError
 from sciner.tagger import (
+    ExternalProbsTable,
     Featurizer,
     TaggerModel,
     TokenProbs,
@@ -491,3 +493,138 @@ class TestFeatureTables:
         with pytest.raises(ValueError, match="applies to a model"):
             annotate_corpus(load_external_probs(iter(lines)), [carrier(["one"])],
                             features=tagger.featurize([["one"]], 1 << 10))
+
+
+def probability_table(model, paragraphs):
+    """The ExternalProbsTable of `model`'s subword probabilities on `paragraphs`."""
+    table = tagger.featurize([p.words for p in paragraphs], model.hash_dim)
+    n_sub = np.diff(table.sub_at)
+    word = table.word_idx + np.repeat(table.word_at[:-1], n_sub)  # slice-global
+    first = np.searchsorted(word, word)  # each subword's word's first subword
+    return ExternalProbsTable(
+        keys=[(p.paper_id, p.paragraph_index) for p in paragraphs],
+        key_id=np.repeat(np.arange(len(paragraphs)), n_sub),
+        word_index=table.word_idx.copy(),
+        subword_index=np.arange(len(word)) - first,
+        probs=model.subword_probs(table.feat, table.offsets),
+    )
+
+
+DEFAULT_CHUNK = autoannotate.CHUNK_PARAGRAPHS
+
+
+class TestChunks:
+    """annotate_corpus aggregates and decodes CHUNK_PARAGRAPHS paragraphs per
+    call; the annotations do not depend on the chunk size, and a bad
+    paragraph in a later chunk is still the first one named."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, trained):
+        model, _ = trained
+        paragraphs = synth.make_corpus(n_manual=0, n_auto=300, n_test=0, seed=9).auto_inputs
+        return model, paragraphs, probability_table(model, paragraphs)
+
+    @pytest.mark.parametrize("source", ["model", "model with features", "probability table"])
+    def test_same_annotations_for_any_chunk_size(self, corpus, source, monkeypatch):
+        model, paragraphs, table = corpus
+        features = tagger.featurize([p.words for p in paragraphs], model.hash_dim)
+        results = []
+        for size in (1, 7, DEFAULT_CHUNK):
+            monkeypatch.setattr(autoannotate, "CHUNK_PARAGRAPHS", size)
+            if source == "probability table":
+                annotated, stats = annotate_corpus(table, paragraphs, GateConfig(0.9))
+            else:
+                annotated, stats = annotate_corpus(
+                    model, paragraphs, GateConfig(0.9),
+                    features=features if source == "model with features" else None,
+                )
+            results.append((
+                [(p.paper_id, p.paragraph_index, p.words, p.labels, p.confidence)
+                 for p in annotated],
+                stats.to_dict(),
+            ))
+        assert results[0] == results[1] == results[2]
+        assert len(paragraphs) > DEFAULT_CHUNK
+        assert 0 < stats.amb_words < stats.total_words
+
+    @staticmethod
+    def lines(paragraphs, covered):
+        """Probability lines for `paragraphs`, each paragraph's words
+        `covered.get(index, all of them)`."""
+        dist = peaked_distribution(0, 0.999)
+        return [
+            prob_line(dist, word_index=w, paragraph=p.paragraph_index)
+            for p in paragraphs
+            for w in covered.get(p.paragraph_index, range(len(p.words)))
+        ]
+
+    @pytest.mark.parametrize("covered, error, message", [
+        ({9: [0, 2], 12: []}, AlignmentError,
+         "probability records for {c} paragraph 9 cover 2 of 3 words"),
+        ({9: [], 10: [0, 1]}, AlignmentError, "no probability records for {c} paragraph 9"),
+        ({16: [1, 2]}, AlignmentError,
+         "probability records for {c} paragraph 16 cover 2 of 3 words"),
+        # the step from paragraph 9's last word (2) to 10's first (4) is no gap in 9
+        ({10: [4]}, AlignmentError,
+         "probability records for {c} paragraph 10 cover 0 of 3 words; "
+         "word_index 4 is past its last word"),
+        ({8: None, 12: [0]}, ValueError, "{c} paragraph 8 has no words"),
+    ])
+    def test_first_bad_paragraph_named_across_chunks(self, monkeypatch, covered, error, message):
+        monkeypatch.setattr(autoannotate, "CHUNK_PARAGRAPHS", 7)
+        paragraphs = [
+            carrier([] if covered.get(k, ...) is None else ["one", "two", "three"], index=k)
+            for k in range(20)
+        ]
+        covered = {k: v for k, v in covered.items() if v is not None}
+        records = load_external_probs(iter(self.lines(paragraphs, covered)))
+        with pytest.raises(error, match="^" + message.format(c="c" * 64) + "$"):
+            annotate_corpus(records, paragraphs, GateConfig())
+
+    @pytest.mark.parametrize("covered, n_words, counted", [
+        ([1, 2], 2, "cover 1 of 2 words"),
+        ([0, 1, 2, 3], 2, "cover 2 of 2 words"),
+        ([0, 5], 3, "cover 1 of 3 words"),
+    ])
+    def test_records_past_the_last_word_are_not_counted(self, covered, n_words, counted):
+        lines = [prob_line(peaked_distribution(0, 0.999), word_index=w) for w in covered]
+        first_past = min(w for w in covered if w >= n_words)
+        with pytest.raises(
+            AlignmentError,
+            match=f"^probability records for {'c' * 64} paragraph 0 {counted}; "
+                  f"word_index {first_past} is past its last word$",
+        ):
+            annotate_corpus(load_external_probs(iter(lines)),
+                            [carrier(["w"] * n_words)], GateConfig())
+
+
+# what annotate_corpus may allocate beyond the annotations it returns: a few
+# chunks' arrays, not the corpus's (the 2,000-paragraph table below holds
+# ~13 MB of probabilities, and one chunk of 128 paragraphs ~0.8 MB)
+TRANSIENT_BOUND = 5 * 2**20
+
+
+def test_annotation_memory_is_bounded_by_the_chunk():
+    rng = np.random.default_rng(0)
+    n_words = rng.integers(10, 45, size=2000)
+    paragraphs = [carrier(["w"] * int(n), index=k) for k, n in enumerate(n_words)]
+    n_sub = rng.integers(1, 4, size=int(n_words.sum()))  # subwords per word
+    word_at = np.concatenate(([0], np.cumsum(n_words)))
+    word = np.repeat(np.arange(len(n_sub)), n_sub)  # corpus-global word of each subword
+    paragraph = np.searchsorted(word_at, word, side="right") - 1
+    table = ExternalProbsTable(
+        keys=[(p.paper_id, p.paragraph_index) for p in paragraphs],
+        key_id=paragraph,
+        word_index=word - word_at[paragraph],
+        subword_index=np.arange(len(word)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub),
+        probs=rng.dirichlet(np.full(15, 0.05), size=len(word)),
+    )
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        annotated, stats = annotate_corpus(table, paragraphs, GateConfig())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(annotated) == 2000 and stats.total_words == n_words.sum()
+    assert table.probs.nbytes > 2 * TRANSIENT_BOUND
+    assert peak - held < TRANSIENT_BOUND, f"transient peak {(peak - held) / 2**20:.1f} MB"

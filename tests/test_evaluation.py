@@ -2,14 +2,19 @@
 
 import io
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import evaluation as ev
 from sciner import tag_schema as ts
 from sciner.dataset import AnnotatedParagraph
 from sciner.errors import AlignmentError
 
+from kernel_oracles import score_ref
 from test_tag_schema import random_legal_sequence
 
 
@@ -289,3 +294,63 @@ class TestRendering:
         text = result.render()
         assert "12 draws of 50" in text
         assert "span_f1" in text
+
+
+class Scored(NamedTuple):
+    """What scoring reads of a paragraph, with no check that its labels
+    follow the BIO rules."""
+
+    paper_id: str
+    paragraph_index: int
+    words: list
+    labels: list
+
+
+ANY_LABEL = st.sampled_from([*ts.MODEL_LABELS, ts.AMB])
+
+
+@st.composite
+def scored_sets(draw, sides=2, max_paragraphs=8):
+    """Gold and predicted paragraphs (`sides` lists in all) of the same
+    lengths, any label sequence, amb included on every side."""
+    out = [[] for _ in range(sides)]
+    for k in range(draw(st.integers(0, max_paragraphs))):
+        n = draw(st.integers(0, 12))
+        words = [f"w{i}" for i in range(n)]
+        for side in out:
+            labels = draw(st.lists(ANY_LABEL, min_size=n, max_size=n))
+            side.append(Scored("s" * 64, k, words, labels))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_sets())
+def test_score_matches_word_by_word_reference(sets):
+    gold, pred = sets
+    assert ev.score(gold, pred) == score_ref(gold, pred)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scored_sets(sides=3, max_paragraphs=20), st.integers(0, 2**32 - 1))
+def test_each_bootstrap_draw_is_scored_as_the_reference_scores_it(sets, seed):
+    gold, pred_a, pred_b = sets
+    if not gold:
+        return
+    draw_size = 1 + seed % len(gold)
+    result = ev.bootstrap_compare(gold, pred_a, pred_b, draws=4, draw_size=draw_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    for a, b in zip(result.per_draw_a, result.per_draw_b):
+        idx = rng.choice(len(gold), size=draw_size, replace=False)
+        g = [gold[i] for i in idx]
+        assert a == score_ref(g, [pred_a[i] for i in idx])
+        assert b == score_ref(g, [pred_b[i] for i in idx])
+
+
+def test_count_rows_sum_to_the_score():
+    rng = random.Random(73)
+    gold, pred = random_pair(rng, 30)
+    rows = ev.count_rows(gold, pred)
+    assert rows.dtype == np.int64 and rows.shape == (30, len(ev.COUNT_COLUMNS))
+    assert ev.MetricSet.from_counts(rows.sum(axis=0)) == ev.score(gold, pred)
+    for k in range(30):
+        assert ev.MetricSet.from_counts(rows[k]) == score_ref([gold[k]], [pred[k]])

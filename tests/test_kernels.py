@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -192,3 +192,65 @@ def test_decode_matches_reference_on_any_legality_matrix(problem):
     assert labels.dtype == labels_ref.dtype and conf.dtype == conf_ref.dtype
     assert np.array_equal(labels, labels_ref)
     assert np.array_equal(conf.view(np.int64), conf_ref.view(np.int64))
+
+
+@st.composite
+def sliced_decode_problems(draw):
+    """A decode problem plus paragraph bounds `word_at` over its words:
+    ragged cuts (a paragraph may be empty), or one word per paragraph, which
+    for 0 words is the empty slice."""
+    scores, legal, gamma, start_row = draw(decode_problems())
+    n = len(scores)
+    word_at = draw(st.one_of(
+        st.lists(st.integers(0, n), max_size=12).map(lambda cuts: [0, *sorted(cuts), n]),
+        st.just(list(range(n + 1))),
+    ))
+    return scores, legal, gamma, start_row, np.array(word_at, np.int64)
+
+
+def decode_each_paragraph_ref(scores, legal, gamma, start_row, word_at):
+    """decode_constrained_ref on each paragraph, concatenated."""
+    outs = [decode_constrained_ref(scores[a:b], legal, gamma, start_row)
+            for a, b in zip(word_at[:-1], word_at[1:])]
+    return (np.concatenate([np.zeros(0, np.int64), *(labels for labels, _ in outs)]),
+            np.concatenate([np.zeros(0), *(conf for _, conf in outs)]))
+
+
+LEGAL = ts.LEGAL_TRANSITIONS[:, : ts.NUM_CLASSES].astype(np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliced_decode_problems())
+@example((np.zeros((0, 15)), LEGAL, 0.5, 0, np.array([0])))  # no paragraphs
+@example((np.zeros((0, 15)), LEGAL, 0.5, 0, np.array([0, 0, 0])))  # empty paragraphs
+def test_decode_of_a_slice_matches_reference_per_paragraph(problem):
+    labels, conf = kernels.decode_constrained(*problem)
+    labels_ref, conf_ref = decode_each_paragraph_ref(*problem)
+    assert labels.dtype == labels_ref.dtype and conf.dtype == conf_ref.dtype
+    assert np.array_equal(labels, labels_ref)
+    assert np.array_equal(conf.view(np.int64), conf_ref.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=8), max_size=10),
+       st.integers(0, 2**32 - 1))
+def test_aggregate_of_a_slice_matches_each_paragraph(subwords_per_word, seed):
+    """One aggregate_words call over several paragraphs, with slice-global
+    word indices, gives each paragraph's scores bit for bit."""
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for counts in subwords_per_word:
+        word_idx = np.repeat(np.arange(len(counts)), counts)
+        probs = rng.dirichlet(np.full(15, 0.3), size=len(word_idx))
+        probs[rng.random(probs.shape) < 0.05] = 0.0  # log 0 is -inf
+        pieces.append((probs, word_idx, len(counts)))
+    word_at = np.concatenate(([0], np.cumsum([n for _, _, n in pieces])))
+    whole = kernels.aggregate_words(
+        np.concatenate([np.zeros((0, 15)), *(probs for probs, _, _ in pieces)]),
+        np.concatenate([np.zeros(0, np.int64),
+                        *(w + word_at[p] for p, (_, w, _) in enumerate(pieces))]),
+        int(word_at[-1]),
+    )
+    each = np.concatenate([np.zeros((0, 15)),
+                           *(kernels.aggregate_words(*piece) for piece in pieces)])
+    assert np.array_equal(whole.view(np.int64), each.view(np.int64))
