@@ -139,14 +139,6 @@ class GateStats:
             accepted={label: n for label, n in zip(tag_schema.MODEL_LABELS, counts) if n},
         )
 
-    def merge_counts(self, labels) -> None:
-        for label in labels:
-            self.total_words += 1
-            if label == tag_schema.AMB:
-                self.amb_words += 1
-            else:
-                self.accepted[label] = self.accepted.get(label, 0) + 1
-
 
 def _no_words(p) -> ValueError:
     return ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")

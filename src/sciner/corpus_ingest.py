@@ -360,6 +360,7 @@ def write_manifest(manifest: DownloadManifest, sink) -> None:
 
 def read_manifest(source) -> DownloadManifest:
     entries = []
+    seen = set()
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -370,6 +371,14 @@ def read_manifest(source) -> DownloadManifest:
         paper_id, status, attempts, note = parts
         if status not in ("pending", "ok", "failed"):
             raise FormatError(f"manifest line {lineno}: unknown status {status!r}")
+        if not (attempts.isascii() and attempts.isdigit()):
+            raise FormatError(
+                f"manifest line {lineno}: attempts must be a non-negative integer, "
+                f"got {attempts!r}"
+            )
+        if paper_id in seen:
+            raise FormatError(f"manifest line {lineno}: duplicate paper_id {paper_id!r}")
+        seen.add(paper_id)
         entries.append(
             ManifestEntry(paper_id, "", status, int(attempts), note or None)
         )
@@ -496,15 +505,26 @@ def read_token_file(source, paper_id: str = "") -> TokenizedDocument:
 
 
 def read_extraction(source) -> dict:
-    """One extracted-text document: {"paper_id": ..., "title": ..., "paragraphs": [...]}."""
+    """One extracted-text document: {"paper_id": ..., "title": ..., "paragraphs": [...]}.
+
+    A document that is not such a JSON object is a FormatError naming the
+    path (a stream's `name`, if it has one).
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    else:
+            return read_extraction(handle)
+    name = getattr(source, "name", "extraction stream")
+    try:
         doc = json.load(source)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise FormatError(f"{name}: not a JSON file: {exc}") from None
+    if type(doc) is not dict:
+        raise FormatError(
+            f"{name}: extraction document must be a JSON object, got {type(doc).__name__}"
+        )
     for key in ("paper_id", "title", "paragraphs"):
         if key not in doc:
-            raise FormatError(f"extraction document missing key {key!r}")
+            raise FormatError(f"{name}: extraction document missing key {key!r}")
     return doc
 
 

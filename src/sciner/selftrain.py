@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, dataset, evaluation, tagger
 from .autoannotate import GateConfig, GateStats, annotate_corpus
+from .errors import FormatError
 from .tagger import DEFAULT_HASH_DIM, FeatureTable, TaggerModel, TrainConfig, train
 from .util import atomic_write
 
@@ -42,6 +43,7 @@ class LoopConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        tagger.check_hash_dim(self.hash_dim)  # before any paragraph is featurized
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -209,9 +211,15 @@ def _inputs_sha256(manual_train, auto_corpus, test_set) -> str:
 
 def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> IterationRecord:
     """Read a persisted record; it must have been written under
-    `iteration_config_hash` from inputs hashing to `inputs_sha256`."""
+    `iteration_config_hash` from inputs hashing to `inputs_sha256`.  A file
+    that is not such a record is a FormatError naming `path`."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise FormatError(f"{path}: not a JSON file: {exc}") from None
+    if type(data) is not dict:
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
     stored = data.get("iteration_config_hash")
     if stored != iteration_config_hash:
         raise ValueError(
@@ -226,20 +234,25 @@ def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> I
             f"inputs hash to {inputs_sha256!r}; resume only with the manual, auto "
             "and test data that made the run directory, or use a fresh one"
         )
-    stats = GateStats(
-        total_words=data["gate_stats"]["total_words"],
-        amb_words=data["gate_stats"]["amb_words"],
-        accepted=data["gate_stats"]["accepted"],
-    )
-    return IterationRecord(
-        iteration=data["iteration"],
-        gate_stats=stats,
-        metrics=data["metrics"],
-        model_path=data["model_path"],
-        duration_seconds=data["duration_seconds"],
-        warnings=data.get("warnings", []),
-        train_loss=data.get("train_loss"),
-    )
+    try:
+        stats = GateStats(
+            total_words=data["gate_stats"]["total_words"],
+            amb_words=data["gate_stats"]["amb_words"],
+            accepted=data["gate_stats"]["accepted"],
+        )
+        return IterationRecord(
+            iteration=data["iteration"],
+            gate_stats=stats,
+            metrics=data["metrics"],
+            model_path=data["model_path"],
+            duration_seconds=data["duration_seconds"],
+            warnings=data.get("warnings", []),
+            train_loss=data.get("train_loss"),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}: record lacks {exc.args[0]!r}") from None
+    except TypeError:  # gate_stats is not an object
+        raise FormatError(f"{path}: gate_stats is not a JSON object") from None
 
 
 def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,

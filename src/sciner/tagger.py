@@ -209,6 +209,13 @@ def _bounds(counts) -> np.ndarray:
     return out
 
 
+def check_hash_dim(dim: int) -> None:
+    """Reject a hash dimension outside [2, 2**32]: hashed ids are CRC32
+    values mod `dim`, so a larger one would only waste memory."""
+    if not 2 <= dim <= 1 << 32:
+        raise ValueError("hash dimension must lie in [2, 2**32]")
+
+
 def featurize(paragraphs, dim: int) -> FeatureTable:
     """Compile the word lists `paragraphs` into one FeatureTable.
 
@@ -221,6 +228,7 @@ def featurize(paragraphs, dim: int) -> FeatureTable:
     there: each word's own ids are copied from its entry's block, and the
     context ids come from its neighbours' entries.
     """
+    check_hash_dim(dim)
     # 1. vocabulary ids of every paragraph padded with two <s> and two </s>
     vocab = {"<s>": 0, "</s>": 1}
     padded = []
@@ -307,22 +315,16 @@ class TaggerModel:
     of the 2^20 default rows, so training, scoring, saving and loading never
     hold the dense matrix.
 
-    `TaggerModel(weights, hash_dim)` converts a dense matrix into a model that
-    holds every row; with `rows`, `weights` are the weights of just those ids.
     `epoch_loss` is the mean training loss of each epoch of the `train` call
     that made the model; it lives in memory only and is not saved.
     """
 
     def __init__(self, weights, hash_dim: int, epochs_run: int = 0,
-                 learning_rate: float = 0.0, seed: int = 0, *, rows=None,
+                 learning_rate: float = 0.0, seed: int = 0, *, rows,
                  epoch_loss=()):
         n_classes = tag_schema.NUM_CLASSES
-        if not 2 <= hash_dim <= 1 << 32:  # hashed ids are CRC32 values mod hash_dim
-            raise ValueError("hash dimension must lie in [2, 2**32]")
-        if rows is None:
-            rows = np.arange(hash_dim, dtype=np.int64)
-        else:
-            rows = _checked_rows(rows, hash_dim)
+        check_hash_dim(hash_dim)
+        rows = _checked_rows(rows, hash_dim)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(rows), n_classes):
             raise ValueError(
@@ -347,19 +349,6 @@ class TaggerModel:
     def fresh(cls, hash_dim: int = DEFAULT_HASH_DIM) -> "TaggerModel":
         """The untrained model: no rows, so every weight is zero."""
         return cls(np.zeros((0, tag_schema.NUM_CLASSES)), hash_dim, rows=np.zeros(0, np.int64))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The dense `(hash_dim, 15)` weight matrix, for tests.
-
-        When the model holds every row this is `values` itself, so writes to
-        it change the model; otherwise it is a new array.
-        """
-        if len(self.rows) == self.hash_dim:
-            return self.values
-        dense = np.zeros((self.hash_dim, tag_schema.NUM_CLASSES))
-        dense[self.rows] = self.values
-        return dense
 
     def subword_probs(self, feat, offsets) -> np.ndarray:
         """Class distributions of the subwords whose hashed feature ids are
@@ -584,17 +573,6 @@ def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
 # Externally computed probabilities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExternalProbs:
-    """One probability-file record: a subword's distribution with its address."""
-
-    paper_id: str
-    paragraph: int
-    word_index: int
-    subword_index: int
-    probs: np.ndarray
-
-
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
 _INDEX_LIMIT = 1 << 63  # word and subword indices are stored as int64
@@ -609,8 +587,7 @@ class ExternalProbsTable:
     """A probability file's records as columns, in file order.
 
     `keys[key_id[i]]` is record i's (paper_id, paragraph); key ids number the
-    keys in order of first appearance, so every key has a record.  Iterating
-    yields ExternalProbs whose `probs` are rows of the `(n, 15)` matrix.
+    keys in order of first appearance, so every key has a record.
     """
 
     keys: list[tuple[str, int]]
@@ -618,14 +595,6 @@ class ExternalProbsTable:
     word_index: np.ndarray  # int64 (n,)
     subword_index: np.ndarray  # int64 (n,)
     probs: np.ndarray  # float64 (n, 15); each row sums to 1
-
-    def __iter__(self):
-        for kid, word_index, subword_index, probs in zip(
-            self.key_id.tolist(), self.word_index.tolist(), self.subword_index.tolist(),
-            self.probs,
-        ):
-            paper_id, paragraph = self.keys[kid]
-            yield ExternalProbs(paper_id, paragraph, word_index, subword_index, probs)
 
 
 def _record_fields(recno: int, line: str):

@@ -8,8 +8,8 @@ bit for bit, epoch by epoch.
 one subword or one word at a time.  `gate_label_ref` is the argmax-then-gate
 rule that `autoannotate.gate_label` must match.
 `load_external_probs_ref` and `group_external_probs_ref` read and group a
-probability file one record at a time; the columnar reader and grouping must
-give the same groups, bit for bit, or raise the same error.
+probability file one `ProbRecord` tuple at a time; the columnar reader and
+grouping must give the same groups, bit for bit, or raise the same error.
 `featurize_ref` hashes one subword's feature strings in the order that
 `Featurizer.paragraph_arrays` must give them; `segment_paragraph` and `chunk`
 give the subwords it takes and their text.  `training_loss` is the mean
@@ -17,7 +17,10 @@ cross-entropy that training descends, and `training_loss_gradient` its
 analytic gradient, one subword at a time.  `train_dense_ref` trains on the
 dense `(hash_dim, 15)` matrix with `_epoch_sgd_np`; `tagger.train`, which
 holds only the rows its features touch and runs the vectorized kernel, must
-give the same weights and epoch losses bit for bit.
+give the same weights and epoch losses bit for bit.  `dense_weights` is a
+model's `(hash_dim, 15)` weight matrix, zero outside its `rows`.
+`gate_stats_ref` tallies decoded labels one at a time; `GateStats.from_indices`
+must give the same tally.
 `tokenize_ref` walks a paragraph one character at a time; the regular
 expressions of `corpus_ingest.tokenize` must give the same tokens.
 `validate_sequence_ref` checks a label sequence one transition at a time
@@ -30,16 +33,17 @@ give the same violations, or raise the same unknown-label error.
 
 import json
 import zlib
+from collections import namedtuple
 
 import numpy as np
 
 from sciner import kernels, tag_schema
+from sciner.autoannotate import GateStats
 from sciner.evaluation import NON_O_LABELS, MetricSet, _check_aligned, _prf
 from sciner.errors import AlignmentError, FormatError
 from sciner.tagger import (
     CONTINUATION_MARK,
     DEFAULT_HASH_DIM,
-    ExternalProbs,
     Featurizer,
     TaggerModel,
     prepare_examples,
@@ -49,6 +53,9 @@ from sciner.tagger import (
 
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
+
+# one probability-file record: a subword's distribution with its address
+ProbRecord = namedtuple("ProbRecord", _REQUIRED_KEYS)
 
 
 def _token_loss_grad_np(weights, feat, offsets, labels, tokens):
@@ -186,7 +193,7 @@ def training_loss(model, data):
     prepared = prepare_examples(list(data), Featurizer(model.hash_dim))
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
-    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
+    probs = kernels.score_subwords(dense_weights(model), prepared.feat, prepared.offsets)
     live = prepared.mask != 0
     p_true = probs[live, prepared.labels[live]]
     return float(-np.log(np.maximum(p_true, 1e-300)).mean())
@@ -197,8 +204,8 @@ def training_loss_gradient(model, data):
     prepared = prepare_examples(list(data), Featurizer(model.hash_dim))
     if prepared.n_effective == 0:
         raise ValueError("no unmasked training tokens")
-    probs = kernels.score_subwords(model.weights, prepared.feat, prepared.offsets)
-    grad = np.zeros_like(model.weights)
+    probs = kernels.score_subwords(dense_weights(model), prepared.feat, prepared.offsets)
+    grad = np.zeros((model.hash_dim, tag_schema.NUM_CLASSES))
     n = prepared.n_effective
     for t in range(len(prepared.labels)):
         if not prepared.mask[t]:
@@ -211,13 +218,13 @@ def training_loss_gradient(model, data):
 
 
 def train_dense_ref(data, config, init=None, hash_dim=DEFAULT_HASH_DIM):
-    """`tagger.train` on the dense matrix: zeros, or a copy of `init.weights`,
+    """`tagger.train` on the dense matrix: zeros, or `dense_weights(init)`,
     updated by the token-by-token `_epoch_sgd_np`, one epoch at a time, on
     the hashed feature ids, with the same paragraph orders."""
     data = list(data)
     if init is not None:
         hash_dim = init.hash_dim
-        weights = init.weights.copy()
+        weights = dense_weights(init)
     else:
         weights = np.zeros((hash_dim, tag_schema.NUM_CLASSES))
     prepared = prepare_examples(data, Featurizer(hash_dim))
@@ -236,8 +243,29 @@ def train_dense_ref(data, config, init=None, hash_dim=DEFAULT_HASH_DIM):
         epochs_run=(0 if init is None else init.epochs_run) + config.epochs,
         learning_rate=config.learning_rate,
         seed=config.seed,
+        rows=np.arange(hash_dim),
         epoch_loss=epoch_loss,
     )
+
+
+def dense_weights(model):
+    """`model`'s dense `(hash_dim, 15)` weight matrix, as a new array: its
+    `values` at its `rows`, zero everywhere else."""
+    dense = np.zeros((model.hash_dim, tag_schema.NUM_CLASSES))
+    dense[model.rows] = model.values
+    return dense
+
+
+def gate_stats_ref(labels):
+    """The GateStats tally of decoded label strings, one label at a time."""
+    stats = GateStats()
+    for label in labels:
+        stats.total_words += 1
+        if label == tag_schema.AMB:
+            stats.amb_words += 1
+        else:
+            stats.accepted[label] = stats.accepted.get(label, 0) + 1
+    return stats
 
 
 def with_zero_row(weights):
@@ -246,7 +274,7 @@ def with_zero_row(weights):
 
 
 def load_external_probs_ref(source):
-    """Yield ExternalProbs from a JSON-lines probability file.
+    """Yield a ProbRecord per record of a JSON-lines probability file.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
     anything worse (NaN included), a wrong class count, a negative or
@@ -294,7 +322,7 @@ def load_external_probs_ref(source):
             raise FormatError(
                 f"probability record {recno}: probabilities sum to {float(total)!r}"
             )
-        yield ExternalProbs(
+        yield ProbRecord(
             paper_id=str(obj["paper_id"]),
             paragraph=paragraph,
             word_index=word_index,

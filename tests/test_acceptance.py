@@ -128,20 +128,20 @@ def test_criterion_4_gradient_matches_finite_differences():
     examples = merge_for_retraining(corpus.manual, [])
     dim = 1 << 8
     rng = np.random.default_rng(109)
-    model = TaggerModel(rng.normal(scale=0.5, size=(dim, ts.NUM_CLASSES)), dim)
+    model = TaggerModel(rng.normal(scale=0.5, size=(dim, ts.NUM_CLASSES)), dim, rows=np.arange(dim))
     grad = training_loss_gradient(model, examples)
     prepared = prepare_examples(examples, Featurizer(dim))
     active_rows = np.unique(prepared.feat)
     h = 1e-5  # loss is smooth; smaller steps are roundoff-dominated
     worst = 0.0
     for row, col in zip(rng.choice(active_rows, 20), rng.integers(0, 15, 20)):
-        w_plus = model.weights.copy()
+        w_plus = model.values.copy()
         w_plus[row, col] += h
-        w_minus = model.weights.copy()
+        w_minus = model.values.copy()
         w_minus[row, col] -= h
         fd = (
-            training_loss(TaggerModel(w_plus, dim), examples)
-            - training_loss(TaggerModel(w_minus, dim), examples)
+            training_loss(TaggerModel(w_plus, dim, rows=np.arange(dim)), examples)
+            - training_loss(TaggerModel(w_minus, dim, rows=np.arange(dim)), examples)
         ) / (2 * h)
         denom = max(abs(fd), abs(grad[row, col]), 1e-8)
         worst = max(worst, abs(fd - grad[row, col]) / denom)

@@ -36,7 +36,7 @@ from sciner.tagger import (
     train,
 )
 
-from kernel_oracles import gate_label_ref
+from kernel_oracles import dense_weights, gate_label_ref, gate_stats_ref
 
 
 def random_distribution(rng):
@@ -307,7 +307,7 @@ class TestAnnotateCorpus:
     def test_parallel_matches_serial(self):
         rng = np.random.default_rng(11)
         dim = 1 << 10
-        model = TaggerModel(rng.normal(scale=2.0, size=(dim, 15)), dim)
+        model = TaggerModel(rng.normal(scale=2.0, size=(dim, 15)), dim, rows=np.arange(dim))
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
         paragraphs = [
             carrier([words[int(i)] for i in rng.integers(0, 5, size=6)], index=k)
@@ -330,21 +330,19 @@ class TestAnnotateCorpus:
 
 class TestGateStats:
     def test_render_mentions_amb_fraction(self):
-        stats = GateStats()
-        stats.merge_counts(["O", "amb", "B-TaskName", "amb"])
+        stats = gate_stats_ref(["O", "amb", "B-TaskName", "amb"])
         text = stats.render()
         assert "50.0%" in text
         assert "B-TaskName" in text
         assert stats.to_dict()["amb_fraction"] == 0.5
 
 
-    def test_from_indices_matches_merge_counts(self):
+    def test_from_indices_matches_gate_stats_ref(self):
         rng = random.Random(21)
         labels = [*ts.MODEL_LABELS, ts.AMB]
         for n in [0, 1, 5, 300]:
             seq = [rng.choice(labels[: rng.randrange(1, 17)]) for _ in range(n)]
-            merged = GateStats()
-            merged.merge_counts(seq)
+            merged = gate_stats_ref(seq)
             tallied = GateStats.from_indices(np.array([ts.label_index(l) for l in seq], int))
             assert tallied == merged
             assert json.dumps(tallied.to_dict(), indent=2, sort_keys=True) == json.dumps(
@@ -388,7 +386,7 @@ class TestWordApiIsPipeline:
         for p, got in zip(paragraphs, annotated):
             feat, offsets, word_idx = featurizer.paragraph_arrays(p.words)
             kernel_rows = kernels.aggregate_words(
-                kernels.score_subwords(model.weights, feat, offsets), word_idx, len(p.words)
+                kernels.score_subwords(dense_weights(model), feat, offsets), word_idx, len(p.words)
             )
             by_word = collections.defaultdict(list)
             for tp in predict_probs(model, p.words):

@@ -274,6 +274,35 @@ class TestLoop:
         assert code == 2
         assert "iteration_01.json" in err and "inputs" in err
 
+    def test_resume_with_unreadable_record_exits_two_naming_it(self, workspace, tmp_path,
+                                                               capsys):
+        run_dir = tmp_path / "run"
+        argv = ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(run_dir),
+                "--iterations", "1"]
+        assert run_cli(capsys, *argv)[0] == 0
+        record = run_dir / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        del data["gate_stats"]
+        record.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--resume")
+        assert code == 2
+        assert f"{record}: record lacks 'gate_stats'" in err
+
+    def test_hash_dim_zero_exits_two_before_training(self, workspace, tmp_path, capsys):
+        config = tmp_path / "zero_dim.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8")
+            .replace("hash_dim=16384\n", "hash_dim=0\n"),
+            encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert "hash dimension must lie in [2, 2**32]" in err
+        assert not list(tmp_path.rglob("*.npz"))
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "weird.cfg"
         config.write_text("mystery_knob=1\n", encoding="utf-8")

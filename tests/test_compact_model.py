@@ -12,14 +12,16 @@ from sciner.autoannotate import GateConfig, annotate_corpus
 from sciner.dataset import merge_for_retraining
 from sciner.errors import FormatError
 
-from kernel_oracles import train_dense_ref
+from kernel_oracles import dense_weights, train_dense_ref
 
 STEP1 = tagger.TrainConfig(epochs=4, learning_rate=16.0, batch_size=8, seed=5)
 STEP3 = tagger.TrainConfig(epochs=2, learning_rate=16.0, batch_size=8, seed=6)
 
 
 def assert_same_model(compact, dense):
-    assert np.array_equal(compact.weights.view(np.int64), dense.weights.view(np.int64))
+    assert np.array_equal(
+        dense_weights(compact).view(np.int64), dense_weights(dense).view(np.int64)
+    )
     assert (compact.hash_dim, compact.epochs_run, compact.learning_rate, compact.seed) == (
         dense.hash_dim, dense.epochs_run, dense.learning_rate, dense.seed
     )
@@ -76,7 +78,7 @@ def test_scoring_unseen_ids_and_negative_zero_rows_matches_dense():
     assert not np.isin(feat, model.rows).all()
     assert np.array_equal(
         model.subword_probs(feat, offsets).view(np.int64),
-        kernels.score_subwords(model.weights, feat, offsets).view(np.int64),
+        kernels.score_subwords(dense_weights(model), feat, offsets).view(np.int64),
     )
 
     # a row of -0.0 is a row the model holds, not the shared zero row
@@ -86,7 +88,7 @@ def test_scoring_unseen_ids_and_negative_zero_rows_matches_dense():
     signed = tagger.TaggerModel(values, dim, rows=rows)
     assert np.array_equal(
         signed.subword_probs(feat, offsets).view(np.int64),
-        kernels.score_subwords(signed.weights, feat, offsets).view(np.int64),
+        kernels.score_subwords(dense_weights(signed), feat, offsets).view(np.int64),
     )
 
 
@@ -177,7 +179,9 @@ def test_fresh_model_is_empty_and_saves_like_the_dense_zero_model(tmp_path):
     assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
     dim = 1 << 12
     tagger.TaggerModel.fresh(dim).save(tmp_path / "fresh.npz")
-    tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim).save(tmp_path / "dense.npz")
+    tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim, rows=np.arange(dim)).save(
+        tmp_path / "dense.npz"
+    )
     assert (tmp_path / "fresh.npz").read_bytes() == (tmp_path / "dense.npz").read_bytes()
 
 

@@ -5,6 +5,7 @@ import errno
 import io
 import os
 import random
+import re
 import string
 
 import pytest
@@ -352,6 +353,17 @@ class TestFetchPdfs:
         assert [e.paper_id for e in back.entries] == [e.paper_id for e in manifest.entries]
         assert [e.status for e in back.entries] == ["ok"] * 4
 
+    @pytest.mark.parametrize("line3, message", [
+        ("c\tok\tthree\t", "attempts must be a non-negative integer, got 'three'"),
+        ("c\tok\t-3\t", "attempts must be a non-negative integer, got '-3'"),
+        ("c\tok\t\t", "attempts must be a non-negative integer, got ''"),
+        ("a\tfailed\t2\tnope", "duplicate paper_id 'a'"),
+    ])
+    def test_read_manifest_names_the_bad_line(self, line3, message):
+        text = "a\tok\t1\t\nb\tfailed\t3\ttimeout\n" + line3 + "\n"
+        with pytest.raises(FormatError, match="^" + re.escape(f"manifest line 3: {message}") + "$"):
+            ci.read_manifest(io.StringIO(text))
+
     def test_bad_max_attempts(self, tmp_path):
         with pytest.raises(ValueError):
             ci.fetch_pdfs([], lambda url: b"", tmp_path, max_attempts=0)
@@ -497,4 +509,15 @@ class TestExtraction:
         path = tmp_path / "doc.json"
         path.write_text('{"paper_id": "x", "title": "t"}')
         with pytest.raises(FormatError, match="paragraphs"):
+            ci.read_extraction(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"paper_id": "x",', "not a JSON file"),
+        ('["x", "t", []]', "extraction document must be a JSON object, got list"),
+        ('{"paper_id": "x", "title": "t"}', "extraction document missing key 'paragraphs'"),
+    ])
+    def test_read_extraction_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
             ci.read_extraction(path)

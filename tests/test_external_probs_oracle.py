@@ -226,15 +226,20 @@ class TestFirstBadRecordWins:
         assert_same_outcome(inject(records, bad, rng))
 
 
-def test_table_iterates_as_records():
+def test_table_columns_match_oracle_records():
     rng = np.random.default_rng(4)
     records = interleave(rng, valid_records(rng, 5, 4), mix=True)
     lines = [json.dumps(r) for r in records]
     table = tagger.load_external_probs(iter(lines))
-    got, expected = list(table), list(load_external_probs_ref(iter(lines)))
-    assert len(got) == len(expected) == len(records)
-    for a, b in zip(got, expected):
-        assert (a.paper_id, a.paragraph, a.word_index, a.subword_index) == (
-            b.paper_id, b.paragraph, b.word_index, b.subword_index)
-        assert type(a.word_index) is int
-        assert np.array_equal(a.probs, b.probs)
+    expected = list(load_external_probs_ref(iter(lines)))
+    assert len(table.key_id) == len(expected) == len(records)
+    keys = [(r.paper_id, r.paragraph) for r in expected]
+    assert table.keys == list(dict.fromkeys(keys))  # numbered in order of first appearance
+    assert [table.keys[k] for k in table.key_id.tolist()] == keys
+    assert table.word_index.tolist() == [r.word_index for r in expected]
+    assert table.subword_index.tolist() == [r.subword_index for r in expected]
+    for column in (table.key_id, table.word_index, table.subword_index):
+        assert column.dtype == np.int64
+    assert np.array_equal(
+        table.probs.view(np.int64), np.array([r.probs for r in expected]).view(np.int64)
+    )

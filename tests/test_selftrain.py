@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 from dataclasses import replace
 
@@ -11,8 +12,11 @@ import pytest
 import sciner
 from sciner import dataset, selftrain, synth, tagger
 from sciner.autoannotate import GateConfig, annotate_corpus
+from sciner.errors import FormatError
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
 from sciner.tagger import TrainConfig
+
+from kernel_oracles import dense_weights
 
 
 def small_corpus(seed=5):
@@ -43,6 +47,15 @@ class TestLoopConfig:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
+
+    @pytest.mark.parametrize("dim", [0, -4, 1, 2**33])
+    def test_hash_dim_outside_range_rejected(self, dim):
+        with pytest.raises(ValueError, match=r"^hash dimension must lie in \[2, 2\*\*32\]$"):
+            LoopConfig(hash_dim=dim)
+
+    @pytest.mark.parametrize("dim", [2, 2**32])
+    def test_hash_dim_range_is_inclusive(self, dim):
+        assert LoopConfig(hash_dim=dim).hash_dim == dim
 
     def test_config_hash_stable_and_sensitive(self):
         assert fast_config().config_hash() == fast_config().config_hash()
@@ -89,7 +102,7 @@ class TestRunIteration:
         model_b, rec_b, auto_b = run_iteration(
             corpus.manual, corpus.auto_inputs, cfg, iteration=1, test_set=corpus.test
         )
-        assert np.array_equal(model_a.weights, model_b.weights)
+        assert np.array_equal(dense_weights(model_a), dense_weights(model_b))
         assert rec_a.metrics == rec_b.metrics
         assert rec_a.gate_stats.to_dict() == rec_b.gate_stats.to_dict()
         assert [p.labels for p in auto_a] == [p.labels for p in auto_b]
@@ -194,7 +207,7 @@ class TestRunLoop:
         for a, b in zip(records_full, records_resumed):
             assert a.metrics == b.metrics
             assert a.gate_stats.to_dict() == b.gate_stats.to_dict()
-        assert np.array_equal(model_full.weights, model_resumed.weights)
+        assert np.array_equal(dense_weights(model_full), dense_weights(model_resumed))
 
     def test_resume_with_other_config_rejected(self, tmp_path):
         corpus = small_corpus()
@@ -253,6 +266,24 @@ class TestRunLoop:
         del data["inputs_sha256"]
         record.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError, match="iteration_01.json.*inputs"):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: "{not json", "not a JSON file"),
+        (lambda data: "[1, 2]", "expected a JSON object, got list"),
+        (lambda data: json.dumps({k: v for k, v in data.items() if k != "gate_stats"}),
+         "record lacks 'gate_stats'"),
+        (lambda data: json.dumps({**data, "gate_stats": [1, 2]}),
+         "gate_stats is not a JSON object"),
+    ])
+    def test_unreadable_record_is_format_error_naming_it(self, tmp_path, corrupt, message):
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        record = tmp_path / "iteration_01.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        record.write_text(corrupt(data), encoding="utf-8")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{record}: {message}")):
             run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
 
     def test_record_files_json_roundtrip(self, tmp_path):
@@ -328,7 +359,7 @@ class TestRunLoop:
         carry_records, carry_model = run_loop(
             corpus.manual, corpus.auto_inputs, fast_config(carry_forward=True)
         )
-        assert not np.array_equal(fresh_model.weights, carry_model.weights)
+        assert not np.array_equal(dense_weights(fresh_model), dense_weights(carry_model))
         assert carry_model.epochs_run > fresh_model.epochs_run
 
     @staticmethod

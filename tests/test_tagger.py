@@ -19,6 +19,7 @@ from sciner.dataset import AnnotatedParagraph, TrainingExample, merge_for_retrai
 from sciner.errors import AlignmentError, FormatError
 from kernel_oracles import (
     chunk,
+    dense_weights,
     featurize_ref,
     segment_paragraph,
     training_loss,
@@ -216,6 +217,11 @@ class TestFeatureTable:
         ["<s>", "</s>", "x"],
         ["a", "b", "c", "d", "e"],
     ]
+
+    @pytest.mark.parametrize("dim", [0, -4, 1, 2**33])
+    def test_hash_dim_outside_range_rejected(self, dim):
+        with pytest.raises(ValueError, match=r"^hash dimension must lie in \[2, 2\*\*32\]$"):
+            tagger.featurize([["a"]], dim)
 
     @pytest.mark.parametrize("dim", HASH_DIMS)
     def test_slice_matches_ref(self, dim):
@@ -443,7 +449,7 @@ class TestTrain:
         cfg = tagger.TrainConfig(epochs=5, learning_rate=1.0, batch_size=4, seed=7)
         a = tagger.train(examples, cfg, hash_dim=1 << 10)
         b = tagger.train(examples, cfg, hash_dim=1 << 10)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(dense_weights(a), dense_weights(b))
         assert a.epochs_run == b.epochs_run == 5
 
     def test_masked_positions_contribute_nothing(self):
@@ -458,7 +464,7 @@ class TestTrain:
         b = tagger.train(masked_extra, cfg, hash_dim=1 << 10)
         # an all-masked paragraph changes the shuffle but not any update;
         # with a single effective paragraph per batch the weights must agree
-        assert np.allclose(a.weights, b.weights)
+        assert np.allclose(dense_weights(a), dense_weights(b))
 
     def test_init_continues_training(self):
         examples = separable_fixture(5)
@@ -467,7 +473,7 @@ class TestTrain:
         second = tagger.train(examples, cfg, init=first)
         assert second.epochs_run == 4
         assert second.hash_dim == first.hash_dim
-        assert not np.array_equal(first.weights, second.weights)
+        assert not np.array_equal(dense_weights(first), dense_weights(second))
 
     def test_loss_non_increasing_with_small_lr(self):
         examples = separable_fixture(9, n=8)
@@ -485,7 +491,7 @@ class TestTrain:
         cfg = tagger.TrainConfig(epochs=1, learning_rate=0.3, batch_size=len(examples), seed=0)
         stepped = tagger.train(examples, cfg, init=model)
         grad = training_loss_gradient(model, examples)
-        assert np.allclose(stepped.weights, model.weights - 0.3 * grad, atol=1e-12)
+        assert np.allclose(dense_weights(stepped), dense_weights(model) - 0.3 * grad, atol=1e-12)
 
 
 class TestGradient:
@@ -494,7 +500,7 @@ class TestGradient:
         rng = np.random.default_rng(5)
         dim = 1 << 8
         model = tagger.TaggerModel(
-            rng.normal(scale=0.5, size=(dim, ts.NUM_CLASSES)), dim
+            rng.normal(scale=0.5, size=(dim, ts.NUM_CLASSES)), dim, rows=np.arange(dim)
         )
         grad = training_loss_gradient(model, examples)
         h = 1e-5  # loss is smooth; smaller steps are roundoff-dominated
@@ -506,15 +512,15 @@ class TestGradient:
             rng.choice(active_rows, 20), rng.integers(0, ts.NUM_CLASSES, 20)
         )]
         for row, col in coords:
-            w_plus = model.weights.copy()
+            w_plus = model.values.copy()
             w_plus[row, col] += h
-            w_minus = model.weights.copy()
+            w_minus = model.values.copy()
             w_minus[row, col] -= h
             loss_plus = training_loss(
-                tagger.TaggerModel(w_plus, dim), examples
+                tagger.TaggerModel(w_plus, dim, rows=np.arange(dim)), examples
             )
             loss_minus = training_loss(
-                tagger.TaggerModel(w_minus, dim), examples
+                tagger.TaggerModel(w_minus, dim, rows=np.arange(dim)), examples
             )
             fd = (loss_plus - loss_minus) / (2 * h)
             denom = max(abs(fd), abs(grad[row, col]), 1e-8)
@@ -591,7 +597,7 @@ class TestPredict:
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(8)
         dim = 1 << 10
-        model = tagger.TaggerModel(rng.normal(size=(dim, ts.NUM_CLASSES)), dim)
+        model = tagger.TaggerModel(rng.normal(size=(dim, ts.NUM_CLASSES)), dim, rows=np.arange(dim))
         probs = tagger.predict_probs(model, ["alpha", "bravo", "charlie", "2024"])
         for tp in probs:
             assert abs(tp.distribution.sum() - 1.0) <= 1e-9
@@ -599,12 +605,12 @@ class TestPredict:
 
     def test_raising_active_weight_raises_probability(self):
         dim = 1 << 10
-        model = tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim)
+        model = tagger.TaggerModel(np.zeros((dim, ts.NUM_CLASSES)), dim, rows=np.arange(dim))
         featurizer = tagger.Featurizer(dim)
         words = ["target"]
         before = tagger.predict_probs(model, words)[0].distribution[3]
         feats = featurize_ref(tagger.segment_word("target", 0)[0], words, featurizer.dim)
-        model.weights[feats[0], 3] += 1.0
+        model.values[feats[0], 3] += 1.0
         after = tagger.predict_probs(model, words)[0].distribution[3]
         assert after > before
 
@@ -628,7 +634,7 @@ class TestModelFile:
         path = tmp_path / "model.npz"
         model.save(path)
         loaded = tagger.TaggerModel.load(path)
-        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(dense_weights(loaded), dense_weights(model))
         assert loaded.hash_dim == model.hash_dim
         assert loaded.epochs_run == model.epochs_run
         words = ["AlphaNet", "is", "here"]
@@ -647,7 +653,11 @@ class TestModelFile:
         weights = np.zeros((16, 15))
         weights[3, 2] = np.inf
         with pytest.raises(ValueError):
-            tagger.TaggerModel(weights, 16)
+            tagger.TaggerModel(weights, 16, rows=np.arange(16))
+
+    def test_rows_are_required(self):
+        with pytest.raises(TypeError, match="rows"):
+            tagger.TaggerModel(np.zeros((16, 15)), 16)
 
     def test_save_appends_npz_suffix(self, tmp_path):
         model = tagger.TaggerModel.fresh(16)
@@ -670,7 +680,7 @@ class TestModelFile:
 
         monkeypatch.setattr(tagger.np, "savez_compressed", crash_part_way)
         with pytest.raises(OSError, match="disk full"):
-            tagger.TaggerModel(np.ones((16, 15)), 16).save(path)
+            tagger.TaggerModel(np.ones((16, 15)), 16, rows=np.arange(16)).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
@@ -681,10 +691,11 @@ class TestModelFile:
         weights[11, 0] = 5e-324  # smallest denormal
         weights[11, 14] = -np.finfo(np.float64).tiny / 3
         weights[63, 7] = 1e300
-        model = tagger.TaggerModel(weights, 64, epochs_run=7, learning_rate=0.25, seed=9)
+        model = tagger.TaggerModel(weights, 64, epochs_run=7, learning_rate=0.25, seed=9,
+                                   rows=np.arange(64))
         model.save(tmp_path / "m.npz")
         loaded = tagger.TaggerModel.load(tmp_path / "m.npz")
-        assert np.array_equal(loaded.weights.view(np.int64), weights.view(np.int64))
+        assert np.array_equal(dense_weights(loaded).view(np.int64), weights.view(np.int64))
         assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
             64, 7, 0.25, 9
         )
@@ -697,7 +708,7 @@ class TestModelFile:
         assert (tmp_path / "fresh.npz").stat().st_size < 64 * 1024
         loaded = tagger.TaggerModel.load(tmp_path / "fresh.npz")
         assert loaded.hash_dim == 1 << 20
-        assert not loaded.weights.view(np.int64).any()
+        assert not dense_weights(loaded).view(np.int64).any()
 
     def test_v1_dense_file_loads_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -710,7 +721,7 @@ class TestModelFile:
             epochs_run=3, learning_rate=1e-4, seed=2,
         )
         loaded = tagger.TaggerModel.load(path)
-        assert np.array_equal(loaded.weights.view(np.int64), weights.view(np.int64))
+        assert np.array_equal(dense_weights(loaded).view(np.int64), weights.view(np.int64))
         assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
             128, 3, 1e-4, 2
         )
@@ -767,15 +778,15 @@ def probs_line(paper_id="p", paragraph=0, word_index=0, subword_index=0, probs=N
 class TestExternalProbs:
     def test_well_formed_records(self):
         text = probs_line(word_index=0) + "\n" + probs_line(word_index=1) + "\n"
-        records = list(tagger.load_external_probs(io.StringIO(text)))
-        assert len(records) == 2
-        assert records[1].word_index == 1
-        assert abs(records[0].probs.sum() - 1.0) < 1e-12
+        table = tagger.load_external_probs(io.StringIO(text))
+        assert len(table.word_index) == 2
+        assert table.word_index[1] == 1
+        assert abs(table.probs[0].sum() - 1.0) < 1e-12
 
     def test_wrong_class_count_rejected(self):
         text = probs_line(probs=[1.0 / 14] * 14)
         with pytest.raises(FormatError, match="record 1"):
-            list(tagger.load_external_probs(io.StringIO(text)))
+            tagger.load_external_probs(io.StringIO(text))
 
     def test_negative_probability_rejected(self):
         probs = [1.0 / 15] * 15
@@ -783,13 +794,13 @@ class TestExternalProbs:
         probs[1] += 2.0 / 15
         text = probs_line(probs=probs)
         with pytest.raises(FormatError, match="negative"):
-            list(tagger.load_external_probs(io.StringIO(text)))
+            tagger.load_external_probs(io.StringIO(text))
 
     def test_small_deviation_renormalized(self):
         probs = [1.0 / 15] * 15
         probs[0] += 5e-7
-        records = list(tagger.load_external_probs(io.StringIO(probs_line(probs=probs))))
-        assert abs(records[0].probs.sum() - 1.0) < 1e-12
+        table = tagger.load_external_probs(io.StringIO(probs_line(probs=probs)))
+        assert abs(table.probs[0].sum() - 1.0) < 1e-12
 
     def test_large_deviation_rejected_with_record_number(self):
         good = probs_line()
@@ -797,7 +808,7 @@ class TestExternalProbs:
         probs[0] += 5e-5
         bad = probs_line(probs=probs)
         with pytest.raises(FormatError, match="record 2"):
-            list(tagger.load_external_probs(io.StringIO(good + "\n" + bad)))
+            tagger.load_external_probs(io.StringIO(good + "\n" + bad))
 
     def test_grouping_by_paragraph(self):
         lines = [
@@ -851,7 +862,7 @@ class TestExternalProbsMalformed:
     """Every malformed record is a FormatError naming its record number."""
 
     def load(self, *lines):
-        return list(tagger.load_external_probs(io.StringIO("\n".join(lines))))
+        return tagger.load_external_probs(io.StringIO("\n".join(lines)))
 
     def test_nan_probability_rejected(self):
         probs = [1.0 / 15] * 15
