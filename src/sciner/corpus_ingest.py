@@ -395,6 +395,9 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
     a fetcher that returns no bytes raises TypeError.  Failures are retried up
     to `max_attempts` with 1-second spacing (`sleep` is injectable for tests).
     Entries keep input order even when fetches run on `parallelism` > 1 workers.
+    There is one entry per paper id, in order of first appearance: a repeated
+    URL is fetched once, and records without a URL share one "missing url"
+    entry, whose paper id is "".
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -403,12 +406,13 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory not writable: {out_dir}")
 
-    jobs = []
+    jobs: dict[str, ManifestEntry] = {}  # by paper id
     for record in records:
         if not record.url:
-            jobs.append(ManifestEntry("", "", "failed", 0, "missing url"))
+            jobs.setdefault("", ManifestEntry("", "", "failed", 0, "missing url"))
         else:
-            jobs.append(ManifestEntry(record.paper_id, record.url, "pending"))
+            paper_id = record.paper_id
+            jobs.setdefault(paper_id, ManifestEntry(paper_id, record.url, "pending"))
 
     def run(entry: ManifestEntry) -> ManifestEntry:
         if entry.status == "failed":
@@ -435,9 +439,9 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
 
     if parallelism > 1 and jobs:
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
-            done = list(pool.map(run, jobs))
+            done = list(pool.map(run, jobs.values()))
     else:
-        done = [run(j) for j in jobs]
+        done = [run(j) for j in jobs.values()]
     return DownloadManifest(done)
 
 

@@ -16,14 +16,13 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, dataset, evaluation, tagger
 from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .errors import FormatError
-from .tagger import DEFAULT_HASH_DIM, FeatureTable, TaggerModel, TrainConfig, train
+from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
 from .util import atomic_write
 
 log = logging.getLogger(__name__)
@@ -87,20 +86,13 @@ class IterationRecord:
         }
 
 
-class LoopFeatures(NamedTuple):
-    """The compiled feature tables of a run's manual, auto and test paragraphs."""
-
-    manual: FeatureTable
-    auto: FeatureTable
-    test: FeatureTable | None
-
-    @classmethod
-    def compile(cls, manual_train, auto_corpus, test_set, dim: int) -> "LoopFeatures":
-        def table(paragraphs):
-            return tagger.featurize([p.words for p in paragraphs], dim)
-
-        return cls(table(manual_train), table(auto_corpus),
-                   None if test_set is None else table(test_set))
+def compile_features(manual_train, auto_corpus, test_set, dim: int):
+    """A run's (training, test) feature tables: the words of the manual then
+    the auto paragraphs, and of the test paragraphs (None without a test set)."""
+    train_table = tagger.featurize([p.words for p in [*manual_train, *auto_corpus]], dim)
+    if test_set is None:
+        return train_table, None
+    return train_table, tagger.featurize([p.words for p in test_set], dim)
 
 
 def _step_seed(master: int, iteration: int, step: int) -> int:
@@ -109,12 +101,11 @@ def _step_seed(master: int, iteration: int, step: int) -> int:
 
 
 def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int = 1,
-                  init: TaggerModel | None = None, test_set=None,
-                  features: LoopFeatures | None = None):
+                  init: TaggerModel | None = None, test_set=None, features=None):
     """One pass of steps 1-3.  Returns (model, IterationRecord, auto annotations).
 
-    `features` are the compiled tables of the three paragraph lists, at
-    `config.hash_dim`; without them they are compiled here.
+    `features` are the run's (training, test) tables from `compile_features`,
+    at `config.hash_dim`; without them they are compiled here.
     """
     manual_train = list(manual_train)
     if not manual_train:
@@ -124,15 +115,18 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     started = time.monotonic()
     warnings: list[str] = []
     if features is None:
-        features = LoopFeatures.compile(manual_train, auto_corpus, test_set, config.hash_dim)
+        features = compile_features(manual_train, auto_corpus, test_set, config.hash_dim)
+    train_table, test_table = features
+    manual_rows = range(len(manual_train))
+    auto_rows = range(len(manual_train), len(train_table))
 
     manual_examples = dataset.merge_for_retraining(manual_train, [], config.amb_policy)
     step1_cfg = replace(config.step1, seed=_step_seed(config.seed, iteration, 1))
     step1_model = train(manual_examples, step1_cfg, init=init, hash_dim=config.hash_dim,
-                        features=features.manual)
+                        features=train_table.select(manual_rows))
 
     auto_annotated, gate_stats = annotate_corpus(step1_model, auto_corpus, config.gate,
-                                                 features=features.auto)
+                                                 features=train_table.select(auto_rows))
 
     if gate_stats.total_words and gate_stats.amb_words == gate_stats.total_words:
         message = (
@@ -145,16 +139,16 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     merged = dataset.merge_for_retraining(manual_train, auto_annotated, config.amb_policy)
     kept = dataset.retained_auto(auto_annotated, config.amb_policy)
     step3_cfg = replace(config.step3, seed=_step_seed(config.seed, iteration, 3))
-    model = train(merged, step3_cfg, init=step1_model, features=tagger.concat_tables(
-        [features.manual, features.auto.select(kept)], config.hash_dim
-    ))
+    # under ignore_positions every row is kept: the training table itself
+    model = train(merged, step3_cfg, init=step1_model,
+                  features=train_table.select([*manual_rows, *(auto_rows[i] for i in kept)]))
 
     metrics = test_predictions = None
     if test_set is not None:
         step1_predictions, _ = annotate_corpus(step1_model, test_set, config.gate,
-                                               features=features.test)
+                                               features=test_table)
         test_predictions, _ = annotate_corpus(model, test_set, config.gate,
-                                              features=features.test)
+                                              features=test_table)
         metrics = {
             "step1": evaluation.score(test_set, step1_predictions).to_dict(),
             "step3": evaluation.score(test_set, test_predictions).to_dict(),
@@ -277,7 +271,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
         }
 
     # every iteration reads the same words: featurize them once
-    features = LoopFeatures.compile(manual_train, auto_corpus, test_set, config.hash_dim)
+    features = compile_features(manual_train, auto_corpus, test_set, config.hash_dim)
     records: list[IterationRecord] = []
     model: TaggerModel | None = None
     for iteration in range(1, config.iterations + 1):
@@ -289,7 +283,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
                 model = TaggerModel.load(model_path)
                 if test_set is not None:
                     record.test_predictions, _ = annotate_corpus(
-                        model, test_set, config.gate, features=features.test
+                        model, test_set, config.gate, features=features[1]
                     )
                 records.append(record)
                 log.info("iteration %d loaded from %s", iteration, run_dir)

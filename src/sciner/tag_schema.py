@@ -168,7 +168,8 @@ def spans_from_labels(labels) -> list[Span]:
         elif label.startswith("I-"):
             t = entity_type_of(label)
             if open_type != t:
-                # only reachable on unvalidated input; start a span anyway
+                # no span of this type is open: legal right after amb (which
+                # closed any span), else only on unvalidated input; start one
                 if open_type is not None:
                     spans.append(Span(open_type, open_start, i))
                 open_type = t

@@ -164,48 +164,31 @@ class FeatureTable:
             yield self.feat[first : offsets[-1]], offsets - first, self.word_idx[a:b], n_words
 
     def select(self, rows) -> "FeatureTable":
-        """The table of paragraphs `rows`, in that order."""
-        rows = list(rows)
-        if rows == list(range(len(self))):
+        """The table of paragraphs `rows`, in that order, equal array for array
+        to `featurize` on their words; all rows in order is the table itself."""
+        rows = np.fromiter(rows, np.int64)
+        if np.array_equal(rows, np.arange(len(self))):
             return self
-        pieces = list(self.paragraphs())
-        return concat_tables(
-            [FeatureTable(self.dim, feat, offsets, word_idx, np.array([0, len(word_idx)]),
-                          np.array([0, n_words]))
-             for feat, offsets, word_idx, n_words in (pieces[p] for p in rows)],
-            self.dim,
-        )
-
-
-def concat_tables(tables, dim: int) -> FeatureTable:
-    """One table of the paragraphs of `tables`, in order; all have `dim`."""
-    tables = list(tables)
-    if any(t.dim != dim for t in tables):
-        raise ValueError(f"feature tables must all have hash dimension {dim}")
-
-    def bounds(name):
-        # each table's bounds, shifted past the tables before it
-        parts, base = [np.zeros(1, np.int64)], 0
-        for t in tables:
-            part = getattr(t, name)
-            parts.append(part[1:] + base)
-            base += int(part[-1])
-        return np.concatenate(parts)
-
-    return FeatureTable(
-        dim,
-        np.concatenate([np.zeros(0, np.uint32), *(t.feat for t in tables)]),
-        bounds("offsets"),
-        np.concatenate([np.zeros(0, np.int64), *(t.word_idx for t in tables)]),
-        bounds("sub_at"),
-        bounds("word_at"),
-    )
+        n_sub = np.diff(self.sub_at)[rows]
+        subs = _ranges(self.sub_at[:-1][rows], n_sub)
+        sub_len = np.diff(self.offsets)[subs]
+        return FeatureTable(self.dim, self.feat[_ranges(self.offsets[subs], sub_len)],
+                            _bounds(sub_len), self.word_idx[subs], _bounds(n_sub),
+                            _bounds(np.diff(self.word_at)[rows]))
 
 
 def _bounds(counts) -> np.ndarray:
     """[0, counts[0], counts[0] + counts[1], ...]: where each run starts, then the total."""
     out = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """arange(starts[i], starts[i] + counts[i]) for each i, concatenated."""
+    at = _bounds(counts)
+    out = np.repeat(np.asarray(starts, np.int64) - at[:-1], counts)
+    out += np.arange(at[-1])
     return out
 
 
@@ -252,12 +235,7 @@ def featurize(paragraphs, dim: int) -> FeatureTable:
 
     # 3. each word's subwords copied from its entry's block, then their
     # context slots filled with the ids of words -2..+2
-    word_len = (n_sub * sub_len)[codes]
-    word_start = _bounds(word_len)
-    source = np.repeat(entry_at[codes] + N_CONTEXT - word_start[:-1], word_len)
-    source += np.arange(len(source))
-    feat = ids[source]
-    del source
+    feat = ids[_ranges(entry_at[codes] + N_CONTEXT, (n_sub * sub_len)[codes])]
     neighbours = padded[position[:, None] + np.arange(-2, 3)]
     context = ids[entry_at[neighbours] + np.arange(N_CONTEXT)]
 

@@ -123,6 +123,25 @@ class TestIngest:
         manifest = (tmp_path / "manifest.tsv").read_text(encoding="utf-8")
         assert "failed" in manifest and "ok" in manifest
 
+    def test_fetch_duplicated_entry_exits_zero(self, tmp_path, capsys, monkeypatch):
+        bib = tmp_path / "twice.bib"
+        entry = '@article{a, title = "A", url = "https://x.test/a"}\n'
+        bib.write_text(entry + entry, encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "_urllib_fetcher", lambda url: calls.append(url) or b"%PDF")
+        code, out, err = run_cli(
+            capsys, "ingest", str(bib), "--csv", str(tmp_path / "c.csv"),
+            "--fetch", "--pdf-dir", str(tmp_path / "pdfs"),
+            "--manifest", str(tmp_path / "manifest.tsv"),
+        )
+        assert code == 0, err
+        assert calls == ["https://x.test/a"]
+        with open(tmp_path / "manifest.tsv", encoding="utf-8") as handle:
+            manifest = corpus_ingest.read_manifest(handle)
+        assert [(e.paper_id, e.status) for e in manifest.entries] == [
+            (corpus_ingest.hash_url("https://x.test/a"), "ok")
+        ]
+
     def test_import_leaves_out_urllib_request(self):
         # the child must import the same package, whether or not PYTHONPATH is set
         src = os.path.dirname(os.path.dirname(cli.__file__))

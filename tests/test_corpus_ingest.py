@@ -353,6 +353,30 @@ class TestFetchPdfs:
         assert [e.paper_id for e in back.entries] == [e.paper_id for e in manifest.entries]
         assert [e.status for e in back.entries] == ["ok"] * 4
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_repeated_url_fetched_once(self, tmp_path, parallelism):
+        records = self.records(3)
+        records.insert(2, ci.PaperRecord(title="again", url=records[0].url))
+        calls = []
+        manifest = ci.fetch_pdfs(records, lambda url: calls.append(url) or b"%PDF", tmp_path,
+                                 parallelism=parallelism)
+        assert sorted(calls) == sorted(r.url for r in self.records(3))
+        assert [e.paper_id for e in manifest.entries] == [
+            records[i].paper_id for i in (0, 1, 3)
+        ]
+        assert [e.status for e in manifest.entries] == ["ok"] * 3
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_records_without_url_share_one_entry(self, tmp_path, parallelism):
+        fetched = self.records(2)
+        records = [ci.PaperRecord(title="no url"), *fetched, ci.PaperRecord(title="nor this")]
+        manifest = ci.fetch_pdfs(records, lambda url: b"%PDF", tmp_path, parallelism=parallelism)
+        assert [(e.paper_id, e.status, e.attempts, e.error_note) for e in manifest.entries] == [
+            ("", "failed", 0, "missing url"),
+            (fetched[0].paper_id, "ok", 1, None),
+            (fetched[1].paper_id, "ok", 1, None),
+        ]
+
     @pytest.mark.parametrize("line3, message", [
         ("c\tok\tthree\t", "attempts must be a non-negative integer, got 'three'"),
         ("c\tok\t-3\t", "attempts must be a non-negative integer, got '-3'"),

@@ -157,6 +157,16 @@ class TestSpans:
         labels = ["B-TaskName", "amb", "O"]
         assert ts.spans_from_labels(labels) == [ts.Span("TaskName", 0, 1)]
 
+    @pytest.mark.parametrize("labels, spans", [
+        (["B-MethodName", "amb", "I-MethodName"],
+         [ts.Span("MethodName", 0, 1), ts.Span("MethodName", 2, 3)]),
+        (["O", "amb", "I-TaskName", "I-TaskName"], [ts.Span("TaskName", 2, 4)]),
+    ])
+    def test_inside_after_amb_starts_a_span(self, labels, spans):
+        # I-X after amb is legal, so a decoded prediction can hold it
+        assert ts.validate_sequence(labels) == []
+        assert ts.spans_from_labels(labels) == spans
+
     def test_adjacent_spans(self):
         labels = ["B-TaskName", "B-TaskName", "I-TaskName"]
         assert ts.spans_from_labels(labels) == [

@@ -269,7 +269,7 @@ class TestFeatureTable:
         with pytest.raises(ValueError):
             table.offsets[0] = 1
 
-    def test_select_and_concat_equal_a_fresh_compile(self):
+    def test_select_equals_a_fresh_compile(self):
         dim = 1 << 10
         table = tagger.featurize(self.PARAGRAPHS, dim)
         assert table.select(range(len(self.PARAGRAPHS))) is table
@@ -278,11 +278,25 @@ class TestFeatureTable:
             got = table.select(rows)
             for name in ("feat", "offsets", "word_idx", "sub_at", "word_at"):
                 assert np.array_equal(getattr(got, name), getattr(expected, name)), (rows, name)
-        joined = tagger.concat_tables([table, table.select([0, 4])], dim)
-        assert_table_matches_ref(joined, self.PARAGRAPHS + [self.PARAGRAPHS[i] for i in (0, 4)],
-                                 dim)
-        with pytest.raises(ValueError, match="hash dimension"):
-            tagger.concat_tables([table], 1 << 12)
+        rows = [*range(6), 0, 4]
+        assert_table_matches_ref(table.select(rows), [self.PARAGRAPHS[i] for i in rows], dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), paragraphs=st.lists(st.lists(WORD, max_size=4), max_size=5))
+    def test_select_arbitrary_rows(self, data, paragraphs):
+        dim = 1 << 10
+        table = tagger.featurize(paragraphs, dim)
+        rows = data.draw(st.lists(st.integers(0, len(paragraphs) - 1), max_size=8)
+                         if paragraphs else st.just([]))
+        if data.draw(st.booleans()):
+            rows = rows[::-1]
+        expected = tagger.featurize([paragraphs[r] for r in rows], dim)
+        got = table.select(rows)
+        assert got.dim == dim
+        for name in ("feat", "offsets", "word_idx", "sub_at", "word_at"):
+            actual = getattr(got, name)
+            assert actual.dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(actual, getattr(expected, name)), (rows, name)
 
     def test_check_matches(self):
         table = tagger.featurize([["a", "b"], ["c"]], 1 << 10)
