@@ -2,9 +2,11 @@
 
 One numpy implementation of each kernel.  `epoch_sgd` runs all epochs of a
 training call in one call: it lays out the unmasked tokens' feature rows once,
-then each mini-batch is a few slices and vectorized steps.  It reproduces the
+then each mini-batch is a few slices and vectorized steps on a working copy of
+the weights whose class columns are paired as complex128, so that an update
+takes one `np.subtract.at` per pair of classes.  It reproduces the
 token-by-token reference loop in tests/kernel_oracles.py bit for bit; the
-tests compare the two.
+tests compare the two, bit pattern by bit pattern.
 
 All kernels work on primitive arrays:
   weights      (n_rows, 15) float64; for `epoch_sgd` the last row is zero and
@@ -74,10 +76,14 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
     gradient of the batch-mean loss is computed against the pre-update
     weights, then applied.  Every sum runs in the same order as a
     token-by-token loop would (the oracle in tests/kernel_oracles.py), so the
-    weights come out bit for bit identical to it.  `weights` must be
-    C-contiguous, and its last row must be zero and no feature's: padding
-    gathers it, and it stays zero.  Returns one (summed loss, unmasked token
-    count) per epoch.
+    weights come out bit for bit identical to it: the feature slots are added
+    by one reduce over the outer axis of the batch's gather, and the update
+    subtracts each pair of class columns as one complex column, which makes
+    the same float subtractions in the same order.  The batches run on that
+    complex working copy, and it is written back into `weights` at the end.
+    `weights` must be C-contiguous, and its last row must be zero and no
+    feature's: padding gathers it, and it stays zero.  Returns one (summed
+    loss, unmasked token count) per epoch.
     """
     if not weights.flags.c_contiguous:
         # the row-major layout `tagger.train` allocates; no other is tested
@@ -89,6 +95,11 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
         return [(0.0, 0) for _ in orders]
     padded, ids, k, y, tok_at, id_at = layout
     n_classes = weights.shape[1]
+    # an odd class count gets a zero column, so that the columns pair up
+    work = np.zeros((len(weights), n_classes + n_classes % 2))
+    work[:, :n_classes] = weights
+    pairs = work.view(np.complex128)
+    columns = [pairs[:, c] for c in range(pairs.shape[1])]
     results = []
     for order in orders:
         order = order.tolist()
@@ -101,32 +112,34 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
             n_tok = rows.shape[1]
             if n_tok == 0:
                 continue
-            # (kmax, n_tok, n_classes): one contiguous block per feature slot
-            g = weights.take(rows, axis=0)
-            # add the feature slots left to right, as ndarray.sum(axis=0) does per token
-            z = g[0].copy()
-            for j in range(1, len(g)):
-                z += g[j]
-            m = z.max(axis=1, keepdims=True)
-            e = np.exp(z - m)
+            # a reduce over the outer axis of the (kmax, n_tok, pairs) gather
+            # adds the feature slots left to right, as ndarray.sum(axis=0)
+            # does per token
+            z = pairs.take(rows, axis=0).sum(axis=0).view(np.float64)[:, :n_classes]
+            # class-major, one pass per class; a max is exact in any order
+            m = np.ascontiguousarray(z.T).max(axis=0)
+            e = z - m[:, None]
+            np.exp(e, out=e)
             s = e.sum(axis=1)
             yb = np.concatenate([y[span] for span in spans])
             tok = np.arange(n_tok)
             # a running (sequential) sum keeps the token-by-token loss grouping
-            total_loss += float(np.cumsum(np.log(s) - (z[tok, yb] - m[:, 0]))[-1])
-            grad = e / s[:, None]
+            total_loss += float(np.cumsum(np.log(s) - (z[tok, yb] - m))[-1])
+            grad = np.zeros((n_tok, work.shape[1]))
+            np.divide(e, s[:, None], out=grad[:, :n_classes])
             grad[tok, yb] -= 1.0
             grad *= lr / n_tok
-            # one update per class column, rows in token then feature order:
+            # one update per column pair, rows in token then feature order:
             # subtract.at applies a repeated row in exactly the order of the
-            # per-token loop, and no two columns share an element
+            # per-token loop, and no two pairs share an element
             idb = np.concatenate([ids[id_at[p] : id_at[p + 1]] for p in batch], dtype=np.intp)
             kb = np.concatenate([k[span] for span in spans])
-            step = np.repeat(grad.T, kb, axis=1)
-            for c in range(n_classes):
-                np.subtract.at(weights[:, c], idb, step[c])
+            step = np.repeat(grad.view(np.complex128).T, kb, axis=1)
+            for column, column_step in zip(columns, step):
+                np.subtract.at(column, idb, column_step)
             total_tokens += n_tok
         results.append((total_loss, total_tokens))
+    weights[:] = work[:, :n_classes]
     return results
 
 

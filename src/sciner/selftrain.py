@@ -71,6 +71,8 @@ class IterationRecord:
     warnings: list[str] = field(default_factory=list)
     # mean training loss per epoch: {"step1": [...], "step3": [...]}
     train_loss: dict | None = None
+    # wall seconds per phase: see `run_iteration`
+    phase_seconds: dict | None = None
     # the step-3 model's annotation of the test set; not persisted
     test_predictions: list | None = field(default=None, repr=False, compare=False)
 
@@ -83,6 +85,7 @@ class IterationRecord:
             "duration_seconds": self.duration_seconds,
             "warnings": self.warnings,
             "train_loss": self.train_loss,
+            "phase_seconds": self.phase_seconds,
         }
 
 
@@ -105,7 +108,11 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     """One pass of steps 1-3.  Returns (model, IterationRecord, auto annotations).
 
     `features` are the run's (training, test) tables from `compile_features`,
-    at `config.hash_dim`; without them they are compiled here.
+    at `config.hash_dim`; without them they are compiled here.  The record's
+    `phase_seconds` holds the wall seconds of the step-1 training
+    (`train_step1`), the annotation of the auto corpus (`annotate_auto`), the
+    step-3 merge and training (`train_step3`) and the test-set annotation and
+    scoring (`evaluate_test`, only with a test set).
     """
     manual_train = list(manual_train)
     if not manual_train:
@@ -114,6 +121,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
     test_set = None if test_set is None else list(test_set)
     started = time.monotonic()
     warnings: list[str] = []
+    phases: dict[str, float] = {}
     if features is None:
         features = compile_features(manual_train, auto_corpus, test_set, config.hash_dim)
     train_table, test_table = features
@@ -122,11 +130,15 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
 
     manual_examples = dataset.merge_for_retraining(manual_train, [], config.amb_policy)
     step1_cfg = replace(config.step1, seed=_step_seed(config.seed, iteration, 1))
+    clock = time.monotonic()
     step1_model = train(manual_examples, step1_cfg, init=init, hash_dim=config.hash_dim,
                         features=train_table.select(manual_rows))
+    phases["train_step1"] = time.monotonic() - clock
 
+    clock = time.monotonic()
     auto_annotated, gate_stats = annotate_corpus(step1_model, auto_corpus, config.gate,
                                                  features=train_table.select(auto_rows))
+    phases["annotate_auto"] = time.monotonic() - clock
 
     if gate_stats.total_words and gate_stats.amb_words == gate_stats.total_words:
         message = (
@@ -136,15 +148,18 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
         warnings.append(message)
         log.warning(message)
 
+    clock = time.monotonic()
     merged = dataset.merge_for_retraining(manual_train, auto_annotated, config.amb_policy)
     kept = dataset.retained_auto(auto_annotated, config.amb_policy)
     step3_cfg = replace(config.step3, seed=_step_seed(config.seed, iteration, 3))
     # under ignore_positions every row is kept: the training table itself
     model = train(merged, step3_cfg, init=step1_model,
                   features=train_table.select([*manual_rows, *(auto_rows[i] for i in kept)]))
+    phases["train_step3"] = time.monotonic() - clock
 
     metrics = test_predictions = None
     if test_set is not None:
+        clock = time.monotonic()
         step1_predictions, _ = annotate_corpus(step1_model, test_set, config.gate,
                                                features=test_table)
         test_predictions, _ = annotate_corpus(model, test_set, config.gate,
@@ -153,6 +168,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
             "step1": evaluation.score(test_set, step1_predictions).to_dict(),
             "step3": evaluation.score(test_set, test_predictions).to_dict(),
         }
+        phases["evaluate_test"] = time.monotonic() - clock
 
     record = IterationRecord(
         iteration=iteration,
@@ -162,6 +178,7 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
         duration_seconds=time.monotonic() - started,
         warnings=warnings,
         train_loss={"step1": step1_model.epoch_loss, "step3": model.epoch_loss},
+        phase_seconds=phases,
         test_predictions=test_predictions,
     )
     return model, record, auto_annotated
@@ -242,6 +259,7 @@ def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> I
             duration_seconds=data["duration_seconds"],
             warnings=data.get("warnings", []),
             train_loss=data.get("train_loss"),
+            phase_seconds=data.get("phase_seconds"),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: record lacks {exc.args[0]!r}") from None
@@ -302,7 +320,8 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             model.save(model_path)
             record.model_path = model_path
             # recorded, but resume checks neither: the weight bits also
-            # depend on numpy's subtract.at, exp and log
+            # depend on numpy's complex subtract.at, its outer-axis sum
+            # order, exp and log
             payload = {**record.to_dict(), **stamp, "package_version": __version__,
                        "numpy_version": np.__version__}
             with atomic_write(_record_path(run_dir, iteration)) as handle:

@@ -17,6 +17,7 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -613,12 +614,14 @@ def _normalized_block(rows, recnos) -> np.ndarray:
 
     A bad row is a FormatError naming its record number; of several, the
     first one wins.  When the block does not convert as a whole, its rows are
-    checked again one at a time to find that first one.
+    checked again one at a time to find that first one.  Only JSON numbers
+    convert: numpy would also take `true` as 1.0 and `"0.5"` as 0.5.
     """
     n_classes = tag_schema.NUM_CLASSES
     try:
+        numbers = set(map(type, chain.from_iterable(rows))) <= {float, int}
         block = np.array(rows, dtype=np.float64)
-        converted = block.shape == (len(rows), n_classes)
+        converted = numbers and block.shape == (len(rows), n_classes)
     except (TypeError, ValueError, OverflowError):
         converted = False
     if not converted:
@@ -631,6 +634,8 @@ def _normalized_block(rows, recnos) -> np.ndarray:
             probs = np.asarray(rows[0], dtype=np.float64)
         except (TypeError, ValueError):
             raise FormatError(f"probability record {recno}: probs are not numbers") from None
+        if probs.shape == (n_classes,):  # the right count, but not all numbers
+            raise FormatError(f"probability record {recno}: probs are not numbers")
         raise FormatError(
             f"probability record {recno}: expected {n_classes} "
             f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"

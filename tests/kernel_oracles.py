@@ -315,6 +315,9 @@ def load_external_probs_ref(source):
                 f"probability record {recno}: expected {tag_schema.NUM_CLASSES} "
                 f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"
             )
+        if not all(type(p) is float or type(p) is int for p in obj["probs"]):
+            # numpy converts JSON `true` and `"0.5"`; neither is a number
+            raise FormatError(f"probability record {recno}: probs are not numbers")
         if (probs < 0).any():
             raise FormatError(f"probability record {recno}: negative probability")
         total = probs.sum()

@@ -10,7 +10,7 @@ from sciner import kernels
 from kernel_oracles import _epoch_sgd_np, with_zero_row
 
 
-def make_problem(paragraphs, dim, seed):
+def make_problem(paragraphs, dim, seed, n_classes=15):
     """Kernel arrays from `paragraphs`: lists of (features, label, unmasked) subwords."""
     feat, offsets, labels, mask, par_offsets = [], [0], [], [], [0]
     for subwords in paragraphs:
@@ -20,7 +20,7 @@ def make_problem(paragraphs, dim, seed):
             labels.append(label)
             mask.append(unmasked)
         par_offsets.append(len(labels))
-    weights = np.random.default_rng(seed).normal(scale=0.3, size=(dim, 15))
+    weights = np.random.default_rng(seed).normal(scale=0.3, size=(dim, n_classes))
     return (
         weights,
         np.asarray(feat, dtype=np.int64),
@@ -31,14 +31,14 @@ def make_problem(paragraphs, dim, seed):
     )
 
 
-def random_paragraphs(rng, n_pars, max_feats, dim, p_unmasked=0.8):
+def random_paragraphs(rng, n_pars, max_feats, dim, p_unmasked=0.8, n_classes=15):
     # a small `dim` makes feature rows repeat inside a batch, so the order in
     # which repeated rows are updated matters
     return [
         [
             (
                 rng.integers(0, dim, int(rng.integers(1, max_feats + 1))).tolist(),
-                int(rng.integers(0, 15)),
+                int(rng.integers(0, n_classes)),
                 bool(rng.random() < p_unmasked),
             )
             for _ in range(int(rng.integers(0, 9)))
@@ -239,3 +239,81 @@ def test_feature_on_the_zero_row_rejected():
     with pytest.raises(ValueError, match="zero row"):
         kernels.epoch_sgd(weights, *rest, [np.arange(3, dtype=np.int64)], 2, 0.5)
     assert np.array_equal(weights, before)
+
+
+# The kernel pairs the class columns as complex128 on a working copy, padded
+# with a zero column when the class count is odd.  These tests compare bit
+# patterns: np.array_equal takes -0.0 for 0.0.
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(problem, orders, batch_pars, lr):
+    """One `epoch_sgd` call against the oracle per order: weights and losses
+    bit for bit, the caller's own array updated, its zero row left zero."""
+    weights, feat, offsets, labels, mask, par_offsets = problem
+    fast = with_zero_row(weights)
+    held = fast[:-1]  # a view: the update must land in the caller's memory
+    ref = weights.copy()
+    results = kernels.epoch_sgd(
+        fast, feat, offsets, labels, mask, par_offsets, orders, batch_pars, lr
+    )
+    expected = [
+        _epoch_sgd_np(ref, feat, offsets, labels, mask, par_offsets, order, batch_pars, lr)
+        for order in orders
+    ]
+    assert [n for _, n in results] == [n for _, n in expected]
+    assert np.array_equal(bits([x for x, _ in results]), bits([x for x, _ in expected]))
+    assert np.array_equal(bits(held), bits(ref))
+    assert np.array_equal(bits(fast[-1]), np.zeros(weights.shape[1], np.int64))
+    return fast
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 14, 15, 16])
+def test_class_widths_match_oracle_bits(n_classes):
+    rng = np.random.default_rng(20 + n_classes)
+    for batch_pars in (1, 3, 8):
+        dim = int(rng.integers(4, 40))
+        paragraphs = random_paragraphs(rng, 9, 12, dim, n_classes=n_classes)
+        problem = make_problem(paragraphs, dim, int(rng.integers(1 << 30)), n_classes=n_classes)
+        orders = [rng.permutation(9).astype(np.int64) for _ in range(3)]
+        assert_same_bits(problem, orders, batch_pars, float(rng.choice([1e-4, 0.5, 16.0])))
+
+
+@pytest.mark.parametrize("n_classes", [1, 14, 15])
+def test_negative_zero_weights_match_oracle_bits(n_classes):
+    # rows 0-5 are touched, rows 6-11 never; each half holds whole -0.0 rows
+    # and scattered -0.0 entries.  Logits of +-800 make some probabilities
+    # underflow to 0, so -0.0 - 0.0 keeps a touched entry at -0.0.
+    rng = np.random.default_rng(30 + n_classes)
+    paragraphs = random_paragraphs(rng, 8, 6, 6, p_unmasked=1.0, n_classes=n_classes)
+    paragraphs[0].append(([0, 1, 2, 3, 4, 5], 0, True))
+    weights, *rest = make_problem(paragraphs, 12, 30, n_classes=n_classes)
+    weights[rng.random(weights.shape) < 0.3] = 800.0
+    weights[[0, 3, 6, 9]] = -0.0
+    weights[rng.random(weights.shape) < 0.2] = -0.0
+    orders = [rng.permutation(8).astype(np.int64) for _ in range(2)]
+    fast = assert_same_bits((weights, *rest), orders, 2, 0.5)
+    negative_zero = bits(fast[:-1]) == bits(-0.0)
+    assert negative_zero[:6].any() and negative_zero[6:].any()
+
+
+def test_many_feature_slots_one_token_batches_match_oracle_bits():
+    # 40-64 features per token over 24 rows of widely spread magnitudes: the
+    # slots must be added in index order, which one-token batches expose
+    rng = np.random.default_rng(40)
+    dim = 24
+    paragraphs = [
+        [(rng.integers(0, dim, int(rng.integers(40, 65))).tolist(), int(rng.integers(0, 15)), True)]
+        for _ in range(12)
+    ]
+    weights, *rest = make_problem(paragraphs, dim, 40)
+    weights *= 10.0 ** rng.integers(-8, 9, size=(dim, 1))
+    feat, offsets = rest[0], rest[1]
+    # the order is visible: the reverse fold differs in some token's logits
+    forward = [weights[feat[a:b]].sum(axis=0) for a, b in zip(offsets[:-1], offsets[1:])]
+    backward = [weights[feat[a:b][::-1]].sum(axis=0) for a, b in zip(offsets[:-1], offsets[1:])]
+    assert not np.array_equal(bits(forward), bits(backward))
+    orders = [rng.permutation(12).astype(np.int64) for _ in range(3)]
+    assert_same_bits((weights, *rest), orders, 1, 1e-4)

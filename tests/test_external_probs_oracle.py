@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sciner import tagger
+from sciner.errors import FormatError
 
 from kernel_oracles import group_external_probs_ref, load_external_probs_ref
 
@@ -114,6 +115,8 @@ MALFORMED = {
         with_probs(record, [[p] for p in record["probs"]])),
     "probs_14": lambda record, rng: json.dumps(with_probs(record, record["probs"][:14])),
     "probs_string_entry": one_entry("x"),
+    "probs_true_entry": one_entry(True),  # numpy alone would read 1.0
+    "probs_numeric_string_entry": one_entry("0.5"),  # numpy alone would read 0.5
     "probs_huge_int": one_entry(10 ** 400),  # OverflowError, not a FormatError
     "probs_nan": one_entry(float("nan")),
     "probs_negative": negative_entry,
@@ -224,6 +227,30 @@ class TestFirstBadRecordWins:
         records = interleave(rng, valid_records(rng, 1000, 12), mix=True)[:n]
         assert len(records) == n
         assert_same_outcome(inject(records, bad, rng))
+
+
+class TestEntriesMustBeJsonNumbers:
+    """A boolean or a numeric string is not a probability, wherever its record
+    falls in a block."""
+
+    @pytest.mark.parametrize("kind", ["probs_true_entry", "probs_numeric_string_entry"])
+    @pytest.mark.parametrize("recno", [1, 4, 8, 9, 20])  # 8 and 9 straddle a block boundary
+    def test_rejected_like_the_oracle(self, kind, recno):
+        rng = np.random.default_rng(recno)
+        records = [r for recs in valid_records(rng, 10, 10) for r in recs][:20]
+        lines = inject(records, {recno: kind}, rng)
+        with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
+            assert_same_outcome(lines)
+            with pytest.raises(FormatError,
+                               match=f"^probability record {recno}: probs are not numbers$"):
+                tagger.load_external_probs(iter(lines))
+
+    def test_integers_are_numbers(self):
+        rng = np.random.default_rng(4)
+        records = [r for recs in valid_records(rng, 3, 3) for r in recs]
+        records[2] = with_probs(records[2], [1] + [0] * (N_CLASSES - 1))
+        table = tagger.load_external_probs(iter(json.dumps(r) for r in records))
+        assert table.probs[2].tolist() == [1.0] + [0.0] * (N_CLASSES - 1)
 
 
 def test_table_columns_match_oracle_records():

@@ -351,6 +351,25 @@ class TestRunLoop:
                               resume=True)
         assert [r.to_dict() for r in resumed] == [r.to_dict() for r in fresh]
 
+    def test_records_carry_phase_seconds_through_resume(self, tmp_path):
+        corpus = small_corpus()
+        cfg = fast_config()
+        fresh, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg,
+                            test_set=corpus.test, run_dir=tmp_path)
+        for record in fresh:
+            phases = record.phase_seconds
+            assert list(phases) == ["train_step1", "annotate_auto", "train_step3",
+                                    "evaluate_test"]
+            assert all(type(v) is float and v >= 0.0 for v in phases.values())
+            assert sum(phases.values()) <= record.duration_seconds
+        data = json.loads((tmp_path / "iteration_01.json").read_text(encoding="utf-8"))
+        assert data["phase_seconds"] == fresh[0].phase_seconds
+        resumed, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg,
+                              test_set=corpus.test, run_dir=tmp_path, resume=True)
+        assert [r.phase_seconds for r in resumed] == [r.phase_seconds for r in fresh]
+        untested, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg)
+        assert all("evaluate_test" not in r.phase_seconds for r in untested)
+
     def test_carry_forward_differs_from_fresh(self):
         corpus = small_corpus(13)
         fresh_records, fresh_model = run_loop(

@@ -895,7 +895,8 @@ class TestExternalProbsMalformed:
         with pytest.raises(FormatError, match=f"record 2: {key} must be"):
             self.load(probs_line(), probs_line(**{key: value}))
 
-    @pytest.mark.parametrize("probs", [["x"] * 15, [[0.5], [0.5, 0.5]], {"a": 1}])
+    @pytest.mark.parametrize("probs", [["x"] * 15, [[0.5], [0.5, 0.5]], {"a": 1},
+                                       [True] * 15, ["0.5"] * 15])
     def test_non_numeric_probs_rejected(self, probs):
         with pytest.raises(FormatError, match="record 2: probs are not numbers"):
             self.load(probs_line(), probs_line(word_index=1, probs=probs))
