@@ -214,8 +214,8 @@ def _coverage_error(p, word_idx) -> AlignmentError:
     return AlignmentError(message)
 
 
-def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
-                    parallelism: int = 1, *, features=None):
+def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
+                    features=None):
     """Label every paragraph via gated constrained decoding.
 
     `source` is either a TaggerModel or an ExternalProbsTable.  Records for
@@ -228,9 +228,8 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(),
 
     The paragraphs are annotated CHUNK_PARAGRAPHS at a time: one
     aggregation and one decode per chunk.  A bad paragraph is an error
-    naming the first one in corpus order.  `parallelism` is accepted and
-    ignored: annotation is one serial pass, which measured faster than a
-    thread pool.
+    naming the first one in corpus order.  Annotation is one serial pass,
+    which measured faster than a thread pool.
     """
     paragraphs = list(paragraphs)
     from_model = isinstance(source, TaggerModel)

@@ -65,8 +65,14 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _loop_config(cfg: dict[str, str]) -> selftrain.LoopConfig:
     int(cfg["parallelism"])  # ignored, but a non-integer is still an error
+    if cfg["carry_forward"].lower() not in _FLAGS:
+        raise ValueError(f"carry_forward must be one of {'/'.join(_FLAGS)}, "
+                         f"got {cfg['carry_forward']!r}")
     return selftrain.LoopConfig(
         iterations=int(cfg["iterations"]),
         step1=TrainConfig(
@@ -83,7 +89,7 @@ def _loop_config(cfg: dict[str, str]) -> selftrain.LoopConfig:
         amb_policy=cfg["amb_policy"],
         seed=int(cfg["seed"]),
         hash_dim=int(cfg["hash_dim"]),
-        carry_forward=cfg["carry_forward"].lower() in ("1", "true", "yes"),
+        carry_forward=_FLAGS[cfg["carry_forward"].lower()],
     )
 
 

@@ -133,11 +133,14 @@ def _example_from(paragraph: AnnotatedParagraph) -> TrainingExample:
     return TrainingExample(list(paragraph.words), list(paragraph.labels), mask)
 
 
+AMB_POLICIES = ("ignore_positions", "drop_paragraph")
+
+
 def retained_auto(auto, amb_policy: str = "ignore_positions") -> list[int]:
     """Positions of the auto paragraphs that `merge_for_retraining` keeps:
     all of them under ignore_positions, those without amb under
     drop_paragraph."""
-    if amb_policy not in ("ignore_positions", "drop_paragraph"):
+    if amb_policy not in AMB_POLICIES:
         raise ValueError(f"unknown amb policy {amb_policy!r}")
     kept = []
     for i, p in enumerate(auto):

@@ -2,9 +2,10 @@
 
 One numpy implementation of each kernel.  `epoch_sgd` runs all epochs of a
 training call in one call: it lays out the unmasked tokens' feature rows once,
-then each mini-batch is a few slices and vectorized steps on a working copy of
-the weights whose class columns are paired as complex128, so that an update
-takes one `np.subtract.at` per pair of classes.  It reproduces the
+as one padded id matrix that both the forward pass and the update of each
+mini-batch read.  A batch is a few slices and vectorized steps on a working
+copy of the weights whose class columns are paired as complex128, so that an
+update takes one `np.subtract.at` per pair of classes.  It reproduces the
 token-by-token reference loop in tests/kernel_oracles.py bit for bit; the
 tests compare the two, bit pattern by bit pattern.
 
@@ -44,12 +45,9 @@ def _masked_layout(feat, offsets, labels, mask, par_offsets, pad_row):
       padded  (kmax, n_masked) int32 row ids: column t holds unmasked token
               t's feature rows, then `pad_row`; feature-major, so that each
               feature slot of a batch is one contiguous block
-      ids     the same ids unpadded, in token then feature order
-      k       each unmasked token's feature count
       y       each unmasked token's label
       tok_at  paragraph p's unmasked tokens are tok_at[p]:tok_at[p + 1]
-      id_at   and their ids are ids[id_at[p]:id_at[p + 1]]
-    (tok_at and id_at as lists, for Python slicing).
+              (a list, for Python slicing)
     """
     masked = np.flatnonzero(mask)
     if len(masked) == 0:
@@ -59,12 +57,9 @@ def _masked_layout(feat, offsets, labels, mask, par_offsets, pad_row):
     ids = feat[(offsets[masked][:, None] + np.arange(live.shape[1]))[live]]
     if ids.max() >= pad_row or ids.min() < 0:
         raise ValueError("feature ids must index the rows before the zero row")
-    ids = ids.astype(np.int32)
     padded = np.full(live.shape[::-1], pad_row, dtype=np.int32)
     padded.T[live] = ids
-    tok_at = np.searchsorted(masked, par_offsets)
-    id_at = np.concatenate(([0], np.cumsum(k)))[tok_at]
-    return padded, ids, k, labels[masked], tok_at.tolist(), id_at.tolist()
+    return padded, labels[masked], np.searchsorted(masked, par_offsets).tolist()
 
 
 def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
@@ -77,13 +72,14 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
     weights, then applied.  Every sum runs in the same order as a
     token-by-token loop would (the oracle in tests/kernel_oracles.py), so the
     weights come out bit for bit identical to it: the feature slots are added
-    by one reduce over the outer axis of the batch's gather, and the update
-    subtracts each pair of class columns as one complex column, which makes
-    the same float subtractions in the same order.  The batches run on that
-    complex working copy, and it is written back into `weights` at the end.
-    `weights` must be C-contiguous, and its last row must be zero and no
-    feature's: padding gathers it, and it stays zero.  Returns one (summed
-    loss, unmasked token count) per epoch.
+    by one reduce over the outer axis of the batch's padded rows, and the
+    update walks the same padded rows token by token, subtracting each pair
+    of class columns as one complex column, which makes the same float
+    subtractions in the same order.  The batches run on that complex working
+    copy, and it is written back into `weights` at the end.  `weights` must
+    be C-contiguous, and its last row must be zero and no feature's: padding
+    gathers it, and its bits are put back after each batch's update.
+    Returns one (summed loss, unmasked token count) per epoch.
     """
     if not weights.flags.c_contiguous:
         # the row-major layout `tagger.train` allocates; no other is tested
@@ -93,11 +89,12 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
     layout = _masked_layout(feat, offsets, labels, mask, par_offsets, len(weights) - 1)
     if layout is None:  # every batch is empty
         return [(0.0, 0) for _ in orders]
-    padded, ids, k, y, tok_at, id_at = layout
+    padded, y, tok_at = layout
     n_classes = weights.shape[1]
     # an odd class count gets a zero column, so that the columns pair up
     work = np.zeros((len(weights), n_classes + n_classes % 2))
     work[:, :n_classes] = weights
+    pad = work[-1].copy()
     pairs = work.view(np.complex128)
     columns = [pairs[:, c] for c in range(pairs.shape[1])]
     results = []
@@ -129,14 +126,15 @@ def epoch_sgd(weights, feat, offsets, labels, mask, par_offsets, orders,
             np.divide(e, s[:, None], out=grad[:, :n_classes])
             grad[tok, yb] -= 1.0
             grad *= lr / n_tok
-            # one update per column pair, rows in token then feature order:
+            # one update per column pair, rows in token then feature slot
+            # order (a pad slot updates only the pad row, restored below):
             # subtract.at applies a repeated row in exactly the order of the
             # per-token loop, and no two pairs share an element
-            idb = np.concatenate([ids[id_at[p] : id_at[p + 1]] for p in batch], dtype=np.intp)
-            kb = np.concatenate([k[span] for span in spans])
-            step = np.repeat(grad.view(np.complex128).T, kb, axis=1)
+            idb = rows.T.astype(np.intp, order="C").ravel()
+            step = np.repeat(grad.view(np.complex128).T, len(rows), axis=1)
             for column, column_step in zip(columns, step):
                 np.subtract.at(column, idb, column_step)
+            work[-1] = pad
             total_tokens += n_tok
         results.append((total_loss, total_tokens))
     weights[:] = work[:, :n_classes]

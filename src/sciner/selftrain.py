@@ -43,6 +43,8 @@ class LoopConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         tagger.check_hash_dim(self.hash_dim)  # before any paragraph is featurized
+        if self.amb_policy not in dataset.AMB_POLICIES:
+            raise ValueError(f"unknown amb policy {self.amb_policy!r}")
 
     def config_hash(self) -> str:
         payload = json.dumps(

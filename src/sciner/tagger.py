@@ -30,7 +30,6 @@ SUBWORD_WIDTH = 4
 CONTINUATION_MARK = "##"
 
 MODEL_FORMAT = "sciner-tagger-v2"  # nonzero weight rows only
-MODEL_FORMAT_V1 = "sciner-tagger-v1"  # dense weights; still read, no longer written
 
 
 @dataclass(frozen=True)
@@ -365,8 +364,7 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path) -> "TaggerModel":
-        """Read a model written by :meth:`save`, or a dense v1 file, of which
-        the rows with a nonzero bit pattern are kept.
+        """Read a model written by :meth:`save`.
 
         A file that cannot be read as a model (not an archive, truncated, a
         missing or malformed field) is a FormatError naming `path`.
@@ -377,7 +375,7 @@ class TaggerModel:
                 raise ValueError("not an .npz archive")
             with data:
                 fmt = str(data["format"])
-                if fmt not in (MODEL_FORMAT, MODEL_FORMAT_V1):
+                if fmt != MODEL_FORMAT:
                     raise ValueError(f"unknown model format {fmt!r}")
                 hash_dim = _scalar(data, "hash_dim", "iu")
                 meta = dict(
@@ -385,19 +383,9 @@ class TaggerModel:
                     learning_rate=float(_scalar(data, "learning_rate", "iuf")),
                     seed=_scalar(data, "seed", "iu"),
                 )
-                if fmt == MODEL_FORMAT:
-                    rows, values = data["rows"], data["values"]
-                    if values.dtype != np.float64:
-                        raise ValueError(f"values are {values.dtype}, expected float64")
-                else:
-                    dense = np.asarray(data["weights"], dtype=np.float64)
-                    if dense.shape != (hash_dim, tag_schema.NUM_CLASSES):
-                        raise ValueError(
-                            f"weights have shape {dense.shape}, expected "
-                            f"({hash_dim}, {tag_schema.NUM_CLASSES})"
-                        )
-                    rows = np.flatnonzero(_nonzero_bits(dense))
-                    values = dense[rows]
+                rows, values = data["rows"], data["values"]
+                if values.dtype != np.float64:
+                    raise ValueError(f"values are {values.dtype}, expected float64")
             return cls(values, hash_dim, rows=rows, **meta)
         except KeyError as exc:
             raise FormatError(f"{path}: model file lacks {exc.args[0]!r}") from None

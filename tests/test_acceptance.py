@@ -290,7 +290,7 @@ def test_criterion_8_scale_smoke_86000_paragraphs():
         TrainConfig(epochs=20, learning_rate=16.0, batch_size=8, seed=1),
     )
     annotated, stats = annotate_corpus(
-        model, corpus.auto_inputs, GateConfig(0.98), parallelism=4
+        model, corpus.auto_inputs, GateConfig(0.98)
     )
     elapsed = time.monotonic() - started
     total_words = sum(len(p.words) for p in corpus.auto_inputs)

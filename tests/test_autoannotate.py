@@ -304,20 +304,6 @@ class TestAnnotateCorpus:
         ):
             annotate_corpus(load_external_probs(iter(lines)), iter(paragraphs), GateConfig())
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(11)
-        dim = 1 << 10
-        model = TaggerModel(rng.normal(scale=2.0, size=(dim, 15)), dim, rows=np.arange(dim))
-        words = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        paragraphs = [
-            carrier([words[int(i)] for i in rng.integers(0, 5, size=6)], index=k)
-            for k in range(50)
-        ]
-        serial, stats_a = annotate_corpus(model, paragraphs, GateConfig(0.5))
-        parallel, stats_b = annotate_corpus(model, paragraphs, GateConfig(0.5), parallelism=4)
-        assert [p.labels for p in parallel] == [p.labels for p in serial]
-        assert stats_a.to_dict() == stats_b.to_dict()
-
     def test_confidence_is_best_legal_score(self):
         o = ts.label_index("O")
         lines = [prob_line(peaked_distribution(o, 0.6))]  # below gamma -> amb
@@ -440,7 +426,7 @@ class TestSerialAnnotation:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        parallel, stats_b = annotate_corpus(model, paragraphs, GateConfig(), parallelism=4)
+        parallel, stats_b = annotate_corpus(model, paragraphs, GateConfig())
         assert [(p.labels, p.confidence) for p in parallel] == [
             (p.labels, p.confidence) for p in serial
         ]

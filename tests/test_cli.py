@@ -322,6 +322,31 @@ class TestLoop:
         assert "hash dimension must lie in [2, 2**32]" in err
         assert not list(tmp_path.rglob("*.npz"))
 
+    @pytest.mark.parametrize("line, message", [
+        ("amb_policy=bogus", "unknown amb policy 'bogus'"),
+        ("carry_forward=ture", "carry_forward must be one of"),
+    ])
+    def test_bad_loop_setting_exits_two_before_the_run_dir(self, workspace, tmp_path,
+                                                           capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + line + "\n", encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert message in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False),
+    ])
+    def test_carry_forward_values(self, value, expected):
+        cfg = dict(cli.CONFIG_DEFAULTS, carry_forward=value)
+        assert cli._loop_config(cfg).carry_forward is expected
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "weird.cfg"
         config.write_text("mystery_knob=1\n", encoding="utf-8")

@@ -92,27 +92,13 @@ def test_scoring_unseen_ids_and_negative_zero_rows_matches_dense():
     )
 
 
-def test_v1_dense_file_loads_as_compact_rows(tmp_path):
-    weights = np.zeros((256, ts.NUM_CLASSES))
-    weights[[7, 40, 41]] = np.random.default_rng(1).normal(size=(3, ts.NUM_CLASSES))
-    weights[100, 3] = -0.0
+def test_v1_file_rejected_with_path_and_format(tmp_path):
     path = tmp_path / "v1.npz"
     np.savez_compressed(
-        path, format=tagger.MODEL_FORMAT_V1, weights=weights, hash_dim=256,
-        epochs_run=1, learning_rate=0.5, seed=0,
-    )
-    loaded = tagger.TaggerModel.load(path)
-    assert loaded.rows.tolist() == [7, 40, 41, 100]
-    assert np.array_equal(loaded.values.view(np.int64), weights[loaded.rows].view(np.int64))
-
-
-def test_malformed_v1_file_rejected_with_path(tmp_path):
-    path = tmp_path / "v1.npz"
-    np.savez_compressed(
-        path, format=tagger.MODEL_FORMAT_V1, weights=np.zeros((8, ts.NUM_CLASSES)),
+        path, format="sciner-tagger-v1", weights=np.zeros((16, ts.NUM_CLASSES)),
         hash_dim=16, epochs_run=1, learning_rate=0.5, seed=0,
     )
-    with pytest.raises(FormatError, match="shape") as info:
+    with pytest.raises(FormatError, match="sciner-tagger-v1") as info:
         tagger.TaggerModel.load(path)
     assert str(path) in str(info.value)
 

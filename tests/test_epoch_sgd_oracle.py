@@ -317,3 +317,33 @@ def test_many_feature_slots_one_token_batches_match_oracle_bits():
     assert not np.array_equal(bits(forward), bits(backward))
     orders = [rng.permutation(12).astype(np.int64) for _ in range(3)]
     assert_same_bits((weights, *rest), orders, 1, 1e-4)
+
+
+def test_mixed_feature_counts_keep_a_negative_zero_pad_row():
+    # 12-, 14- and 16-feature tokens share batches, so the shorter ones carry
+    # pad slots; the update walks those slots too, and the pad row must come
+    # out of every batch with its own bits, here -0.0
+    rng = np.random.default_rng(50)
+    dim = 20
+    paragraphs = [
+        [
+            (rng.integers(0, dim, int(rng.choice([12, 14, 16]))).tolist(),
+             int(rng.integers(0, 15)), bool(rng.random() < 0.9))
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        for _ in range(10)
+    ]
+    weights, feat, offsets, labels, mask, par_offsets = make_problem(paragraphs, dim, 50)
+    fast = with_zero_row(weights)
+    fast[-1] = -0.0
+    ref = weights.copy()
+    orders = [rng.permutation(10).astype(np.int64) for _ in range(3)]
+    results = kernels.epoch_sgd(fast, feat, offsets, labels, mask, par_offsets, orders, 3, 0.5)
+    expected = [
+        _epoch_sgd_np(ref, feat, offsets, labels, mask, par_offsets, order, 3, 0.5)
+        for order in orders
+    ]
+    assert [n for _, n in results] == [n for _, n in expected]
+    assert np.array_equal(bits([x for x, _ in results]), bits([x for x, _ in expected]))
+    assert np.array_equal(fast[:-1].view(np.int64), ref.view(np.int64))
+    assert np.array_equal(fast[-1].view(np.int64), np.full(15, bits(-0.0)))

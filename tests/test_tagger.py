@@ -724,22 +724,6 @@ class TestModelFile:
         assert loaded.hash_dim == 1 << 20
         assert not dense_weights(loaded).view(np.int64).any()
 
-    def test_v1_dense_file_loads_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        weights = np.zeros((128, 15))
-        weights[rng.choice(128, 20, replace=False)] = rng.normal(size=(20, 15))
-        weights[5, 5] = -0.0
-        path = tmp_path / "v1.npz"
-        np.savez_compressed(
-            path, format="sciner-tagger-v1", weights=weights, hash_dim=128,
-            epochs_run=3, learning_rate=1e-4, seed=2,
-        )
-        loaded = tagger.TaggerModel.load(path)
-        assert np.array_equal(dense_weights(loaded).view(np.int64), weights.view(np.int64))
-        assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
-            128, 3, 1e-4, 2
-        )
-
     @pytest.mark.parametrize(
         "rows, values_shape",
         [
