@@ -484,7 +484,14 @@ class TokenizedDocument:
         for i, paragraph in enumerate(self.paragraphs):
             if not paragraph:
                 raise ValueError(f"paragraph {i} is empty")
-            for token in paragraph:
+            try:
+                # str.split and str.isspace share one definition of whitespace,
+                # so this gives the tokens back iff none is empty or has any
+                if " ".join(paragraph).split() == paragraph:
+                    continue
+            except TypeError:  # a token that is not a str
+                pass
+            for token in paragraph:  # find the token to name
                 if not token or any(c.isspace() for c in token):
                     raise ValueError(
                         f"paragraph {i}: token {token!r} is empty or has whitespace"

@@ -13,7 +13,8 @@ All kernels work on primitive arrays:
   weights      (n_rows, 15) float64; for `epoch_sgd` the last row is zero and
                is no feature's row
   feat         flat integer row indices into weights for all subwords
-  offsets      (n_subwords + 1) int64, subword s owns feat[offsets[s]:offsets[s+1]]
+  offsets      (n_subwords + 1) int64 from 0 to len(feat); subword s owns
+               feat[offsets[s]:offsets[s+1]]
   labels/mask  per-subword class index / loss-mask
   par_offsets  (n_paragraphs + 1) int64 subword boundaries per paragraph
 """
@@ -52,9 +53,11 @@ def _masked_layout(feat, offsets, labels, mask, par_offsets, pad_row):
     masked = np.flatnonzero(mask)
     if len(masked) == 0:
         return None
-    k = np.diff(offsets)[masked]
+    counts = np.diff(offsets)
+    k = counts[masked]
     live = np.arange(k.max()) < k[:, None]
-    ids = feat[(offsets[masked][:, None] + np.arange(live.shape[1]))[live]]
+    # the unmasked tokens' ids in token order, selected by a bool per feature
+    ids = feat[np.repeat(mask.astype(bool), counts)]
     if ids.max() >= pad_row or ids.min() < 0:
         raise ValueError("feature ids must index the rows before the zero row")
     padded = np.full(live.shape[::-1], pad_row, dtype=np.int32)

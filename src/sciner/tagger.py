@@ -543,6 +543,9 @@ def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
 _REQUIRED_KEYS = ("paper_id", "paragraph", "word_index", "subword_index", "probs")
 _INDEX_KEYS = ("paragraph", "word_index", "subword_index")
 _INDEX_LIMIT = 1 << 63  # word and subword indices are stored as int64
+# orjson 3.8 has no nesting limit and overflows the C stack on deep enough
+# nesting, so it only gets lines with at most this many `[` and `{`
+_FAST_MAX_OPENERS = 1000
 
 # Records per numpy pass over their probabilities: large enough that numpy's
 # per-call cost vanishes, small enough that a block's Python lists stay small.
@@ -622,6 +625,10 @@ def _normalized_block(rows, recnos) -> np.ndarray:
             probs = np.asarray(rows[0], dtype=np.float64)
         except (TypeError, ValueError):
             raise FormatError(f"probability record {recno}: probs are not numbers") from None
+        except OverflowError:  # an integer entry too large for a float64
+            raise FormatError(
+                f"probability record {recno}: a probability is out of float64 range"
+            ) from None
         if probs.shape == (n_classes,):  # the right count, but not all numbers
             raise FormatError(f"probability record {recno}: probs are not numbers")
         raise FormatError(
@@ -641,42 +648,95 @@ def _normalized_block(rows, recnos) -> np.ndarray:
     return block / total[:, None]
 
 
+def _fast_fields(loads, line: str):
+    """`_record_fields` of a line that orjson's `loads` reads as json would, else None.
+
+    orjson and json differ on NaN and Infinity literals, numbers that
+    overflow to inf and lone-surrogate escapes (orjson raises), on integers
+    outside [-2**63, 2**64) (orjson may return a float) and on nesting deeper
+    than json's recursion limit (orjson parses it).  A line passes only as an
+    object of exactly the five keys with a string id and in-range indices,
+    so none of those can be in a passing line's fields apart from `probs`,
+    where any of them fails `_normalized_block`.
+    """
+    try:
+        if len(line) > _FAST_MAX_OPENERS and (
+                line.count("[") + line.count("{") > _FAST_MAX_OPENERS):
+            return None
+        obj = loads(line)
+        paper_id, paragraph, word_index, subword_index, probs = (
+            obj["paper_id"], obj["paragraph"], obj["word_index"], obj["subword_index"],
+            obj["probs"],
+        )
+    except (ValueError, TypeError, KeyError):  # not JSON, not an object, a missing key
+        return None
+    if (len(obj) == len(_REQUIRED_KEYS) and type(paper_id) is str
+            and type(paragraph) is type(word_index) is type(subword_index) is int
+            and paragraph >= 0 and 0 <= word_index < _INDEX_LIMIT
+            and 0 <= subword_index < _INDEX_LIMIT):
+        return paper_id, paragraph, word_index, subword_index, probs
+    return None
+
+
+def _checked_block(rows, recnos, lines) -> np.ndarray:
+    """`_normalized_block` of rows that orjson may have parsed from `lines`.
+
+    A bad block is parsed again with json before it raises, so that the
+    exception and its message come from json's values.
+    """
+    try:
+        return _normalized_block(rows, recnos)
+    except FormatError:
+        json_rows = [_record_fields(recno, line)[4] for recno, line in zip(recnos, lines)]
+        return _normalized_block(json_rows, recnos)
+
+
 def load_external_probs(source) -> ExternalProbsTable:
     """Read a JSON-lines probability file into an ExternalProbsTable.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
-    anything worse (NaN included), a wrong class count, a negative or
-    non-numeric entry, a line that is not a JSON object, an index that is
-    not a non-negative integer, or a word or subword index of 2**63 or more
-    is a FormatError naming the record number.
+    anything worse (NaN included), a wrong class count, a negative,
+    non-numeric or out-of-float64-range entry, a line that is not a JSON
+    object, an index that is not a non-negative integer, or a word or
+    subword index of 2**63 or more is a FormatError naming the record number.
     Records from different paragraphs may interleave.
 
-    Each line is parsed and its fields checked in Python; the probabilities
-    are converted and checked by numpy a block of lines at a time.
+    orjson parses each line; a line it may read differently from json, and
+    every block that fails a check, is parsed by json, so the table and any
+    error are exactly json's.  The fields are checked in Python; the
+    probabilities are converted and checked by numpy a block of lines at a
+    time.
     """
+    import orjson  # here, so that commands that read no probability file do not load it
+
+    loads = orjson.loads
     key_ids: dict[tuple[str, int], int] = {}
     kids, words, subs = [], [], []
-    rows, recnos, blocks = [], [], []
+    rows, recnos, lines, blocks = [], [], [], []
     for recno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            paper_id, paragraph, word_index, subword_index, probs = _record_fields(recno, line)
-        except FormatError:
-            if rows:  # an earlier record's bad probabilities come first
-                _normalized_block(rows, recnos)
-            raise
+        fields = _fast_fields(loads, line)
+        if fields is None:
+            try:
+                fields = _record_fields(recno, line)
+            except FormatError:
+                if rows:  # an earlier record's bad probabilities come first
+                    _checked_block(rows, recnos, lines)
+                raise
+        paper_id, paragraph, word_index, subword_index, probs = fields
         kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
         words.append(word_index)
         subs.append(subword_index)
         rows.append(probs)
         recnos.append(recno)
+        lines.append(line)
         if len(rows) == _BLOCK_RECORDS:
-            blocks.append(_normalized_block(rows, recnos))
-            rows, recnos = [], []
+            blocks.append(_checked_block(rows, recnos, lines))
+            rows, recnos, lines = [], [], []
     if rows:
-        blocks.append(_normalized_block(rows, recnos))
+        blocks.append(_checked_block(rows, recnos, lines))
     return ExternalProbsTable(
         keys=list(key_ids),
         key_id=np.array(kids, dtype=np.int64),

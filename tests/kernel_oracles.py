@@ -277,9 +277,10 @@ def load_external_probs_ref(source):
     """Yield a ProbRecord per record of a JSON-lines probability file.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
-    anything worse (NaN included), a wrong class count, a negative or
-    non-numeric entry, a line that is not a JSON object, or an index that is
-    not a non-negative integer is a FormatError naming the record number.
+    anything worse (NaN included), a wrong class count, a negative,
+    non-numeric or out-of-float64-range entry, a line that is not a JSON
+    object, an index that is not a non-negative integer, or a word or
+    subword index of 2**63 or more is a FormatError naming the record number.
     """
     for recno, line in enumerate(source, start=1):
         line = line.strip()
@@ -306,10 +307,19 @@ def load_external_probs_ref(source):
                 f"probability record {recno}: {key} must be a non-negative integer, "
                 f"got {obj[key]!r}"
             )
+        for key in ("word_index", "subword_index"):
+            if obj[key] >= 2**63:  # stored as int64
+                raise FormatError(
+                    f"probability record {recno}: {key} must be below 2**63, got {obj[key]!r}"
+                )
         try:
             probs = np.asarray(obj["probs"], dtype=np.float64)
         except (TypeError, ValueError):
             raise FormatError(f"probability record {recno}: probs are not numbers") from None
+        except OverflowError:  # an integer entry too large for a float64
+            raise FormatError(
+                f"probability record {recno}: a probability is out of float64 range"
+            ) from None
         if probs.shape != (tag_schema.NUM_CLASSES,):
             raise FormatError(
                 f"probability record {recno}: expected {tag_schema.NUM_CLASSES} "

@@ -241,6 +241,27 @@ class TestLoop:
         assert "bootstrap: 12 draws of 50" in out
         assert "span_f1" in out
 
+    def test_loop_leaves_out_orjson(self, workspace, tmp_path):
+        """Only the probability-file reader imports orjson."""
+        code = (
+            "import io, sys\n"
+            "from sciner import cli, tagger\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('orjson' in sys.modules)\n"
+            "tagger.load_external_probs(io.StringIO(''))\n"
+            "print('orjson' in sys.modules)\n"
+        )
+        # the child must import the same package, whether or not PYTHONPATH is set
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "loop", "--config", str(workspace / "run.cfg"),
+             "--run-dir", str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-2:] == ["False", "True"]
+
     def test_rerun_identical_report(self, workspace, tmp_path, capsys):
         first_code, first_out, _ = run_cli(
             capsys, "loop", "--config", str(workspace / "run.cfg"),

@@ -510,6 +510,13 @@ class TestTokenFiles:
         with pytest.raises(ValueError):
             ci.TokenizedDocument("z" * 64, [["a b"]])
 
+    @pytest.mark.parametrize("char", ["\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+    def test_unicode_whitespace_token_rejected_by_name(self, char):
+        token = "a" + char
+        with pytest.raises(ValueError, match=re.escape(
+                f"paragraph 1: token {token!r} is empty or has whitespace")):
+            ci.TokenizedDocument("z" * 64, [["a"], ["b", token, "c"]])
+
     def test_empty_paragraph_rejected(self):
         with pytest.raises(ValueError):
             ci.TokenizedDocument("z" * 64, [[]])

@@ -6,6 +6,9 @@ block size is patched down so that short files span several blocks.
 """
 
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -117,11 +120,51 @@ MALFORMED = {
     "probs_string_entry": one_entry("x"),
     "probs_true_entry": one_entry(True),  # numpy alone would read 1.0
     "probs_numeric_string_entry": one_entry("0.5"),  # numpy alone would read 0.5
-    "probs_huge_int": one_entry(10 ** 400),  # OverflowError, not a FormatError
+    "probs_huge_int": one_entry(10 ** 400),  # out of float64 range: a FormatError
     "probs_nan": one_entry(float("nan")),
     "probs_negative": negative_entry,
     "probs_sum": scaled_probs(1.0 + 5e-5),
     "duplicate_pair": lambda record, rng: json.dumps(record) + "\n" + json.dumps(record),
+}
+
+
+def with_raw(key, text):
+    """`record` with `key` set to the raw JSON `text`, added last."""
+    return lambda record, rng: json.dumps(
+        {k: v for k, v in record.items() if k != key})[:-1] + f', "{key}": {text}}}'
+
+
+def deep_list(depth):
+    return "[" * depth + "]" * depth
+
+
+# Lines that orjson rejects, or reads differently from json, or that json alone
+# rejects: the reader must still give json's table or json's exception.
+PARSER_EDGES = {
+    "probs_infinity": one_entry(float("inf")),  # json.dumps writes `Infinity`
+    "paper_id_lone_surrogate": lambda record, rng: json.dumps(dict(record, paper_id="\ud800")),
+    "paper_id_2**64": lambda record, rng: json.dumps(dict(record, paper_id=2**64)),
+    "paper_id_10**30": lambda record, rng: json.dumps(dict(record, paper_id=10**30)),
+    "paper_id_-2**63-1": lambda record, rng: json.dumps(dict(record, paper_id=-2**63 - 1)),
+    "word_index_2**64": with_index("word_index", 2**64),
+    "probs_entry_2**64": one_entry(2**64),
+    "paragraph_twice": lambda record, rng: json.dumps(record)[:-1] + ', "paragraph": 5}',
+    "sixth_key": lambda record, rng: json.dumps(dict(record, source="encoder")),
+    "sixth_key_nested_1500": with_raw("source", deep_list(1500)),
+    "probs_nested_1500": with_raw("probs", deep_list(1500)),
+    # 1,000 `[` and `{` in all: few enough for orjson, too deep for json under pytest
+    "sixth_key_nested_998": with_raw("source", deep_list(998)),
+    "probs_nested_999": with_raw("probs", deep_list(999)),
+}
+
+# the edge lines that are valid records, and the key json reads each under
+VALID_EDGES = {
+    "paper_id_lone_surrogate": "\ud800",
+    "paper_id_2**64": str(2**64),
+    "paper_id_10**30": str(10**30),
+    "paper_id_-2**63-1": str(-2**63 - 1),
+    "paragraph_twice": None,
+    "sixth_key": None,
 }
 
 
@@ -251,6 +294,61 @@ class TestEntriesMustBeJsonNumbers:
         records[2] = with_probs(records[2], [1] + [0] * (N_CLASSES - 1))
         table = tagger.load_external_probs(iter(json.dumps(r) for r in records))
         assert table.probs[2].tolist() == [1.0] + [0.0] * (N_CLASSES - 1)
+
+
+class TestParserEdges:
+    """orjson parses the lines it reads as json does; json parses the rest."""
+
+    @pytest.mark.parametrize("kind", sorted(PARSER_EDGES))
+    @pytest.mark.parametrize("recno", [1, 5, 8, 9])  # 8 and 9 straddle a block boundary
+    def test_matches_oracle(self, kind, recno):
+        rng = np.random.default_rng(recno)
+        records = [r for recs in valid_records(rng, 10, 10) for r in recs][:20]
+        lines = [json.dumps(r) for r in records]
+        lines[recno - 1] = PARSER_EDGES[kind](records[recno - 1], rng)
+        with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
+            assert_same_outcome(lines)
+            got = outcome(tagger.load_external_probs, tagger.group_external_probs, lines)
+        if kind in VALID_EDGES:
+            paper_id = VALID_EDGES[kind]
+            if paper_id is not None:
+                assert (paper_id, records[recno - 1]["paragraph"]) in got
+        else:
+            assert isinstance(got, tuple)
+            assert f"record {recno}:" in got[1] or got[0] is RecursionError
+
+    @pytest.mark.parametrize("first, second", [
+        ("probs_sum", "probs_infinity"),
+        ("probs_sum", "probs_entry_2**64"),
+        ("probs_nested_999", "probs_sum"),
+        ("probs_nested_999", "bad_json"),
+    ])
+    def test_two_bad_records_in_one_block(self, first, second):
+        """A block orjson parsed is parsed again by json before it raises."""
+        rng = np.random.default_rng(3)
+        records = [r for recs in valid_records(rng, 10, 10) for r in recs][:20]
+        lines = [json.dumps(r) for r in records]
+        for recno, kind in ((2, first), (5, second)):
+            lines[recno - 1] = {**MALFORMED, **PARSER_EDGES}[kind](records[recno - 1], rng)
+        with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
+            assert_same_outcome(lines)
+
+
+def test_nesting_too_deep_for_orjson_is_json_recursion_error():
+    """orjson 3.8 overflows the C stack on nesting this deep; json raises."""
+    code = (
+        "from sciner import tagger\n"
+        "line = '{\"probs\": ' + '[' * 1_000_000 + ']' * 1_000_000 + '}'\n"
+        "try:\n"
+        "    tagger.load_external_probs(iter([line]))\n"
+        "except RecursionError:\n"
+        "    print('RecursionError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(tagger.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert (out.returncode, out.stdout.strip()) == (0, "RecursionError"), out.stderr[-500:]
 
 
 def test_table_columns_match_oracle_records():

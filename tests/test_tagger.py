@@ -904,3 +904,11 @@ class TestExternalProbsMalformed:
     def test_earlier_bad_probabilities_win_over_index_past_int64(self):
         with pytest.raises(FormatError, match="record 1: probabilities sum to"):
             self.load(probs_line(probs=[0.1] * 15), probs_line(word_index=2**63))
+
+    def test_probability_past_float64_rejected(self):
+        probs = [0.0] * 15
+        probs[0] = 10**400  # 401 digits: no float64 holds it
+        with pytest.raises(
+            FormatError, match="^probability record 3: a probability is out of float64 range$"
+        ):
+            self.load(probs_line(), probs_line(word_index=1), probs_line(word_index=2, probs=probs))
