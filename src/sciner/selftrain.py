@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, dataset, evaluation, tagger
+from . import __version__, dataset, evaluation, tag_schema, tagger
 from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .errors import FormatError
 from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
@@ -222,10 +222,12 @@ def _inputs_sha256(manual_train, auto_corpus, test_set) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> IterationRecord:
-    """Read a persisted record; it must have been written under
-    `iteration_config_hash` from inputs hashing to `inputs_sha256`.  A file
-    that is not such a record is a FormatError naming `path`."""
+def _load_record(path: str, iteration: int, iteration_config_hash: str,
+                 inputs_sha256: str) -> IterationRecord:
+    """Read iteration `iteration`'s persisted record; it must have been
+    written under `iteration_config_hash` from inputs hashing to
+    `inputs_sha256`.  A file that is not such a record is a FormatError
+    naming `path`."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -253,7 +255,7 @@ def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> I
             amb_words=data["gate_stats"]["amb_words"],
             accepted=data["gate_stats"]["accepted"],
         )
-        return IterationRecord(
+        record = IterationRecord(
             iteration=data["iteration"],
             gate_stats=stats,
             metrics=data["metrics"],
@@ -267,6 +269,38 @@ def _load_record(path: str, iteration_config_hash: str, inputs_sha256: str) -> I
         raise FormatError(f"{path}: record lacks {exc.args[0]!r}") from None
     except TypeError:  # gate_stats is not an object
         raise FormatError(f"{path}: gate_stats is not a JSON object") from None
+    problem = _record_problem(record, iteration)
+    if problem:
+        raise FormatError(f"{path}: {problem}")
+    return record
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # bool is not a count
+
+
+def _record_problem(record: IterationRecord, iteration: int) -> str | None:
+    """What sets a loaded record apart from one that iteration `iteration`
+    writes, or None; the fields resume reads are checked."""
+    stats, metrics = record.gate_stats, record.metrics
+    if not (type(record.iteration) is int and record.iteration == iteration):
+        return f"iteration is {record.iteration!r}, expected {iteration}"
+    if not (_is_count(stats.total_words) and _is_count(stats.amb_words)
+            and stats.amb_words <= stats.total_words):
+        return (
+            "gate_stats total_words and amb_words must be non-negative integers with "
+            f"amb_words <= total_words, got {stats.total_words!r} and {stats.amb_words!r}"
+        )
+    if not (type(stats.accepted) is dict and all(
+            label in tag_schema.MODEL_LABELS and _is_count(n)
+            for label, n in stats.accepted.items())):
+        return "gate_stats accepted must map labels to non-negative integers"
+    if metrics is not None and not (type(metrics) is dict and all(
+            type(metrics.get(step)) is dict
+            and type(metrics[step].get("span_f1")) in (int, float)
+            for step in ("step1", "step3"))):
+        return "metrics must be null or hold step1 and step3 objects with a numeric span_f1"
+    return None
 
 
 def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
@@ -299,7 +333,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             rec_path = _record_path(run_dir, iteration)
             model_path = _model_path(run_dir, iteration)
             if os.path.exists(rec_path) and os.path.exists(model_path):
-                record = _load_record(rec_path, **stamp)
+                record = _load_record(rec_path, iteration, **stamp)
                 model = TaggerModel.load(model_path)
                 if test_set is not None:
                     record.test_predictions, _ = annotate_corpus(

@@ -257,8 +257,7 @@ class Featurizer:
     """
 
     def __init__(self, dim: int = DEFAULT_HASH_DIM):
-        if dim < 2:
-            raise ValueError("hash dimension must be >= 2")
+        check_hash_dim(dim)
         self.dim = dim
 
     def paragraph_arrays(self, words):
@@ -568,11 +567,14 @@ class ExternalProbsTable:
 
 
 def _record_fields(recno: int, line: str):
-    """(paper_id, paragraph, word_index, subword_index, probs) of one JSON line."""
+    """(paper_id, paragraph, word_index, subword_index, probs) of one JSON line,
+    with `probs` checked and normalized by `_record_probs`."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
+    except RecursionError:
+        raise FormatError(f"probability record {recno}: JSON nested too deeply") from None
     if type(obj) is not dict:
         raise FormatError(
             f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"
@@ -597,59 +599,63 @@ def _record_fields(recno: int, line: str):
         raise FormatError(
             f"probability record {recno}: {key} must be below 2**63, got {obj[key]!r}"
         )
-    return str(paper_id), paragraph, word_index, subword_index, probs
+    return str(paper_id), paragraph, word_index, subword_index, _record_probs(recno, probs)
 
 
-def _normalized_block(rows, recnos) -> np.ndarray:
-    """The `(len(rows), 15)` float64 matrix of `rows`, each divided by its sum.
+def _record_probs(recno: int, probs) -> np.ndarray:
+    """Record `recno`'s `probs` as a float64 row divided by its sum.
 
-    A bad row is a FormatError naming its record number; of several, the
-    first one wins.  When the block does not convert as a whole, its rows are
-    checked again one at a time to find that first one.  Only JSON numbers
-    convert: numpy would also take `true` as 1.0 and `"0.5"` as 0.5.
+    A wrong class count, a negative, non-numeric or out-of-float64-range
+    entry, or a sum off by more than 1e-6 from 1 is a FormatError naming the
+    record.  Only JSON numbers count: numpy would also take `true` as 1.0 and
+    `"0.5"` as 0.5.
     """
     n_classes = tag_schema.NUM_CLASSES
     try:
-        numbers = set(map(type, chain.from_iterable(rows))) <= {float, int}
-        block = np.array(rows, dtype=np.float64)
-        converted = numbers and block.shape == (len(rows), n_classes)
-    except (TypeError, ValueError, OverflowError):
-        converted = False
-    if not converted:
-        if len(rows) > 1:
-            return np.vstack([
-                _normalized_block([row], [recno]) for row, recno in zip(rows, recnos)
-            ])
-        recno = recnos[0]
-        try:
-            probs = np.asarray(rows[0], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise FormatError(f"probability record {recno}: probs are not numbers") from None
-        except OverflowError:  # an integer entry too large for a float64
-            raise FormatError(
-                f"probability record {recno}: a probability is out of float64 range"
-            ) from None
-        if probs.shape == (n_classes,):  # the right count, but not all numbers
-            raise FormatError(f"probability record {recno}: probs are not numbers")
+        row = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FormatError(f"probability record {recno}: probs are not numbers") from None
+    except OverflowError:  # an integer entry too large for a float64
+        raise FormatError(
+            f"probability record {recno}: a probability is out of float64 range"
+        ) from None
+    if row.shape != (n_classes,):
         raise FormatError(
             f"probability record {recno}: expected {n_classes} "
-            f"probabilities, got {probs.shape[0] if probs.ndim == 1 else probs.shape}"
+            f"probabilities, got {row.shape[0] if row.ndim == 1 else row.shape}"
         )
-    negative = (block < 0).any(axis=1)
-    total = block.sum(axis=1)
-    bad = negative | ~(np.abs(total - 1.0) <= 1e-6)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if negative[i]:
-            raise FormatError(f"probability record {recnos[i]}: negative probability")
+    if not all(type(p) is float or type(p) is int for p in probs):
+        raise FormatError(f"probability record {recno}: probs are not numbers")
+    if (row < 0).any():
+        raise FormatError(f"probability record {recno}: negative probability")
+    total = row.sum()
+    if not abs(total - 1.0) <= 1e-6:
         raise FormatError(
-            f"probability record {recnos[i]}: probabilities sum to {float(total[i])!r}"
+            f"probability record {recno}: probabilities sum to {float(total)!r}"
         )
+    return row / total
+
+
+def _fast_probs(rows) -> np.ndarray | None:
+    """`_record_probs` of every row as one `(len(rows), 15)` matrix, or None
+    when any row would raise there."""
+    try:
+        if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+            return None
+        block = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if block.shape != (len(rows), tag_schema.NUM_CLASSES) or (block < 0).any():
+        return None
+    total = block.sum(axis=1)
+    if not (np.abs(total - 1.0) <= 1e-6).all():
+        return None
     return block / total[:, None]
 
 
 def _fast_fields(loads, line: str):
-    """`_record_fields` of a line that orjson's `loads` reads as json would, else None.
+    """`_record_fields` of a line that orjson's `loads` reads as json would,
+    with `probs` as parsed, else None.
 
     orjson and json differ on NaN and Infinity literals, numbers that
     overflow to inf and lone-surrogate escapes (orjson raises), on integers
@@ -657,7 +663,7 @@ def _fast_fields(loads, line: str):
     than json's recursion limit (orjson parses it).  A line passes only as an
     object of exactly the five keys with a string id and in-range indices,
     so none of those can be in a passing line's fields apart from `probs`,
-    where any of them fails `_normalized_block`.
+    where any of them fails `_fast_probs`.
     """
     try:
         if len(line) > _FAST_MAX_OPENERS and (
@@ -678,65 +684,53 @@ def _fast_fields(loads, line: str):
     return None
 
 
-def _checked_block(rows, recnos, lines) -> np.ndarray:
-    """`_normalized_block` of rows that orjson may have parsed from `lines`.
-
-    A bad block is parsed again with json before it raises, so that the
-    exception and its message come from json's values.
-    """
-    try:
-        return _normalized_block(rows, recnos)
-    except FormatError:
-        json_rows = [_record_fields(recno, line)[4] for recno, line in zip(recnos, lines)]
-        return _normalized_block(json_rows, recnos)
-
-
 def load_external_probs(source) -> ExternalProbsTable:
     """Read a JSON-lines probability file into an ExternalProbsTable.
 
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
     anything worse (NaN included), a wrong class count, a negative,
     non-numeric or out-of-float64-range entry, a line that is not a JSON
-    object, an index that is not a non-negative integer, or a word or
-    subword index of 2**63 or more is a FormatError naming the record number.
-    Records from different paragraphs may interleave.
+    object or is nested too deeply, an index that is not a non-negative
+    integer, or a word or subword index of 2**63 or more is a FormatError
+    naming the record number; of several, the first in the file.  Records
+    from different paragraphs may interleave.
 
-    orjson parses each line; a line it may read differently from json, and
-    every block that fails a check, is parsed by json, so the table and any
-    error are exactly json's.  The fields are checked in Python; the
-    probabilities are converted and checked by numpy a block of lines at a
-    time.
+    orjson parses each line as it is read.  A block of `_BLOCK_RECORDS`
+    records stands as orjson read it only when every line passes
+    `_fast_fields` and `_fast_probs` takes the block's probabilities; any
+    other block is read again by json, one record at a time, so the table
+    and any error are exactly json's.
     """
     import orjson  # here, so that commands that read no probability file do not load it
 
     loads = orjson.loads
     key_ids: dict[tuple[str, int], int] = {}
-    kids, words, subs = [], [], []
-    rows, recnos, lines, blocks = [], [], [], []
+    kids, words, subs, blocks = [], [], [], []
+
+    def add_block(recnos, lines, fields):
+        probs = None if None in fields else _fast_probs([f[4] for f in fields])
+        if probs is None:  # json, one record at a time: the first bad record raises
+            fields = [_record_fields(recno, line) for recno, line in zip(recnos, lines)]
+            probs = np.array([f[4] for f in fields])
+        for paper_id, paragraph, word_index, subword_index, _ in fields:
+            kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
+            words.append(word_index)
+            subs.append(subword_index)
+        blocks.append(probs)
+
+    recnos, lines, fields = [], [], []
     for recno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
-        fields = _fast_fields(loads, line)
-        if fields is None:
-            try:
-                fields = _record_fields(recno, line)
-            except FormatError:
-                if rows:  # an earlier record's bad probabilities come first
-                    _checked_block(rows, recnos, lines)
-                raise
-        paper_id, paragraph, word_index, subword_index, probs = fields
-        kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
-        words.append(word_index)
-        subs.append(subword_index)
-        rows.append(probs)
         recnos.append(recno)
         lines.append(line)
-        if len(rows) == _BLOCK_RECORDS:
-            blocks.append(_checked_block(rows, recnos, lines))
-            rows, recnos, lines = [], [], []
-    if rows:
-        blocks.append(_checked_block(rows, recnos, lines))
+        fields.append(_fast_fields(loads, line))
+        if len(lines) == _BLOCK_RECORDS:
+            add_block(recnos, lines, fields)
+            recnos, lines, fields = [], [], []
+    if lines:
+        add_block(recnos, lines, fields)
     return ExternalProbsTable(
         keys=list(key_ids),
         key_id=np.array(kids, dtype=np.int64),

@@ -279,8 +279,9 @@ def load_external_probs_ref(source):
     Distributions off by at most 1e-6 from summing to 1 are renormalized;
     anything worse (NaN included), a wrong class count, a negative,
     non-numeric or out-of-float64-range entry, a line that is not a JSON
-    object, an index that is not a non-negative integer, or a word or
-    subword index of 2**63 or more is a FormatError naming the record number.
+    object or is nested too deeply, an index that is not a non-negative
+    integer, or a word or subword index of 2**63 or more is a FormatError
+    naming the record number.
     """
     for recno, line in enumerate(source, start=1):
         line = line.strip()
@@ -290,6 +291,8 @@ def load_external_probs_ref(source):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"probability record {recno}: bad JSON ({exc})") from None
+        except RecursionError:
+            raise FormatError(f"probability record {recno}: JSON nested too deeply") from None
         if type(obj) is not dict:
             raise FormatError(
                 f"probability record {recno}: expected a JSON object, got {type(obj).__name__}"

@@ -120,6 +120,11 @@ MALFORMED = {
     "probs_string_entry": one_entry("x"),
     "probs_true_entry": one_entry(True),  # numpy alone would read 1.0
     "probs_numeric_string_entry": one_entry("0.5"),  # numpy alone would read 0.5
+    # numpy alone would read these as a valid one-hot distribution
+    "probs_one_hot_booleans": lambda record, rng: json.dumps(
+        with_probs(record, [True] + [False] * (N_CLASSES - 1))),
+    "probs_one_hot_strings": lambda record, rng: json.dumps(
+        with_probs(record, ["1"] + ["0"] * (N_CLASSES - 1))),
     "probs_huge_int": one_entry(10 ** 400),  # out of float64 range: a FormatError
     "probs_nan": one_entry(float("nan")),
     "probs_negative": negative_entry,
@@ -276,7 +281,8 @@ class TestEntriesMustBeJsonNumbers:
     """A boolean or a numeric string is not a probability, wherever its record
     falls in a block."""
 
-    @pytest.mark.parametrize("kind", ["probs_true_entry", "probs_numeric_string_entry"])
+    @pytest.mark.parametrize("kind", ["probs_true_entry", "probs_numeric_string_entry",
+                                      "probs_one_hot_booleans", "probs_one_hot_strings"])
     @pytest.mark.parametrize("recno", [1, 4, 8, 9, 20])  # 8 and 9 straddle a block boundary
     def test_rejected_like_the_oracle(self, kind, recno):
         rng = np.random.default_rng(recno)
@@ -322,6 +328,8 @@ class TestParserEdges:
         ("probs_sum", "probs_entry_2**64"),
         ("probs_nested_999", "probs_sum"),
         ("probs_nested_999", "bad_json"),
+        ("probs_sum", "probs_nested_1500"),
+        ("probs_sum", "sixth_key_nested_1500"),
     ])
     def test_two_bad_records_in_one_block(self, first, second):
         """A block orjson parsed is parsed again by json before it raises."""
@@ -334,21 +342,24 @@ class TestParserEdges:
             assert_same_outcome(lines)
 
 
-def test_nesting_too_deep_for_orjson_is_json_recursion_error():
-    """orjson 3.8 overflows the C stack on nesting this deep; json raises."""
+def test_nesting_too_deep_for_orjson_is_format_error():
+    """orjson 3.8 overflows the C stack on nesting this deep; json's
+    RecursionError is a FormatError naming the record."""
     code = (
         "from sciner import tagger\n"
+        "from sciner.errors import FormatError\n"
         "line = '{\"probs\": ' + '[' * 1_000_000 + ']' * 1_000_000 + '}'\n"
         "try:\n"
         "    tagger.load_external_probs(iter([line]))\n"
-        "except RecursionError:\n"
-        "    print('RecursionError')\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n"
     )
     src = os.path.dirname(os.path.dirname(tagger.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=pythonpath))
-    assert (out.returncode, out.stdout.strip()) == (0, "RecursionError"), out.stderr[-500:]
+    assert (out.returncode, out.stdout.strip()) == (
+        0, "probability record 1: JSON nested too deeply"), out.stderr[-500:]
 
 
 def test_table_columns_match_oracle_records():

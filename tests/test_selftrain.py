@@ -19,6 +19,11 @@ from sciner.tagger import TrainConfig
 from kernel_oracles import dense_weights
 
 
+def with_gate_stats(**changes):
+    """A corruption of an iteration record: its gate_stats with `changes`."""
+    return lambda data: json.dumps({**data, "gate_stats": {**data["gate_stats"], **changes}})
+
+
 def small_corpus(seed=5):
     return synth.make_corpus(n_manual=40, n_auto=80, n_test=30, seed=seed)
 
@@ -275,6 +280,25 @@ class TestRunLoop:
          "record lacks 'gate_stats'"),
         (lambda data: json.dumps({**data, "gate_stats": [1, 2]}),
          "gate_stats is not a JSON object"),
+        (lambda data: json.dumps({**data, "iteration": 2}), "iteration is 2, expected 1"),
+        (lambda data: json.dumps({**data, "iteration": True}), "iteration is True, expected 1"),
+        (with_gate_stats(total_words="lots"), "gate_stats total_words and amb_words"),
+        (with_gate_stats(amb_words=-1), "gate_stats total_words and amb_words"),
+        (with_gate_stats(amb_words=2.0), "gate_stats total_words and amb_words"),
+        (lambda data: with_gate_stats(amb_words=data["gate_stats"]["total_words"] + 1)(data),
+         "gate_stats total_words and amb_words"),
+        (with_gate_stats(accepted=[1, 2]), "gate_stats accepted must map labels"),
+        (with_gate_stats(accepted={"O": -1}), "gate_stats accepted must map labels"),
+        (with_gate_stats(accepted={"O": True}), "gate_stats accepted must map labels"),
+        (with_gate_stats(accepted={"B-Nothing": 3}), "gate_stats accepted must map labels"),
+        (lambda data: json.dumps({**data, "metrics": "x"}), "metrics must be null or hold"),
+        (lambda data: json.dumps({**data, "metrics": {"step1": {"span_f1": 0.5}}}),
+         "metrics must be null or hold"),
+        (lambda data: json.dumps({**data, "metrics": {
+            "step1": {"span_f1": 0.5}, "step3": {"span_f1": "0.5"}}}),
+         "metrics must be null or hold"),
+        (lambda data: json.dumps({**data, "metrics": {"step1": [], "step3": {}}}),
+         "metrics must be null or hold"),
     ])
     def test_unreadable_record_is_format_error_naming_it(self, tmp_path, corrupt, message):
         corpus = small_corpus()

@@ -223,6 +223,11 @@ class TestFeatureTable:
         with pytest.raises(ValueError, match=r"^hash dimension must lie in \[2, 2\*\*32\]$"):
             tagger.featurize([["a"]], dim)
 
+    @pytest.mark.parametrize("dim", [1, 1 << 33])
+    def test_featurizer_rejects_hash_dim_at_construction(self, dim):
+        with pytest.raises(ValueError, match=r"^hash dimension must lie in \[2, 2\*\*32\]$"):
+            tagger.Featurizer(dim)
+
     @pytest.mark.parametrize("dim", HASH_DIMS)
     def test_slice_matches_ref(self, dim):
         assert_table_matches_ref(
