@@ -567,8 +567,7 @@ class ExternalProbsTable:
 
 
 def _record_fields(recno: int, line: str):
-    """(paper_id, paragraph, word_index, subword_index, probs) of one JSON line,
-    with `probs` checked and normalized by `_record_probs`."""
+    """(paper_id, paragraph, word_index, subword_index, probs) of one JSON line."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -599,7 +598,7 @@ def _record_fields(recno: int, line: str):
         raise FormatError(
             f"probability record {recno}: {key} must be below 2**63, got {obj[key]!r}"
         )
-    return str(paper_id), paragraph, word_index, subword_index, _record_probs(recno, probs)
+    return str(paper_id), paragraph, word_index, subword_index, probs
 
 
 def _record_probs(recno: int, probs) -> np.ndarray:
@@ -695,11 +694,11 @@ def load_external_probs(source) -> ExternalProbsTable:
     naming the record number; of several, the first in the file.  Records
     from different paragraphs may interleave.
 
-    orjson parses each line as it is read.  A block of `_BLOCK_RECORDS`
-    records stands as orjson read it only when every line passes
-    `_fast_fields` and `_fast_probs` takes the block's probabilities; any
-    other block is read again by json, one record at a time, so the table
-    and any error are exactly json's.
+    orjson parses each line as it is read, and json each line that fails
+    `_fast_fields`.  A block of `_BLOCK_RECORDS` records stands as read when
+    every line passes its field checks and `_fast_probs` takes the block's
+    probabilities; any other block is read again by json, one record at a
+    time, so the table and any error are exactly json's.
     """
     import orjson  # here, so that commands that read no probability file do not load it
 
@@ -708,10 +707,15 @@ def load_external_probs(source) -> ExternalProbsTable:
     kids, words, subs, blocks = [], [], [], []
 
     def add_block(recnos, lines, fields):
-        probs = None if None in fields else _fast_probs([f[4] for f in fields])
+        try:  # json reads the lines that orjson may read differently
+            fields = [f or _record_fields(recno, line)
+                      for recno, line, f in zip(recnos, lines, fields)]
+            probs = _fast_probs([f[4] for f in fields])
+        except FormatError:
+            probs = None
         if probs is None:  # json, one record at a time: the first bad record raises
-            fields = [_record_fields(recno, line) for recno, line in zip(recnos, lines)]
-            probs = np.array([f[4] for f in fields])
+            probs = np.array([_record_probs(recno, _record_fields(recno, line)[4])
+                              for recno, line in zip(recnos, lines)])
         for paper_id, paragraph, word_index, subword_index, _ in fields:
             kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
             words.append(word_index)

@@ -341,6 +341,23 @@ class TestParserEdges:
         with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
             assert_same_outcome(lines)
 
+    @pytest.mark.parametrize("sixth_key_on", [[5], list(range(1, 21))])
+    def test_json_parses_a_valid_line_once_and_no_other(self, sixth_key_on):
+        """A valid line orjson does not take costs one json parse, not its
+        block's, and its probabilities are checked with the block's."""
+        rng = np.random.default_rng(6)
+        records = [r for recs in valid_records(rng, 10, 10) for r in recs][:20]
+        lines = [json.dumps(r) for r in records]
+        for recno in sixth_key_on:
+            lines[recno - 1] = PARSER_EDGES["sixth_key"](records[recno - 1], rng)
+        with mock.patch.object(tagger, "_BLOCK_RECORDS", 8):
+            assert_same_outcome(lines)
+            with mock.patch.object(json, "loads", wraps=json.loads) as loads, \
+                    mock.patch.object(tagger, "_record_probs") as record_probs:
+                tagger.load_external_probs(iter(lines))
+        assert loads.call_count == len(sixth_key_on)
+        assert record_probs.call_count == 0
+
 
 def test_nesting_too_deep_for_orjson_is_format_error():
     """orjson 3.8 overflows the C stack on nesting this deep; json's
