@@ -68,27 +68,41 @@ def read_config(path) -> dict[str, str]:
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _loop_config(cfg: dict[str, str]) -> selftrain.LoopConfig:
-    int(cfg["parallelism"])  # ignored, but a non-integer is still an error
+def _config_number(cfg: dict[str, str], key: str, kind, path):
+    """`cfg[key]` as `kind` (int or float); a malformed value is a
+    FormatError that names the config file and the key."""
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise FormatError(f"{path}: {key} must be {noun}, got {cfg[key]!r}") from None
+
+
+def _loop_config(cfg: dict[str, str], path="config") -> selftrain.LoopConfig:
+    """The LoopConfig of the read config `cfg`; errors name `path`."""
+    def num(key, kind=int):
+        return _config_number(cfg, key, kind, path)
+
+    num("parallelism")  # ignored, but a non-integer is still an error
     if cfg["carry_forward"].lower() not in _FLAGS:
-        raise ValueError(f"carry_forward must be one of {'/'.join(_FLAGS)}, "
-                         f"got {cfg['carry_forward']!r}")
+        raise FormatError(f"{path}: carry_forward must be one of {'/'.join(_FLAGS)}, "
+                          f"got {cfg['carry_forward']!r}")
     return selftrain.LoopConfig(
-        iterations=int(cfg["iterations"]),
+        iterations=num("iterations"),
         step1=TrainConfig(
-            epochs=int(cfg["step1_epochs"]),
-            learning_rate=float(cfg["step1_learning_rate"]),
-            batch_size=int(cfg["step1_batch_size"]),
+            epochs=num("step1_epochs"),
+            learning_rate=num("step1_learning_rate", float),
+            batch_size=num("step1_batch_size"),
         ),
         step3=TrainConfig(
-            epochs=int(cfg["step3_epochs"]),
-            learning_rate=float(cfg["step3_learning_rate"]),
-            batch_size=int(cfg["step3_batch_size"]),
+            epochs=num("step3_epochs"),
+            learning_rate=num("step3_learning_rate", float),
+            batch_size=num("step3_batch_size"),
         ),
-        gate=GateConfig(float(cfg["gamma"])),
+        gate=GateConfig(num("gamma", float)),
         amb_policy=cfg["amb_policy"],
-        seed=int(cfg["seed"]),
-        hash_dim=int(cfg["hash_dim"]),
+        seed=num("seed"),
+        hash_dim=num("hash_dim"),
         carry_forward=_FLAGS[cfg["carry_forward"].lower()],
     )
 
@@ -176,7 +190,7 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _resolve_run_dir(args, cfg) -> str:
+def _resolve_run_dir(args, cfg, loop_cfg) -> str:
     if getattr(args, "run_dir", None):
         return args.run_dir
     if cfg["run_dir"]:
@@ -184,7 +198,7 @@ def _resolve_run_dir(args, cfg) -> str:
     env = os.environ.get(RUN_DIR_ENV)
     if env:
         return env
-    return os.path.join("runs", _loop_config(cfg).config_hash())
+    return os.path.join("runs", loop_cfg.config_hash())
 
 
 def cmd_loop(args) -> int:
@@ -198,12 +212,13 @@ def cmd_loop(args) -> int:
             raise FileNotFoundError(f"config is missing {key}")
         if not os.path.exists(cfg[key]):
             raise FileNotFoundError(f"{key} does not exist: {cfg[key]}")
-    loop_cfg = _loop_config(cfg)
-    run_dir = _resolve_run_dir(args, cfg)
+    loop_cfg = _loop_config(cfg, args.config)
+    run_dir = _resolve_run_dir(args, cfg, loop_cfg)
 
     manual = _read_annotation_file(cfg["train_annotations"])
     test = _read_annotation_file(cfg["test_annotations"])
-    draws, draw_size = int(cfg["draws"]), int(cfg["draw_size"])
+    draws = _config_number(cfg, "draws", int, args.config)
+    draw_size = _config_number(cfg, "draw_size", int, args.config)
     evaluation.check_draws(draws, draw_size, len(test))  # before any training
     auto_corpus = _read_token_corpus(cfg["token_dir"])
 

@@ -56,7 +56,12 @@ def segment_word(word: str, word_index: int = 0) -> list[SubwordToken]:
 
 @dataclass(eq=False)
 class TokenProbs:
-    """Class distribution for one subword, aligned to its parent word."""
+    """Class distribution for one subword, aligned to its parent word.
+
+    The constructor checks `distribution`: 15 float64 entries, none negative,
+    summing to 1 within 1e-9.  `predict_probs` checks a paragraph's whole
+    matrix once with the same tests and builds its rows through `_checked`.
+    """
 
     word_index: int
     distribution: np.ndarray
@@ -73,6 +78,28 @@ class TokenProbs:
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"distribution sums to {total!r}, not 1")
         self.distribution = dist
+
+    @classmethod
+    def _checked(cls, word_index: int, distribution: np.ndarray) -> TokenProbs:
+        """A TokenProbs whose float64 `distribution` already passed the
+        constructor's tests; `__post_init__` does not run again."""
+        self = object.__new__(cls)
+        self.word_index = word_index
+        self.distribution = distribution
+        return self
+
+
+def _valid_distributions(probs, n_rows: int) -> bool:
+    """Whether every row of `probs` would pass `TokenProbs`'s checks as it
+    stands: `n_rows` float64 rows of 15 entries, none negative, each summing
+    to 1 within 1e-9 (a row's `sum(axis=1)` entry is bit-equal to its own
+    `sum()`)."""
+    return (
+        probs.dtype == np.float64
+        and probs.shape == (n_rows, tag_schema.NUM_CLASSES)
+        and not (probs < 0).any()
+        and bool((np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all())  # NaN fails too
+    )
 
 
 def word_shape(word: str) -> str:
@@ -526,13 +553,23 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
 
 
 def predict_probs(model: TaggerModel, words) -> list[TokenProbs]:
-    """Per-subword class distributions for one paragraph."""
+    """Per-subword class distributions for one paragraph, in word order and,
+    within a word, subword order; each `distribution` is a view of a row of
+    one float64 matrix.
+
+    The paragraph is featurized once and its whole matrix is checked once.
+    If any row fails, every row goes through the public `TokenProbs`
+    constructor, so the first bad row raises that row's ValueError.
+    """
     words = list(words)
     if not words:
         return []
-    feat, offsets, word_idx = Featurizer(model.hash_dim).paragraph_arrays(words)
-    probs = model.subword_probs(feat, offsets)
-    return [TokenProbs(w, row) for w, row in zip(word_idx.tolist(), probs)]
+    table = featurize([words], model.hash_dim)
+    probs = model.subword_probs(table.feat, table.offsets)
+    word_idx = table.word_idx.tolist()
+    if _valid_distributions(probs, len(word_idx)):
+        return [TokenProbs._checked(w, row) for w, row in zip(word_idx, probs)]
+    return [TokenProbs(w, row) for w, row in zip(word_idx, probs)]
 
 
 # ---------------------------------------------------------------------------

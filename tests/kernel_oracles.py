@@ -10,6 +10,10 @@ rule that `autoannotate.gate_label` must match.
 `load_external_probs_ref` and `group_external_probs_ref` read and group a
 probability file one `ProbRecord` tuple at a time; the columnar reader and
 grouping must give the same groups, bit for bit, or raise the same error.
+`predict_probs_ref` builds one checked `TokenProbs` per row of
+`Featurizer.paragraph_arrays` scored by `subword_probs`; `predict_probs`, which
+checks a paragraph's whole matrix once, must give the same word indices and
+distribution bytes, or raise the same error.
 `featurize_ref` hashes one subword's feature strings in the order that
 `Featurizer.paragraph_arrays` must give them; `segment_paragraph` and `chunk`
 give the subwords it takes and their text.  `training_loss` is the mean
@@ -46,6 +50,7 @@ from sciner.tagger import (
     DEFAULT_HASH_DIM,
     Featurizer,
     TaggerModel,
+    TokenProbs,
     prepare_examples,
     segment_word,
     word_shape,
@@ -117,6 +122,16 @@ def score_subwords_ref(weights, feat, offsets):
         e = np.exp(z - z.max())
         probs[s] = e / e.sum()
     return probs
+
+
+def predict_probs_ref(model, words):
+    """One paragraph's subword distributions, one checked `TokenProbs` per row."""
+    words = list(words)
+    if not words:
+        return []
+    feat, offsets, word_idx = Featurizer(model.hash_dim).paragraph_arrays(words)
+    probs = model.subword_probs(feat, offsets)
+    return [TokenProbs(w, row) for w, row in zip(word_idx.tolist(), probs)]
 
 
 def aggregate_words_ref(probs, word_idx, n_words):

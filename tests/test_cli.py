@@ -361,6 +361,34 @@ class TestLoop:
         assert message in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("step1_epochs=2.5", "step1_epochs must be an integer, got '2.5'"),
+        ("gamma=high", "gamma must be a number, got 'high'"),
+        ("step3_learning_rate=", "step3_learning_rate must be a number, got ''"),
+        ("seed=4x", "seed must be an integer, got '4x'"),
+        ("draws=many", "draws must be an integer, got 'many'"),
+        ("draw_size=1e3", "draw_size must be an integer, got '1e3'"),
+    ])
+    def test_malformed_number_names_file_and_key(self, workspace, tmp_path, capsys,
+                                                 line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + line + "\n", encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert err == f"error: {config}: {message}\n"
+        assert not run_dir.exists()
+
+    def test_loop_config_of_a_dict_names_the_key(self):
+        with pytest.raises(FormatError, match="^config: gamma must be a number, got 'high'$"):
+            cli._loop_config(dict(cli.CONFIG_DEFAULTS, gamma="high"))
+        with pytest.raises(FormatError, match="^a.cfg: hash_dim must be an integer, got '2.0'$"):
+            cli._loop_config(dict(cli.CONFIG_DEFAULTS, hash_dim="2.0"), "a.cfg")
+
     @pytest.mark.parametrize("value, expected", [
         ("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False),
     ])

@@ -8,7 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sciner import synth
@@ -21,6 +21,7 @@ from kernel_oracles import (
     chunk,
     dense_weights,
     featurize_ref,
+    predict_probs_ref,
     segment_paragraph,
     training_loss,
     training_loss_gradient,
@@ -643,6 +644,137 @@ class TestPredict:
         dist[2] = np.nan
         with pytest.raises(ValueError, match="sums to nan"):
             tagger.TokenProbs(0, dist)
+
+
+LONG_WORD = st.text(
+    alphabet=st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    min_size=13, max_size=40,
+)
+
+
+def model_for(words, dim, seed=0):
+    """A model whose rows are every id the paragraph's features hash to,
+    with random weights, so that no distribution is uniform."""
+    rows = np.unique(tagger.featurize([words], dim).feat).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    return tagger.TaggerModel(rng.normal(scale=3.0, size=(len(rows), ts.NUM_CLASSES)),
+                              dim, rows=rows)
+
+
+class TestPredictProbsOracle:
+    """predict_probs against predict_probs_ref, which builds one checked
+    TokenProbs per row of paragraph_arrays' scores."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert [tp.word_index for tp in got] == [tp.word_index for tp in expected]
+        for a, b in zip(got, expected):
+            assert a.distribution.dtype == np.float64
+            assert a.distribution.tobytes() == b.distribution.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.one_of(WORD, LONG_WORD), min_size=1, max_size=6),
+           dim=st.integers(2, 1 << 20), seed=st.integers(0, 2**32 - 1))
+    @example(words=["a"], dim=1 << 20, seed=0)
+    @example(words=["Hyperparameterization"], dim=1 << 10, seed=1)
+    @example(words=["x", "verylongwordindeed", "x"], dim=2, seed=2)
+    def test_arbitrary_paragraphs(self, words, dim, seed):
+        model = model_for(words, dim, seed)
+        self.assert_same(tagger.predict_probs(model, words), predict_probs_ref(model, words))
+
+    def test_rows_view_one_matrix_without_row_checks(self, monkeypatch):
+        words = ["Hyperparameterization", "of", "BERT-large"]
+        model = model_for(words, 1 << 12)
+        calls = []
+        real = tagger.TokenProbs.__post_init__
+        monkeypatch.setattr(tagger.TokenProbs, "__post_init__",
+                            lambda self: (calls.append(1), real(self)))
+        probs = tagger.predict_probs(model, words)
+        assert calls == []
+        base = probs[0].distribution.base
+        assert base is not None and base.shape == (len(probs), ts.NUM_CLASSES)
+        assert all(tp.distribution.base is base for tp in probs)
+
+
+class TestPredictProbsErrors:
+    """A matrix with a bad row raises what TokenProbs raises on its first bad row."""
+
+    WORDS = ["Hyperparameterization", "of", "BERT-large", "models"]
+
+    def scores(self):
+        model = model_for(self.WORDS, 1 << 12)
+        return model, model.subword_probs(*tagger.Featurizer(1 << 12).paragraph_arrays(self.WORDS)[:2])
+
+    def patched(self, monkeypatch, model, matrix):
+        monkeypatch.setattr(tagger.TaggerModel, "subword_probs", lambda self, feat, offsets: matrix)
+        return tagger.predict_probs(model, self.WORDS)
+
+    @staticmethod
+    def negative(row):
+        row[0] = -row[0]
+
+    @staticmethod
+    def nan(row):
+        row[3] = np.nan
+
+    @staticmethod
+    def over(row):
+        row[1] += 2e-9
+
+    @pytest.mark.parametrize("spoil", ["negative", "nan", "over"])
+    @pytest.mark.parametrize("bad", [0, 2, -1])
+    def test_bad_row_raises_its_error(self, monkeypatch, spoil, bad):
+        model, probs = self.scores()
+        matrix = probs.copy()
+        getattr(self, spoil)(matrix[bad])
+        with pytest.raises(ValueError) as expected:
+            tagger.TokenProbs(0, matrix[bad])
+        with pytest.raises(ValueError) as got:
+            self.patched(monkeypatch, model, matrix)
+        assert str(got.value) == str(expected.value)
+
+    def test_first_bad_row_wins(self, monkeypatch):
+        model, probs = self.scores()
+        matrix = probs.copy()
+        self.over(matrix[1])
+        self.negative(matrix[3])
+        with pytest.raises(ValueError) as expected:
+            tagger.TokenProbs(1, matrix[1])
+        with pytest.raises(ValueError) as got:
+            self.patched(monkeypatch, model, matrix)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("distribution sums to 1.0000000")
+
+    def test_fourteen_columns(self, monkeypatch):
+        model, probs = self.scores()
+        matrix = np.ascontiguousarray(probs[:, :14])
+        with pytest.raises(ValueError) as expected:
+            tagger.TokenProbs(0, matrix[0])
+        with pytest.raises(ValueError) as got:
+            self.patched(monkeypatch, model, matrix)
+        assert str(got.value) == str(expected.value) == (
+            "distribution must have 15 entries, got (14,)")
+
+    @pytest.mark.parametrize("off", [1e-9 - 1e-12, -(1e-9 - 1e-12)])
+    def test_row_off_by_at_most_1e_9_passes(self, monkeypatch, off):
+        model, probs = self.scores()
+        matrix = probs.copy()
+        matrix[2, matrix[2].argmax()] += off
+        assert 5e-10 < abs(matrix[2].sum() - 1.0) <= 1e-9
+        tagger.TokenProbs(0, matrix[2])
+        out = self.patched(monkeypatch, model, matrix)
+        assert out[2].distribution.tobytes() == matrix[2].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 129, 1000])
+    def test_matrix_row_sums_equal_row_sums_bitwise(self, n):
+        # the one-matrix check rests on this: each entry of sum(axis=1) has
+        # the bits of its row's own sum()
+        rng = np.random.default_rng(n)
+        for matrix in (rng.dirichlet(np.ones(ts.NUM_CLASSES), size=n),
+                       rng.random((n, ts.NUM_CLASSES))
+                       * 10.0 ** rng.integers(-20, 3, (n, ts.NUM_CLASSES))):
+            sums = matrix.sum(axis=1)
+            assert sums.tobytes() == np.array([row.sum() for row in matrix]).tobytes()
 
 
 class TestModelFile:
