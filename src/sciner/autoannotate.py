@@ -140,78 +140,42 @@ class GateStats:
         )
 
 
-def _no_words(p) -> ValueError:
-    return ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
-
-
-def _model_chunk(model: TaggerModel, features, start: int, chunk):
-    """(subword probabilities, chunk-global word index of each subword,
-    word bounds) of paragraphs `chunk` under `model`.  The chunk is
-    paragraphs `start:start + len(chunk)` of `features`, or is compiled here.
-    Each paragraph is scored on its own, from views of the table."""
-    for p in chunk:
-        if not p.words:
-            raise _no_words(p)
-    if features is None:
-        features, start = tagger.featurize([p.words for p in chunk], model.hash_dim), 0
-    stop = start + len(chunk)
-    sub_at = features.sub_at[start : stop + 1]
-    word_at = features.word_at[start : stop + 1] - features.word_at[start]
-    probs = np.concatenate([
-        model.subword_probs(feat, offsets)
-        for feat, offsets, _, _ in features.paragraphs(start, stop)
-    ])
-    word_idx = features.word_idx[sub_at[0] : sub_at[-1]]
-    return probs, word_idx + np.repeat(word_at[:-1], np.diff(sub_at)), word_at
-
-
-def _external_chunk(grouped, chunk):
-    """What `_model_chunk` returns, from the grouped probability records of
-    paragraphs `chunk`.  A paragraph with no words or no records, or whose
-    records do not cover its words exactly, is an error; of several, the
-    first paragraph's."""
-    pieces, error = [], None
-    for p in chunk:
-        piece = grouped.get((p.paper_id, p.paragraph_index))
-        if not p.words:
-            error = _no_words(p)
-        elif piece is None:
-            error = AlignmentError(
-                f"no probability records for {p.paper_id} paragraph {p.paragraph_index}"
-            )
-        if error is not None:
-            break
-        pieces.append(piece)
-    word_at = tagger._bounds([len(p.words) for p in chunk[: len(pieces)]])
+def _chunk_arrays(chunk, pieces):
+    """(subword probabilities, chunk-global word index of each subword, word
+    bounds) of paragraphs `chunk`, from `pieces`, each paragraph's (word
+    index of each row, probability rows).  A paragraph with no words or no
+    rows, or whose rows do not cover its words exactly, is an error; of
+    several, the first paragraph's."""
+    word_at = tagger._bounds([len(p.words) for p in chunk])
     n_words = np.diff(word_at)
-    rec_at = tagger._bounds([len(w) for w, _ in pieces])
+    row_at = tagger._bounds([len(w) for w, _ in pieces])
     word_idx = np.concatenate([np.zeros(0, np.int64), *(w for w, _ in pieces)])
-    # grouping leaves each paragraph's word indices sorted, so they cover
-    # 0..n-1 exactly when they run from 0 to n - 1 without skipping a word
-    # (every grouped paragraph has a record)
-    bad = (word_idx[rec_at[:-1]] != 0) | (word_idx[rec_at[1:] - 1] != n_words - 1)
-    step = np.diff(word_idx)
-    step[rec_at[1:-1] - 1] = 0  # pairs that straddle two paragraphs
-    bad[np.searchsorted(rec_at, np.flatnonzero(step > 1), side="right") - 1] = True
+    # each paragraph's word indices are sorted, so they cover 0..n-1 exactly
+    # when there are some and they run from 0 to n - 1 without skipping a
+    # word (never, then, for a paragraph with no words)
+    rows = row_at[1:] > row_at[:-1]
+    bad = ~rows
+    bad[rows] = ((word_idx[row_at[:-1][rows]] != 0)
+                 | (word_idx[row_at[1:][rows] - 1] != n_words[rows] - 1))
+    gap = np.flatnonzero(np.diff(word_idx) > 1)
+    before, after = (np.searchsorted(row_at, at, side="right") - 1 for at in (gap, gap + 1))
+    bad[before[before == after]] = True  # not across two paragraphs
     if bad.any():
         j = int(np.argmax(bad))
-        raise _coverage_error(chunk[j], pieces[j][0])
-    if error is not None:
-        raise error
+        p, w = chunk[j], pieces[j][0]
+        name = f"{p.paper_id} paragraph {p.paragraph_index}"
+        if not p.words:
+            raise ValueError(f"{name} has no words")
+        if not len(w):
+            raise AlignmentError(f"no probability records for {name}")
+        inside = w[w < len(p.words)]
+        message = (f"probability records for {name} "
+                   f"cover {len(np.unique(inside))} of {len(p.words)} words")
+        if len(inside) < len(w):  # sorted: the first one past the end is the smallest
+            message += f"; word_index {int(w[len(inside)])} is past its last word"
+        raise AlignmentError(message)
     probs = np.concatenate([np.zeros((0, tag_schema.NUM_CLASSES)), *(pr for _, pr in pieces)])
-    return probs, word_idx + np.repeat(word_at[:-1], np.diff(rec_at)), word_at
-
-
-def _coverage_error(p, word_idx) -> AlignmentError:
-    n_words = len(p.words)
-    inside = word_idx[word_idx < n_words]
-    message = (
-        f"probability records for {p.paper_id} paragraph {p.paragraph_index} "
-        f"cover {len(np.unique(inside))} of {n_words} words"
-    )
-    if len(inside) < len(word_idx):  # sorted: the first one past the end is the smallest
-        message += f"; word_index {int(word_idx[len(inside)])} is past its last word"
-    return AlignmentError(message)
+    return probs, word_idx + np.repeat(word_at[:-1], np.diff(row_at)), word_at
 
 
 def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
@@ -226,10 +190,14 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
 
-    The paragraphs are annotated CHUNK_PARAGRAPHS at a time: one
-    aggregation and one decode per chunk.  A bad paragraph is an error
-    naming the first one in corpus order.  Annotation is one serial pass,
-    which measured faster than a thread pool.
+    The paragraphs are annotated CHUNK_PARAGRAPHS at a time, on one path
+    for both sources: each paragraph's (word index, probability rows) piece
+    comes from the model's scores or from the grouped records (none for a
+    paragraph without records), and one check over the chunk's pieces
+    raises for a paragraph with no words, no rows, or rows that do not
+    cover its words exactly, naming the first one in corpus order.  Then
+    there is one aggregation and one decode per chunk.  Annotation is one
+    serial pass, which measured faster than a thread pool.
     """
     paragraphs = list(paragraphs)
     from_model = isinstance(source, TaggerModel)
@@ -249,14 +217,20 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
                 f"first {paper_id} paragraph {paragraph}"
             )
 
+    no_records = (np.zeros(0, np.int64), np.zeros((0, tag_schema.NUM_CLASSES)))
     annotated = []
     decoded = []  # label indices, one array per chunk
     for start in range(0, len(paragraphs), CHUNK_PARAGRAPHS):
         chunk = paragraphs[start : start + CHUNK_PARAGRAPHS]
-        if from_model:
-            probs, word_idx, word_at = _model_chunk(source, features, start, chunk)
+        if from_model:  # each paragraph scored on its own, from views of the table
+            table, at = features, start
+            if features is None:
+                table, at = tagger.featurize([p.words for p in chunk], source.hash_dim), 0
+            pieces = [(w, source.subword_probs(feat, offsets))
+                      for feat, offsets, w, _ in table.paragraphs(at, at + len(chunk))]
         else:
-            probs, word_idx, word_at = _external_chunk(grouped, chunk)
+            pieces = [grouped.get((p.paper_id, p.paragraph_index), no_records) for p in chunk]
+        probs, word_idx, word_at = _chunk_arrays(chunk, pieces)
         labels_idx, conf = kernels.decode_constrained(
             kernels.aggregate_words(probs, word_idx, int(word_at[-1])),
             _LEGAL_U8, config.gamma, _START_ROW, word_at,

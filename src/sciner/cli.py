@@ -8,6 +8,7 @@ comments; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -16,7 +17,7 @@ import sys
 from . import corpus_ingest, dataset, evaluation, selftrain
 from .autoannotate import DEFAULT_GAMMA, GateConfig, annotate_corpus
 from .errors import FormatError
-from .tagger import TaggerModel, TrainConfig
+from .tagger import TaggerModel
 from .util import atomic_write
 
 RUN_DIR_ENV = "SELFTRAIN_RUN_DIR"
@@ -69,7 +70,7 @@ _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 
 def _config_number(cfg: dict[str, str], key: str, kind, path):
-    """`cfg[key]` as `kind` (int or float); a malformed value is a
+    """`cfg[key]` as `kind` (int, float or str); a malformed value is a
     FormatError that names the config file and the key."""
     try:
         return kind(cfg[key])
@@ -78,8 +79,34 @@ def _config_number(cfg: dict[str, str], key: str, kind, path):
         raise FormatError(f"{path}: {key} must be {noun}, got {cfg[key]!r}") from None
 
 
-def _loop_config(cfg: dict[str, str], path="config") -> selftrain.LoopConfig:
-    """The LoopConfig of the read config `cfg`; errors name `path`."""
+# the config keys that set a LoopConfig field, each with its type
+_LOOP_KEYS = {
+    "iterations": int,
+    **{f"{step}_{key}": kind for step in ("step1", "step3")
+       for key, kind in (("epochs", int), ("learning_rate", float), ("batch_size", int))},
+    "gamma": float,
+    "amb_policy": str,
+    "seed": int,
+    "hash_dim": int,
+}
+
+
+def _with_setting(loop: selftrain.LoopConfig, key: str, value) -> selftrain.LoopConfig:
+    """`loop` with config key `key` set to `value`, through the constructor
+    that checks it."""
+    step, _, name = key.partition("_")
+    if step in ("step1", "step3"):
+        key, value = step, dataclasses.replace(getattr(loop, step), **{name: value})
+    elif key == "gamma":
+        key, value = "gate", GateConfig(value)
+    return dataclasses.replace(loop, **{key: value})
+
+
+def _loop_config(cfg: dict[str, str], path="config", flags=()) -> selftrain.LoopConfig:
+    """The LoopConfig of the read config `cfg`.  A malformed or out-of-range
+    value is a FormatError that names `path` and the key, except that the
+    range error of a key in `flags`, set on the command line, is left as
+    it is."""
     def num(key, kind=int):
         return _config_number(cfg, key, kind, path)
 
@@ -87,24 +114,17 @@ def _loop_config(cfg: dict[str, str], path="config") -> selftrain.LoopConfig:
     if cfg["carry_forward"].lower() not in _FLAGS:
         raise FormatError(f"{path}: carry_forward must be one of {'/'.join(_FLAGS)}, "
                           f"got {cfg['carry_forward']!r}")
-    return selftrain.LoopConfig(
-        iterations=num("iterations"),
-        step1=TrainConfig(
-            epochs=num("step1_epochs"),
-            learning_rate=num("step1_learning_rate", float),
-            batch_size=num("step1_batch_size"),
-        ),
-        step3=TrainConfig(
-            epochs=num("step3_epochs"),
-            learning_rate=num("step3_learning_rate", float),
-            batch_size=num("step3_batch_size"),
-        ),
-        gate=GateConfig(num("gamma", float)),
-        amb_policy=cfg["amb_policy"],
-        seed=num("seed"),
-        hash_dim=num("hash_dim"),
-        carry_forward=_FLAGS[cfg["carry_forward"].lower()],
-    )
+    # one key at a time, from valid defaults, so that a range error is its key's
+    loop = selftrain.LoopConfig(carry_forward=_FLAGS[cfg["carry_forward"].lower()])
+    for key, kind in _LOOP_KEYS.items():
+        value = num(key, kind)
+        try:
+            loop = _with_setting(loop, key, value)
+        except ValueError as exc:
+            if key in flags:
+                raise
+            raise FormatError(f"{path}: {key}: {exc}") from None
+    return loop
 
 
 def _read_annotation_file(path):
@@ -203,23 +223,27 @@ def _resolve_run_dir(args, cfg, loop_cfg) -> str:
 
 def cmd_loop(args) -> int:
     cfg = read_config(args.config)
-    for key in ("iterations", "gamma", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = str(value)
+    flags = [key for key in ("iterations", "gamma", "seed")
+             if getattr(args, key, None) is not None]
+    for key in flags:
+        cfg[key] = str(getattr(args, key))
     for key in ("train_annotations", "test_annotations", "token_dir"):
         if not cfg[key]:
             raise FileNotFoundError(f"config is missing {key}")
         if not os.path.exists(cfg[key]):
             raise FileNotFoundError(f"{key} does not exist: {cfg[key]}")
-    loop_cfg = _loop_config(cfg, args.config)
+    loop_cfg = _loop_config(cfg, args.config, flags)
     run_dir = _resolve_run_dir(args, cfg, loop_cfg)
 
     manual = _read_annotation_file(cfg["train_annotations"])
     test = _read_annotation_file(cfg["test_annotations"])
     draws = _config_number(cfg, "draws", int, args.config)
     draw_size = _config_number(cfg, "draw_size", int, args.config)
-    evaluation.check_draws(draws, draw_size, len(test))  # before any training
+    try:
+        evaluation.check_draws(draws, draw_size, len(test))  # before any training
+    except ValueError as exc:
+        key = "draws" if draws < 1 else "draw_size"
+        raise FormatError(f"{args.config}: {key}: {exc}") from None
     auto_corpus = _read_token_corpus(cfg["token_dir"])
 
     records, _ = selftrain.run_loop(

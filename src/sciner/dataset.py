@@ -194,7 +194,11 @@ def write_annotations(paragraphs, sink) -> int:
 
 
 def read_annotations(source, filename: str = "<annotations>") -> list[AnnotatedParagraph]:
-    """Read an annotation file, validating labels and BIO transitions."""
+    """Read an annotation file, validating labels and BIO transitions.
+
+    Only `auto` paragraphs carry the confidence column; a third column in
+    any other paragraph is an error naming its line.
+    """
     paragraphs = []
     header = None
     words: list[str] = []
@@ -267,6 +271,8 @@ def read_annotations(source, filename: str = "<annotations>") -> list[AnnotatedP
         words.append(word)
         labels.append(label)
         if len(parts) == 3:
+            if header["provenance"] != "auto":
+                fail(lineno, f"confidence column in a {header['provenance']} paragraph")
             try:
                 confidence.append(float(parts[2]))
             except ValueError:

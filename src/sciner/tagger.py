@@ -466,6 +466,7 @@ def prepare_examples(examples, featurizer: Featurizer,
     """The kernel arrays of `examples`.  `features` is the table of their
     words (paragraph i is examples[i]); without it, it is compiled here.
 
+    Each example needs exactly one label and one mask entry per word.
     Labels and the loss mask are looked up once per word and gathered per
     subword by its word.
     """
@@ -476,10 +477,10 @@ def prepare_examples(examples, featurizer: Featurizer,
         features.check_matches(featurizer.dim, [e.words for e in examples])
     labels, unmasked = [], []
     for e in examples:
-        labels += e.labels[: len(e.words)]
-        unmasked += e.mask[: len(e.words)]
-    if not len(labels) == len(unmasked) == features.word_at[-1]:
-        raise ValueError("every example needs a label and a mask entry per word")
+        if not len(e.labels) == len(e.mask) == len(e.words):
+            raise ValueError("every example needs a label and a mask entry per word")
+        labels += e.labels
+        unmasked += e.mask
     index = np.array([tag_schema.LABEL_INDEX.get(label, -1) for label in labels], np.int64)
     live = np.array(unmasked, dtype=bool) & (index != tag_schema.AMB_INDEX)
     unknown = live & (index < 0)

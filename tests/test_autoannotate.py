@@ -565,6 +565,22 @@ class TestChunks:
         with pytest.raises(error, match="^" + message.format(c="c" * 64) + "$"):
             annotate_corpus(records, paragraphs, GateConfig())
 
+    @pytest.mark.parametrize("empty", [(9, 12), (13, 15)])
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_model_names_the_first_empty_paragraph_across_chunks(self, corpus, monkeypatch,
+                                                                 empty, with_features):
+        model, _, _ = corpus
+        monkeypatch.setattr(autoannotate, "CHUNK_PARAGRAPHS", 7)
+        paragraphs = [
+            carrier([] if k in empty else ["one", "two", "three"], index=k) for k in range(20)
+        ]
+        features = (tagger.featurize([p.words for p in paragraphs], model.hash_dim)
+                    if with_features else None)
+        with pytest.raises(ValueError) as raised:
+            annotate_corpus(model, paragraphs, GateConfig(), features=features)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"{'c' * 64} paragraph {empty[0]} has no words"
+
     @pytest.mark.parametrize("covered, n_words, counted", [
         ([1, 2], 2, "cover 1 of 2 words"),
         ([0, 1, 2, 3], 2, "cover 2 of 2 words"),

@@ -383,6 +383,37 @@ class TestLoop:
         assert err == f"error: {config}: {message}\n"
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("line, flags, message", [
+        ("step1_epochs=0", (), "{config}: step1_epochs: epochs must be >= 1"),
+        ("step3_batch_size=0", (), "{config}: step3_batch_size: batch_size must be >= 1"),
+        ("step1_learning_rate=0", (),
+         "{config}: step1_learning_rate: learning_rate must be > 0"),
+        ("gamma=1.5", (), "{config}: gamma: gamma must be in (0, 1], got 1.5"),
+        ("iterations=0", (), "{config}: iterations: iterations must be >= 1"),
+        ("amb_policy=bogus", (), "{config}: amb_policy: unknown amb policy 'bogus'"),
+        ("hash_dim=1", (), "{config}: hash_dim: hash dimension must lie in [2, 2**32]"),
+        ("draws=0", (), "{config}: draws: draws must be >= 1"),
+        ("draw_size=0", (), "{config}: draw_size: draw_size must be >= 1"),
+        # a value from the command line is not the file's
+        ("", ("--gamma", "1.5"), "gamma must be in (0, 1], got 1.5"),
+        ("", ("--iterations", "0"), "iterations must be >= 1"),
+        ("gamma=1.5", ("--gamma", "0.5", "--iterations", "0"), "iterations must be >= 1"),
+        ("seed=-1\ndraws=0", ("--seed", "3"), "{config}: draws: draws must be >= 1"),
+    ])
+    def test_out_of_range_value_names_file_and_key(self, workspace, tmp_path, capsys,
+                                                   line, flags, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + line + "\n", encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir), *flags,
+        )
+        assert code == 2
+        assert err == f"error: {message.format(config=config)}\n"
+        assert not run_dir.exists()
+
     def test_loop_config_of_a_dict_names_the_key(self):
         with pytest.raises(FormatError, match="^config: gamma must be a number, got 'high'$"):
             cli._loop_config(dict(cli.CONFIG_DEFAULTS, gamma="high"))

@@ -265,6 +265,32 @@ class TestAnnotationFiles:
         with pytest.raises(FormatError, match="gold.ann:2"):
             ds.read_annotations(io.StringIO(text), filename="gold.ann")
 
+    def test_confidence_column_outside_auto_paragraph_rejected(self):
+        text = (
+            "# paper_id=abc paragraph=0 provenance=auto\n"
+            "Alpha\tB-MethodName\t0.5\n\n"
+            "# paper_id=abc paragraph=1 provenance=manual\n"
+            "x\tO\n"
+            "Alpha\tB-MethodName\t0.5\n\n"
+        )
+        with pytest.raises(
+            FormatError, match="^gold.ann:6: confidence column in a manual paragraph$"
+        ):
+            ds.read_annotations(io.StringIO(text), filename="gold.ann")
+
+    def test_amb_in_manual_paragraph_names_its_header(self):
+        text = (
+            "# paper_id=abc paragraph=0 provenance=auto\n"
+            "x\tamb\t0.5\n\n"
+            "# paper_id=abc paragraph=1 provenance=manual\n"
+            "x\tO\n"
+            "y\tamb\n\n"
+        )
+        with pytest.raises(
+            FormatError, match="^gold.ann:4: manual annotations must not contain 'amb'$"
+        ):
+            ds.read_annotations(io.StringIO(text), filename="gold.ann")
+
     def test_writer_output_always_readable(self):
         rng = random.Random(23)
         for _ in range(30):

@@ -592,6 +592,16 @@ class TestPrepareExamples:
         with pytest.raises(ValueError, match="a label and a mask entry per word"):
             tagger.prepare_examples([example], tagger.Featurizer(1 << 10))
 
+    @pytest.mark.parametrize("labels, mask", [
+        (["O", "B-TaskName", "I-TaskName"], [True] * 3),
+        (["O", "B-TaskName", "I-TaskName"], [True] * 2),
+        (["O", "B-TaskName"], [True] * 3),
+    ])
+    def test_extra_labels_or_mask_entries_rejected(self, labels, mask):
+        example = TrainingExample(["a", "b"], labels, mask)
+        with pytest.raises(ValueError, match="a label and a mask entry per word"):
+            tagger.prepare_examples([example], tagger.Featurizer(1 << 10))
+
     def test_unmasked_unknown_label_rejected(self):
         example = TrainingExample(["a", "b"], ["O", "B-Nonsense"], [True, True])
         with pytest.raises(ValueError, match="unmasked label 'B-Nonsense' is not a model class"):
