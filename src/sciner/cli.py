@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -22,27 +23,48 @@ from .util import atomic_write
 
 RUN_DIR_ENV = "SELFTRAIN_RUN_DIR"
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError(text)
+    return _FLAGS[text.lower()]
+
+
+# what a value each reader takes must be, for the malformed-value error
+_READER_NOUNS = {int: "an integer", float: "a number", _flag: f"one of {'/'.join(_FLAGS)}"}
+
+# every config key that sets a LoopConfig field: its reader and the field's
+# path; a malformed value is an error in this order, after parallelism's
+_LOOP_KEYS = {
+    "carry_forward": (_flag, ("carry_forward",)),
+    "iterations": (int, ("iterations",)),
+    **{f"{step}_{name}": (kind, (step, name)) for step in ("step1", "step3")
+       for name, kind in (("epochs", int), ("learning_rate", float), ("batch_size", int))},
+    "gamma": (float, ("gate", "gamma")),
+    "amb_policy": (str, ("amb_policy",)),
+    "seed": (int, ("seed",)),
+    "hash_dim": (int, ("hash_dim",)),
+}
+
 # defaults come from the objects that own them
 _LOOP_DEFAULTS = selftrain.LoopConfig()
 _BOOTSTRAP_DEFAULTS = inspect.signature(evaluation.bootstrap_compare).parameters
+
+
+def _default_text(path) -> str:
+    value = functools.reduce(getattr, path, _LOOP_DEFAULTS)
+    return str(value).lower() if type(value) is bool else str(value)
+
 
 CONFIG_DEFAULTS = {
     "train_annotations": "",
     "test_annotations": "",
     "token_dir": "",
     "run_dir": "",
-    "iterations": str(_LOOP_DEFAULTS.iterations),
-    "gamma": str(_LOOP_DEFAULTS.gate.gamma),
-    "seed": str(_LOOP_DEFAULTS.seed),
-    "amb_policy": _LOOP_DEFAULTS.amb_policy,
-    "hash_dim": str(_LOOP_DEFAULTS.hash_dim),
-    "carry_forward": str(_LOOP_DEFAULTS.carry_forward).lower(),
     "parallelism": "1",  # accepted and ignored; annotation is serial
-    **{
-        f"{step}_{key}": str(getattr(getattr(_LOOP_DEFAULTS, step), key))
-        for step in ("step1", "step3")
-        for key in ("epochs", "learning_rate", "batch_size")
-    },
+    **{key: _default_text(path) for key, (_, path) in _LOOP_KEYS.items()},
     "draws": str(_BOOTSTRAP_DEFAULTS["draws"].default),
     "draw_size": str(_BOOTSTRAP_DEFAULTS["draw_size"].default),
 }
@@ -66,40 +88,23 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
-_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _config_number(cfg: dict[str, str], key: str, kind, path):
-    """`cfg[key]` as `kind` (int, float or str); a malformed value is a
-    FormatError that names the config file and the key."""
+def _config_value(cfg: dict[str, str], key: str, reader, path):
+    """`cfg[key]` read by `reader` (int, float, _flag or str); a malformed
+    value is a FormatError that names the config file and the key."""
     try:
-        return kind(cfg[key])
+        return reader(cfg[key])
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
+        noun = _READER_NOUNS[reader]
         raise FormatError(f"{path}: {key} must be {noun}, got {cfg[key]!r}") from None
 
 
-# the config keys that set a LoopConfig field, each with its type
-_LOOP_KEYS = {
-    "iterations": int,
-    **{f"{step}_{key}": kind for step in ("step1", "step3")
-       for key, kind in (("epochs", int), ("learning_rate", float), ("batch_size", int))},
-    "gamma": float,
-    "amb_policy": str,
-    "seed": int,
-    "hash_dim": int,
-}
-
-
-def _with_setting(loop: selftrain.LoopConfig, key: str, value) -> selftrain.LoopConfig:
-    """`loop` with config key `key` set to `value`, through the constructor
-    that checks it."""
-    step, _, name = key.partition("_")
-    if step in ("step1", "step3"):
-        key, value = step, dataclasses.replace(getattr(loop, step), **{name: value})
-    elif key == "gamma":
-        key, value = "gate", GateConfig(value)
-    return dataclasses.replace(loop, **{key: value})
+def _replace_at(obj, path, value):
+    """`obj` with the field at `path` (a tuple of names) set to `value`,
+    through the constructors that check it."""
+    name, *rest = path
+    if rest:
+        value = _replace_at(getattr(obj, name), rest, value)
+    return dataclasses.replace(obj, **{name: value})
 
 
 def _loop_config(cfg: dict[str, str], path="config", flags=()) -> selftrain.LoopConfig:
@@ -107,19 +112,13 @@ def _loop_config(cfg: dict[str, str], path="config", flags=()) -> selftrain.Loop
     value is a FormatError that names `path` and the key, except that the
     range error of a key in `flags`, set on the command line, is left as
     it is."""
-    def num(key, kind=int):
-        return _config_number(cfg, key, kind, path)
-
-    num("parallelism")  # ignored, but a non-integer is still an error
-    if cfg["carry_forward"].lower() not in _FLAGS:
-        raise FormatError(f"{path}: carry_forward must be one of {'/'.join(_FLAGS)}, "
-                          f"got {cfg['carry_forward']!r}")
+    _config_value(cfg, "parallelism", int, path)  # ignored, but a non-integer is still an error
     # one key at a time, from valid defaults, so that a range error is its key's
-    loop = selftrain.LoopConfig(carry_forward=_FLAGS[cfg["carry_forward"].lower()])
-    for key, kind in _LOOP_KEYS.items():
-        value = num(key, kind)
+    loop = _LOOP_DEFAULTS
+    for key, (reader, field_path) in _LOOP_KEYS.items():
+        value = _config_value(cfg, key, reader, path)
         try:
-            loop = _with_setting(loop, key, value)
+            loop = _replace_at(loop, field_path, value)
         except ValueError as exc:
             if key in flags:
                 raise
@@ -237,8 +236,8 @@ def cmd_loop(args) -> int:
 
     manual = _read_annotation_file(cfg["train_annotations"])
     test = _read_annotation_file(cfg["test_annotations"])
-    draws = _config_number(cfg, "draws", int, args.config)
-    draw_size = _config_number(cfg, "draw_size", int, args.config)
+    draws = _config_value(cfg, "draws", int, args.config)
+    draw_size = _config_value(cfg, "draw_size", int, args.config)
     try:
         evaluation.check_draws(draws, draw_size, len(test))  # before any training
     except ValueError as exc:

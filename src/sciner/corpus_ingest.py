@@ -20,21 +20,6 @@ from dataclasses import dataclass, field, fields
 from .errors import FormatError
 from .util import atomic_write
 
-CSV_COLUMNS = (
-    "Unnamed: 0",
-    "title",
-    "editor",
-    "month",
-    "year",
-    "address",
-    "publisher",
-    "url",
-    "author",
-    "booktitle",
-    "pages",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
-
 VENUES = ("ACL", "EMNLP", "NAACL")
 
 _MONTHS = {
@@ -96,6 +81,9 @@ class PaperRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(PaperRecord))
+# a pandas-style index column, then the fields of a PaperRecord
+CSV_COLUMNS = ("Unnamed: 0", *_RECORD_FIELDS)
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass

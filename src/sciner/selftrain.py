@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,22 +45,19 @@ class LoopConfig:
         tagger.check_hash_dim(self.hash_dim)  # before any paragraph is featurized
         if self.amb_policy not in dataset.AMB_POLICIES:
             raise ValueError(f"unknown amb policy {self.amb_policy!r}")
+        for step in ("step1", "step3"):
+            if getattr(self, step).seed:
+                raise ValueError(
+                    f"{step}.seed must be 0, got {getattr(self, step).seed}; the loop "
+                    "derives each step's seed from seed, the iteration and the step"
+                )
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "iterations": self.iterations,
-                "step1": vars(self.step1),
-                "step3": vars(self.step3),
-                "gamma": self.gate.gamma,
-                "amb_policy": self.amb_policy,
-                "seed": self.seed,
-                "hash_dim": self.hash_dim,
-                "carry_forward": self.carry_forward,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        """12 hex digits of the sha256 of every field as sorted JSON."""
+        payload = asdict(self)
+        payload.update(payload.pop("gate"))  # a flat gamma, as earlier hashes have it
+        text = json.dumps(payload, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -76,19 +73,16 @@ class IterationRecord:
     # wall seconds per phase: see `run_iteration`
     phase_seconds: dict | None = None
     # the step-3 model's annotation of the test set; not persisted
-    test_predictions: list | None = field(default=None, repr=False, compare=False)
+    test_predictions: list | None = field(default=None, repr=False, compare=False,
+                                          metadata={"persisted": False})
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "gate_stats": self.gate_stats.to_dict(),
-            "metrics": self.metrics,
-            "model_path": self.model_path,
-            "duration_seconds": self.duration_seconds,
-            "warnings": self.warnings,
-            "train_loss": self.train_loss,
-            "phase_seconds": self.phase_seconds,
-        }
+        data = {f.name: getattr(self, f.name) for f in _PERSISTED_FIELDS}
+        data["gate_stats"] = self.gate_stats.to_dict()
+        return data
+
+
+_PERSISTED_FIELDS = [f for f in fields(IterationRecord) if f.metadata.get("persisted", True)]
 
 
 def compile_features(manual_train, auto_corpus, test_set, dim: int):
@@ -250,25 +244,16 @@ def _load_record(path: str, iteration: int, iteration_config_hash: str,
             "and test data that made the run directory, or use a fresh one"
         )
     try:
-        stats = GateStats(
-            total_words=data["gate_stats"]["total_words"],
-            amb_words=data["gate_stats"]["amb_words"],
-            accepted=data["gate_stats"]["accepted"],
-        )
-        record = IterationRecord(
-            iteration=data["iteration"],
-            gate_stats=stats,
-            metrics=data["metrics"],
-            model_path=data["model_path"],
-            duration_seconds=data["duration_seconds"],
-            warnings=data.get("warnings", []),
-            train_loss=data.get("train_loss"),
-            phase_seconds=data.get("phase_seconds"),
-        )
+        values = {f.name: data[f.name] for f in _PERSISTED_FIELDS
+                  if f.name in data or (f.default is MISSING and f.default_factory is MISSING)}
+        if type(values["gate_stats"]) is not dict:
+            raise FormatError(f"{path}: gate_stats is not a JSON object")
+        # every count is required: a missing one is not zero
+        values["gate_stats"] = GateStats(**{f.name: values["gate_stats"][f.name]
+                                            for f in fields(GateStats)})
     except KeyError as exc:
         raise FormatError(f"{path}: record lacks {exc.args[0]!r}") from None
-    except TypeError:  # gate_stats is not an object
-        raise FormatError(f"{path}: gate_stats is not a JSON object") from None
+    record = IterationRecord(**values)
     problem = _record_problem(record, iteration)
     if problem:
         raise FormatError(f"{path}: {problem}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import lzma
+import math
 import os
 import zipfile
 import zlib
@@ -306,6 +307,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -3,6 +3,7 @@
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from sciner import autoannotate, cli, corpus_ingest, dataset, selftrain, synth, 
 from sciner.errors import FormatError
 from test_compact_model import UNREADABLE_KINDS, write_unreadable_model
 from test_corpus_ingest import PROCEEDINGS_BIB
+from test_selftrain import STEP_SEEDS, leaf_paths
 
 
 def run_cli(capsys, *argv):
@@ -388,6 +390,8 @@ class TestLoop:
         ("step3_batch_size=0", (), "{config}: step3_batch_size: batch_size must be >= 1"),
         ("step1_learning_rate=0", (),
          "{config}: step1_learning_rate: learning_rate must be > 0"),
+        ("step1_learning_rate=nan", (),
+         "{config}: step1_learning_rate: learning_rate must be finite, got nan"),
         ("gamma=1.5", (), "{config}: gamma: gamma must be in (0, 1], got 1.5"),
         ("iterations=0", (), "{config}: iterations: iterations must be >= 1"),
         ("amb_policy=bogus", (), "{config}: amb_policy: unknown amb policy 'bogus'"),
@@ -435,6 +439,49 @@ class TestLoop:
 
     def test_config_defaults_are_the_loop_defaults(self):
         assert cli._loop_config(dict(cli.CONFIG_DEFAULTS)) == selftrain.LoopConfig()
+
+    def test_config_defaults_of_earlier_releases(self):
+        assert cli.CONFIG_DEFAULTS == {
+            "train_annotations": "", "test_annotations": "", "token_dir": "", "run_dir": "",
+            "iterations": "2", "gamma": "0.98", "seed": "0", "amb_policy": "ignore_positions",
+            "hash_dim": "1048576", "carry_forward": "false", "parallelism": "1",
+            "step1_epochs": "20", "step1_learning_rate": "0.0001", "step1_batch_size": "8",
+            "step3_epochs": "5", "step3_learning_rate": "0.0001", "step3_batch_size": "8",
+            "draws": "12", "draw_size": "50",
+        }
+
+    def test_config_keys_reach_every_loop_field_but_the_step_seeds(self):
+        reached = [path for _, path in cli._LOOP_KEYS.values()]
+        assert len(reached) == len(set(reached))
+        assert set(reached) == set(leaf_paths(selftrain.LoopConfig())) - STEP_SEEDS
+
+    def test_every_config_key_sets_its_field(self):
+        other = {"iterations": "3", "gamma": "0.5", "seed": "4", "amb_policy": "drop_paragraph",
+                 "hash_dim": "4096", "carry_forward": "yes", "step1_epochs": "7",
+                 "step1_learning_rate": "0.5", "step1_batch_size": "4", "step3_epochs": "2",
+                 "step3_learning_rate": "2.5", "step3_batch_size": "16"}
+        assert sorted(other) == sorted(cli._LOOP_KEYS)
+        loop = cli._loop_config(dict(cli.CONFIG_DEFAULTS, **other))
+        assert loop == selftrain.LoopConfig(
+            iterations=3, step1=tagger.TrainConfig(epochs=7, learning_rate=0.5, batch_size=4),
+            step3=tagger.TrainConfig(epochs=2, learning_rate=2.5, batch_size=16),
+            gate=autoannotate.GateConfig(0.5), amb_policy="drop_paragraph", seed=4,
+            hash_dim=4096, carry_forward=True,
+        )
+
+    def test_malformed_value_precedence(self):
+        cfg = dict(cli.CONFIG_DEFAULTS, parallelism="x", carry_forward="maybe",
+                   iterations="y", hash_dim="z")
+        for key, message in [
+            ("parallelism", "parallelism must be an integer, got 'x'"),
+            ("carry_forward", "carry_forward must be one of true/yes/1/false/no/0, got 'maybe'"),
+            ("iterations", "iterations must be an integer, got 'y'"),
+            ("hash_dim", "hash_dim must be an integer, got 'z'"),
+        ]:
+            with pytest.raises(FormatError, match="^" + re.escape(f"run.cfg: {message}") + "$"):
+                cli._loop_config(cfg, "run.cfg")
+            cfg[key] = cli.CONFIG_DEFAULTS[key]
+        assert cli._loop_config(cfg, "run.cfg") == selftrain.LoopConfig()
 
     def test_draw_size_past_test_set_exits_before_training(self, workspace, corpus,
                                                           tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Self-training loop tests: determinism, degenerate gates, resume."""
 
+import dataclasses
 import gc
 import json
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import sciner
 from sciner import dataset, selftrain, synth, tagger
-from sciner.autoannotate import GateConfig, annotate_corpus
+from sciner.autoannotate import GateConfig, GateStats, annotate_corpus
 from sciner.errors import FormatError
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
 from sciner.tagger import TrainConfig
@@ -22,6 +23,44 @@ from kernel_oracles import dense_weights
 def with_gate_stats(**changes):
     """A corruption of an iteration record: its gate_stats with `changes`."""
     return lambda data: json.dumps({**data, "gate_stats": {**data["gate_stats"], **changes}})
+
+
+def leaf_paths(obj, prefix=()):
+    """The field path of every non-dataclass field of `obj`, depth first."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_paths(value, (*prefix, f.name))
+        else:
+            yield (*prefix, f.name)
+
+
+def set_leaf(obj, path, value):
+    name, *rest = path
+    if rest:
+        value = set_leaf(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
+
+
+def get_leaf(obj, path):
+    for name in path:
+        obj = getattr(obj, name)
+    return obj
+
+
+STEP_SEEDS = {("step1", "seed"), ("step3", "seed")}
+
+# a valid config that differs from LoopConfig() in every field but the step seeds
+EVERY_FIELD_CHANGED = LoopConfig(
+    iterations=3,
+    step1=TrainConfig(epochs=7, learning_rate=0.5, batch_size=4),
+    step3=TrainConfig(epochs=2, learning_rate=2.0, batch_size=16),
+    gate=GateConfig(0.9),
+    amb_policy="drop_paragraph",
+    seed=11,
+    hash_dim=1 << 12,
+    carry_forward=True,
+)
 
 
 def small_corpus(seed=5):
@@ -65,6 +104,28 @@ class TestLoopConfig:
     def test_config_hash_stable_and_sensitive(self):
         assert fast_config().config_hash() == fast_config().config_hash()
         assert fast_config().config_hash() != fast_config(seed=14).config_hash()
+
+    def test_config_hash_literals(self):
+        # the hashes, and so the default run directory names, of earlier releases
+        assert LoopConfig().config_hash() == "526372a798f6"
+        assert EVERY_FIELD_CHANGED.config_hash() == "b988f0575303"
+
+    def test_config_hash_covers_every_field(self):
+        default = LoopConfig()
+        hashes = {default.config_hash()}
+        for path in set(leaf_paths(default)) - STEP_SEEDS:
+            value = get_leaf(EVERY_FIELD_CHANGED, path)
+            assert value != get_leaf(default, path), path
+            changed = set_leaf(default, path, value)
+            assert changed.config_hash() not in hashes, path
+            hashes.add(changed.config_hash())
+
+    @pytest.mark.parametrize("step", ["step1", "step3"])
+    def test_step_seed_rejected(self, step):
+        # run_iteration draws each step's seed; one set here would only rename the run
+        with pytest.raises(ValueError, match=rf"^{step}\.seed must be 0, got 5; "):
+            LoopConfig(**{step: TrainConfig(epochs=20, learning_rate=1e-4, batch_size=8,
+                                            seed=5)})
 
 
 class TestRunIteration:
@@ -468,3 +529,69 @@ class TestIterationRecord:
         data = record.to_dict()
         assert data["iteration"] == 2
         assert data["gate_stats"]["amb_fraction"] == 0.2
+
+    @staticmethod
+    def written_record(tmp_path):
+        """A one-iteration run in `tmp_path`: (config, corpus, record path, its JSON)."""
+        corpus = small_corpus()
+        cfg = fast_config(iterations=1)
+        run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path)
+        path = tmp_path / "iteration_01.json"
+        return cfg, corpus, path, json.loads(path.read_text(encoding="utf-8"))
+
+    def test_every_persisted_field_survives_resume(self, tmp_path):
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        record = IterationRecord(
+            iteration=1,
+            gate_stats=GateStats(total_words=9, amb_words=4, accepted={"B-TaskName": 3, "O": 2}),
+            metrics={"step1": {"span_f1": 0.25}, "step3": {"span_f1": 0.5, "extra": [1]}},
+            model_path="elsewhere/model.npz",
+            duration_seconds=12.5,
+            warnings=["iteration 1: a warning"],
+            train_loss={"step1": [0.75, 0.5], "step3": [0.25]},
+            phase_seconds={"train_step1": 1.25, "annotate_auto": 0.5},
+        )
+        stored = record.to_dict()
+        persisted = [f for f in dataclasses.fields(IterationRecord)
+                     if f.name != "test_predictions"]
+        assert sorted(stored) == sorted(f.name for f in persisted)
+        for f in persisted:
+            if f.name != "iteration":
+                assert stored[f.name] != data[f.name], f.name
+            if f.default_factory is not dataclasses.MISSING:
+                assert stored[f.name] != f.default_factory(), f.name
+            elif f.default is not dataclasses.MISSING:
+                assert stored[f.name] != f.default, f.name
+        path.write_text(json.dumps({**data, **stored}), encoding="utf-8")
+        records, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                              resume=True)
+        assert records == [record]
+        assert records[0].to_dict() == stored
+
+    @pytest.mark.parametrize("name", ["iteration", "gate_stats", "metrics", "model_path",
+                                      "duration_seconds"])
+    def test_record_lacking_a_required_field_rejected(self, tmp_path, name):
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        del data[name]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{path}: record lacks {name!r}")):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("name", ["total_words", "amb_words", "accepted"])
+    def test_gate_stats_lacking_a_count_rejected(self, tmp_path, name):
+        # GateStats defaults to an empty tally, but a stored count is never implied
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        del data["gate_stats"][name]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{path}: record lacks {name!r}")):
+            run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path, resume=True)
+
+    def test_record_without_the_optional_fields_loads_their_defaults(self, tmp_path):
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        for name in ("warnings", "train_loss", "phase_seconds"):
+            del data[name]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        records, _ = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                              resume=True)
+        assert (records[0].warnings, records[0].train_loss, records[0].phase_seconds) == (
+            [], None, None)

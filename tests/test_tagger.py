@@ -369,6 +369,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tagger.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=rf"^learning_rate must be finite, got {rate}$"):
+            tagger.TrainConfig(learning_rate=rate)
+
+    def test_negative_infinite_learning_rate_is_not_positive(self):
+        with pytest.raises(ValueError, match=r"^learning_rate must be > 0$"):
+            tagger.TrainConfig(learning_rate=float("-inf"))
+
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             tagger.TrainConfig(batch_size=0)
