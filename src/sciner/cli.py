@@ -140,6 +140,8 @@ def _read_token_corpus(token_dir):
     for name in names:
         paper_id = name[: -len(".txt")]
         path = os.path.join(token_dir, name)
+        if not paper_id or any(c.isspace() for c in paper_id):  # no annotation header holds it
+            raise FormatError(f"{path}: paper id {paper_id!r} is empty or has whitespace")
         try:
             with open(path, encoding="utf-8") as handle:
                 doc = corpus_ingest.read_token_file(handle, paper_id=paper_id)

@@ -134,36 +134,35 @@ def count_rows(gold, predicted) -> np.ndarray:
     tokens and correct tokens, true/false positives and false negatives per
     B-/I- class, gold and predicted spans, and span true positives per type.
     The counts of a set of paragraphs are the sum of their rows."""
-    gold = list(gold)
-    predicted = list(predicted)
+    gold, predicted = list(gold), list(predicted)
     _check_aligned(gold, predicted)
     rows = np.zeros((len(gold), len(COUNT_COLUMNS)), np.int64)
     lengths = [len(g.labels) for g in gold]
-    index = tag_schema.LABEL_INDEX
-    g = np.array([index[label] for para in gold for label in para.labels], np.int64)
-    p = np.array([index[label] for para in predicted for label in para.labels], np.int64)
+    g = tag_schema.label_indices(label for para in gold for label in para.labels)
+    p = tag_schema.label_indices(label for para in predicted for label in para.labels)
     par = np.repeat(np.arange(len(gold)), lengths)  # each token's paragraph
+    first = np.diff(par, prepend=-1) != 0  # each paragraph's first token
     hit = g == p
-    n_labels = len(index)
 
-    def per_class(labels, where):
-        # each paragraph's count of `labels[where]`, in NON_O_LABELS order
-        flat = np.bincount(par[where] * n_labels + labels[where], minlength=len(gold) * n_labels)
-        return flat.reshape(len(gold), n_labels)[:, 1 : tag_schema.NUM_CLASSES]
+    def tally(tokens, values, width):
+        # each paragraph's count of each value in range(width) at `tokens`
+        flat = np.bincount(par[tokens] * width + values, minlength=len(gold) * width)
+        return flat.reshape(len(gold), width)
 
+    n_labels, n_types = len(tag_schema.LABEL_INDEX), len(tag_schema.ENTITY_TYPES)
     rows[:, _TOKENS] = lengths
     rows[:, _CORRECT] = np.bincount(par[hit], minlength=len(gold))
-    rows[:, _TP] = per_class(g, hit)
-    rows[:, _FP] = per_class(p, ~hit)
-    rows[:, _FN] = per_class(g, ~hit)
-    type_column = {t: _SPAN_TP.start + i for i, t in enumerate(tag_schema.ENTITY_TYPES)}
-    for row, gp, pp in zip(rows, gold, predicted):
-        gold_spans = set(tag_schema.spans_from_labels(gp.labels))
-        pred_spans = set(tag_schema.spans_from_labels(pp.labels))
-        row[_GOLD_SPANS] = len(gold_spans)
-        row[_PRED_SPANS] = len(pred_spans)
-        for span in gold_spans & pred_spans:
-            row[type_column[span.entity_type]] += 1
+    rows[:, _TP] = tally(hit, g[hit], n_labels)[:, 1 : tag_schema.NUM_CLASSES]  # NON_O_LABELS
+    rows[:, _FP] = tally(~hit, p[~hit], n_labels)[:, 1 : tag_schema.NUM_CLASSES]
+    rows[:, _FN] = tally(~hit, g[~hit], n_labels)[:, 1 : tag_schema.NUM_CLASSES]
+    gold_spans, pred_spans = (tag_schema.span_bounds(labels, first) for labels in (g, p))
+    # (start, end, type) as one int64 key; a start is a token, so it names the paragraph
+    gold_keys, pred_keys = ((start * (len(par) + 1) + end) * n_types + types
+                            for start, end, types in (gold_spans, pred_spans))
+    _, matched, _ = np.intersect1d(gold_keys, pred_keys, assume_unique=True, return_indices=True)
+    rows[:, _GOLD_SPANS] = np.bincount(par[gold_spans[0]], minlength=len(gold))
+    rows[:, _PRED_SPANS] = np.bincount(par[pred_spans[0]], minlength=len(gold))
+    rows[:, _SPAN_TP] = tally(gold_spans[0][matched], gold_spans[2][matched], n_types)
     return rows
 
 
@@ -266,13 +265,12 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
 
 def label_counts(paragraphs) -> dict[str, int]:
     """Histogram over the 14 B-/I- classes (plus amb if present); O is omitted."""
-    counts = {label: 0 for label in NON_O_LABELS}
-    for p in paragraphs:
-        if p.labels is None:
-            continue
-        for label in p.labels:
-            if label != tag_schema.O_LABEL:
-                counts[label] = counts.get(label, 0) + 1
+    index = tag_schema.label_indices(label for p in paragraphs if p.labels is not None
+                                     for label in p.labels)
+    n = np.bincount(index, minlength=len(tag_schema.LABEL_INDEX)).tolist()
+    counts = dict(zip(NON_O_LABELS, n[1 : tag_schema.NUM_CLASSES]))
+    if n[tag_schema.AMB_INDEX]:
+        counts[tag_schema.AMB] = n[tag_schema.AMB_INDEX]
     return counts
 
 

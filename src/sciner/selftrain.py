@@ -42,6 +42,8 @@ class LoopConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:  # np.random.SeedSequence takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         tagger.check_hash_dim(self.hash_dim)  # before any paragraph is featurized
         if self.amb_policy not in dataset.AMB_POLICIES:
             raise ValueError(f"unknown amb policy {self.amb_policy!r}")

@@ -47,6 +47,15 @@ def label_index(label: str) -> int:
         raise ValueError(f"unknown label {label!r}") from None
 
 
+def label_indices(labels) -> np.ndarray:
+    """:func:`label_index` of each label, as an int64 array."""
+    labels = list(labels)
+    index = [LABEL_INDEX.get(label, -1) for label in labels]
+    if -1 in index:
+        label_index(labels[index.index(-1)])  # raises the unknown-label error
+    return np.array(index, np.int64)
+
+
 def index_label(index: int) -> str:
     """Inverse of :func:`label_index`."""
     if 0 <= index < len(_ALL_LABELS):
@@ -56,18 +65,6 @@ def index_label(index: int) -> str:
 
 def is_model_label(label: str) -> bool:
     return label in LABEL_INDEX and label != AMB
-
-
-def entity_type_of(label: str) -> str | None:
-    """Entity type of a B-/I- label, None for O and amb."""
-    if label.startswith(("B-", "I-")):
-        t = label[2:]
-        if t not in ENTITY_TYPES:
-            raise ValueError(f"unknown label {label!r}")
-        return t
-    if label in (O_LABEL, AMB):
-        return None
-    raise ValueError(f"unknown label {label!r}")
 
 
 def _build_legality() -> np.ndarray:
@@ -154,33 +151,33 @@ class Span:
             raise ValueError(f"bad span bounds [{self.start}, {self.end})")
 
 
+# each label index's entity type (its position in ENTITY_TYPES, -1 for O and
+# amb), and whether it is an I- label
+_SPAN_TYPE = np.array([-1, *range(len(ENTITY_TYPES)), *range(len(ENTITY_TYPES)), -1])
+_INSIDE = np.array([label.startswith("I-") for label in _ALL_LABELS])
+
+
+def span_bounds(index, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (start, end, type) arrays of the spans in label indices `index`,
+    where the bool array `first` marks each paragraph's first word.  A span
+    starts at B-X, or at an I-X not preceded in its paragraph by B-X or I-X
+    (after amb, say), and runs over the I-X words that follow.  Ends are
+    exclusive; types are positions in ENTITY_TYPES."""
+    entity_type = _SPAN_TYPE[index]
+    # the I-X words that follow a B-X or I-X word of their paragraph; word 0
+    # is a first word, so neither roll's wrap-around counts
+    extends = _INSIDE[index] & ~first & (entity_type == np.roll(entity_type, 1))
+    in_span = entity_type >= 0
+    starts = np.flatnonzero(in_span & ~extends)
+    ends = np.flatnonzero(in_span & ~np.roll(extends, -1)) + 1
+    return starts, ends, entity_type[starts]
+
+
 def spans_from_labels(labels) -> list[Span]:
-    """Maximal B-then-I runs as spans.  amb closes any open span."""
-    spans = []
-    open_type = None
-    open_start = 0
-    for i, label in enumerate(labels):
-        if label.startswith("B-"):
-            if open_type is not None:
-                spans.append(Span(open_type, open_start, i))
-            open_type = entity_type_of(label)
-            open_start = i
-        elif label.startswith("I-"):
-            t = entity_type_of(label)
-            if open_type != t:
-                # no span of this type is open: legal right after amb (which
-                # closed any span), else only on unvalidated input; start one
-                if open_type is not None:
-                    spans.append(Span(open_type, open_start, i))
-                open_type = t
-                open_start = i
-        else:  # O or amb
-            if open_type is not None:
-                spans.append(Span(open_type, open_start, i))
-                open_type = None
-    if open_type is not None:
-        spans.append(Span(open_type, open_start, len(labels)))
-    return spans
+    """One paragraph's spans, by the rule of :func:`span_bounds`."""
+    index = label_indices(labels)
+    bounds = span_bounds(index, np.arange(len(index)) == 0)
+    return [Span(ENTITY_TYPES[t], s, e) for s, e, t in zip(*(a.tolist() for a in bounds))]
 
 
 def labels_from_spans(spans, length: int) -> list[str]:

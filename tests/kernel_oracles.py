@@ -30,8 +30,13 @@ expressions of `corpus_ingest.tokenize` must give the same tokens.
 `validate_sequence_ref` checks a label sequence one transition at a time
 with `tag_schema.is_legal_transition`; `tag_schema.validate_sequence` must
 give the same violations, or raise the same unknown-label error.
-`score_ref` scores predictions one word and one paragraph at a time;
-`evaluation.score`, which sums per-paragraph count rows, and each draw of
+`spans_from_labels_ref` walks a paragraph's labels one word at a time;
+`tag_schema.spans_from_labels`, which finds the spans of label indices with
+`tag_schema.span_bounds`, must give the same spans, or raise the same
+unknown-label error.
+`score_ref` scores predictions one word and one paragraph at a time, with
+`spans_from_labels_ref`; `evaluation.count_rows` (each paragraph's row),
+`evaluation.score`, which sums the rows, and each draw of
 `evaluation.bootstrap_compare` must give the same MetricSet.
 """
 
@@ -475,6 +480,39 @@ def validate_sequence_ref(labels):
     return violations
 
 
+def spans_from_labels_ref(labels):
+    """Maximal B-then-I runs as spans, one word at a time.  O and amb close
+    any open span; an I-X with no X span open starts one.  A label outside
+    the label space is the unknown-label ValueError."""
+    spans = []
+    open_type = None
+    open_start = 0
+    for i, label in enumerate(labels):
+        if label not in tag_schema.LABEL_INDEX:
+            raise ValueError(f"unknown label {label!r}")
+        if label.startswith("B-"):
+            if open_type is not None:
+                spans.append(tag_schema.Span(open_type, open_start, i))
+            open_type = label[2:]
+            open_start = i
+        elif label.startswith("I-"):
+            t = label[2:]
+            if open_type != t:
+                # no span of this type is open: legal right after amb (which
+                # closed any span), else only on unvalidated input; start one
+                if open_type is not None:
+                    spans.append(tag_schema.Span(open_type, open_start, i))
+                open_type = t
+                open_start = i
+        else:  # O or amb
+            if open_type is not None:
+                spans.append(tag_schema.Span(open_type, open_start, i))
+                open_type = None
+    if open_type is not None:
+        spans.append(tag_schema.Span(open_type, open_start, len(labels)))
+    return spans
+
+
 def score_ref(gold, predicted):
     """Token accuracy plus token- and span-level precision/recall/F1, counted
     one word at a time."""
@@ -503,8 +541,8 @@ def score_ref(gold, predicted):
                     fn[gl] += 1
             if pl in fp and pl != gl:
                 fp[pl] += 1
-        gold_spans = set(tag_schema.spans_from_labels(g.labels))
-        pred_spans = set(tag_schema.spans_from_labels(p.labels))
+        gold_spans = set(spans_from_labels_ref(g.labels))
+        pred_spans = set(spans_from_labels_ref(p.labels))
         n_gold_spans += len(gold_spans)
         n_pred_spans += len(pred_spans)
         for span in gold_spans & pred_spans:

@@ -288,6 +288,23 @@ class TestLoop:
         assert code == 2
         assert "train_annotations" in err
 
+    def test_paper_id_with_whitespace_exits_two(self, workspace, tmp_path, capsys):
+        tokens = tmp_path / "tokens"
+        tokens.mkdir()
+        (tokens / "a b.txt").write_text("x y\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + f"token_dir={tokens}\n",
+            encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert err == f"error: {tokens / 'a b.txt'}: paper id 'a b' is empty or has whitespace\n"
+        assert not run_dir.exists()
+
     def test_resume_with_changed_config_exits_two(self, workspace, tmp_path, capsys):
         run_dir = tmp_path / "run"
         argv = ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(run_dir),
@@ -403,6 +420,8 @@ class TestLoop:
         ("", ("--iterations", "0"), "iterations must be >= 1"),
         ("gamma=1.5", ("--gamma", "0.5", "--iterations", "0"), "iterations must be >= 1"),
         ("seed=-1\ndraws=0", ("--seed", "3"), "{config}: draws: draws must be >= 1"),
+        ("seed=-1", (), "{config}: seed: seed must be >= 0, got -1"),
+        ("", ("--seed", "-1"), "seed must be >= 0, got -1"),
     ])
     def test_out_of_range_value_names_file_and_key(self, workspace, tmp_path, capsys,
                                                    line, flags, message):
@@ -690,6 +709,25 @@ class TestAnnotateEvalCountsDiff:
         )
         assert code == 2
         assert err == f"error: {tokens / 'paper.txt'}: {message}\n"
+
+    @pytest.mark.parametrize("name", [".txt", "a b.txt", "a\u00a0b.txt"])
+    def test_annotate_rejects_a_paper_id_no_header_holds(self, trained_run, tmp_path, capsys,
+                                                          name):
+        # an annotation header ends its paper id at whitespace and needs one;
+        # the file is rejected before any paragraph is annotated
+        tokens = tmp_path / "tokens"
+        tokens.mkdir()
+        (tokens / "a.txt").write_text("x y\n", encoding="utf-8")
+        (tokens / name).write_text("x y\n", encoding="utf-8")
+        out_path = tmp_path / "x.ann"
+        code, out, err = run_cli(
+            capsys, "annotate", "--model", str(trained_run / "model_iter02.npz"),
+            "--tokens", str(tokens), "--out", str(out_path),
+        )
+        assert code == 2
+        paper_id = name[: -len(".txt")]
+        assert err == f"error: {tokens / name}: paper id {paper_id!r} is empty or has whitespace\n"
+        assert not out_path.exists()
 
     def test_eval_single_prediction_scores(self, workspace, capsys):
         code, out, err = run_cli(

@@ -2,6 +2,7 @@
 
 import io
 import random
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -15,7 +16,7 @@ from sciner.dataset import AnnotatedParagraph
 from sciner.errors import AlignmentError
 
 from kernel_oracles import score_ref
-from test_tag_schema import random_legal_sequence
+from test_tag_schema import FEW_LABELS, random_legal_sequence
 
 
 def para(labels, words=None, paper="e" * 64, index=0, provenance="manual"):
@@ -310,15 +311,16 @@ ANY_LABEL = st.sampled_from([*ts.MODEL_LABELS, ts.AMB])
 
 
 @st.composite
-def scored_sets(draw, sides=2, max_paragraphs=8):
+def scored_sets(draw, sides=2, max_paragraphs=8, label=ANY_LABEL):
     """Gold and predicted paragraphs (`sides` lists in all) of the same
-    lengths, any label sequence, amb included on every side."""
+    lengths (empty ones too), any sequence of `label`'s labels, amb included
+    on every side."""
     out = [[] for _ in range(sides)]
     for k in range(draw(st.integers(0, max_paragraphs))):
         n = draw(st.integers(0, 12))
         words = [f"w{i}" for i in range(n)]
         for side in out:
-            labels = draw(st.lists(ANY_LABEL, min_size=n, max_size=n))
+            labels = draw(st.lists(label, min_size=n, max_size=n))
             side.append(Scored("s" * 64, k, words, labels))
     return out
 
@@ -354,3 +356,52 @@ def test_count_rows_sum_to_the_score():
     assert ev.MetricSet.from_counts(rows.sum(axis=0)) == ev.score(gold, pred)
     for k in range(30):
         assert ev.MetricSet.from_counts(rows[k]) == score_ref([gold[k]], [pred[k]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([ANY_LABEL, st.sampled_from(FEW_LABELS)]).flatmap(
+    lambda label: scored_sets(max_paragraphs=10, label=label)))
+def test_count_rows_match_the_reference_paragraph_by_paragraph(sets):
+    # spans that end at a paragraph's last word, then an I-X opening the next
+    # paragraph, and empty paragraphs: each row is its paragraph's alone
+    gold, pred = sets
+    rows = ev.count_rows(gold, pred)
+    assert rows.dtype == np.int64 and rows.shape == (len(gold), len(ev.COUNT_COLUMNS))
+    for k, row in enumerate(rows):
+        assert ev.MetricSet.from_counts(row) == score_ref([gold[k]], [pred[k]])
+
+
+def test_span_ending_at_a_paragraph_boundary_stays_in_its_paragraph():
+    gold = [Scored("s" * 64, 0, ["a", "b"], ["B-TaskName", "I-TaskName"]),
+            Scored("s" * 64, 1, [], []),
+            Scored("s" * 64, 2, ["c", "d"], ["I-TaskName", "O"])]
+    pred = [gold[0], gold[1], Scored("s" * 64, 2, ["c", "d"], ["I-TaskName", "I-TaskName"])]
+    rows = ev.count_rows(gold, pred)
+    gold_spans, pred_spans = (ev.COUNT_COLUMNS.index(c) for c in ("gold spans", "pred spans"))
+    assert rows[:, gold_spans].tolist() == [1, 0, 1]
+    assert rows[:, pred_spans].tolist() == [1, 0, 1]
+    assert rows[:, ev.COUNT_COLUMNS.index("span tp TaskName")].tolist() == [1, 0, 0]
+
+
+@pytest.mark.parametrize("side", ["gold", "predicted"])
+def test_unknown_label_is_a_value_error(side):
+    gold = [Scored("s" * 64, 0, ["a", "b"], ["O", "B-TaskName"])]
+    bad = [Scored("s" * 64, 0, ["a", "b"], ["O", "X"])]
+    pair = (bad, gold) if side == "gold" else (gold, bad)
+    with pytest.raises(ValueError, match="^unknown label 'X'$"):
+        ev.count_rows(*pair)
+    with pytest.raises(ValueError, match="^unknown label 'X'$"):
+        score_ref(*pair)
+    with pytest.raises(ValueError, match="^unknown label 'X'$"):
+        ev.label_counts(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_sets(sides=1, max_paragraphs=10))
+def test_label_counts_match_a_counter(sets):
+    paragraphs = [*sets[0], Scored("s" * 64, 99, ["w"], None)]  # no labels: skipped
+    counts = Counter(label for p in sets[0] for label in p.labels)
+    expected = {label: counts[label] for label in ev.NON_O_LABELS}
+    if counts[ts.AMB]:
+        expected[ts.AMB] = counts[ts.AMB]
+    assert list(ev.label_counts(paragraphs).items()) == list(expected.items())

@@ -120,6 +120,12 @@ class TestLoopConfig:
             assert changed.config_hash() not in hashes, path
             hashes.add(changed.config_hash())
 
+    def test_negative_seed_rejected(self):
+        # np.random.SeedSequence would reject it only once training starts
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            LoopConfig(seed=-1)
+        assert LoopConfig(seed=0).config_hash() == "526372a798f6"
+
     @pytest.mark.parametrize("step", ["step1", "step3"])
     def test_step_seed_rejected(self, step):
         # run_iteration draws each step's seed; one set here would only rename the run

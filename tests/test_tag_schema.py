@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import tag_schema as ts
-from kernel_oracles import validate_sequence_ref
+from kernel_oracles import spans_from_labels_ref, validate_sequence_ref
 
 
 class TestLabelSpace:
@@ -194,3 +197,85 @@ class TestSpans:
             ts.Span("TaskName", 3, 3)
         with pytest.raises(ValueError):
             ts.labels_from_spans([ts.Span("TaskName", 0, 5)], 4)
+
+
+ALL_LABELS = [*ts.MODEL_LABELS, ts.AMB]
+# two entity types, so that B-X, I-X, I-Y and amb meet often
+FEW_LABELS = ["O", ts.AMB, "B-TaskName", "I-TaskName", "B-MethodName", "I-MethodName"]
+UNKNOWN_LABELS = ["B-Nonsense", "o", "", "I-", "AMB", "X"]
+
+
+def label_lists(max_size=16):
+    """Any sequence of known labels, illegal transitions included."""
+    return st.sampled_from([ALL_LABELS, FEW_LABELS]).flatmap(
+        lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=max_size)
+    )
+
+
+class TestSpanRule:
+    """`spans_from_labels` and `span_bounds` against the word-by-word walk."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(label_lists())
+    def test_spans_match_the_walk(self, labels):
+        assert ts.spans_from_labels(labels) == spans_from_labels_ref(labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(label_lists(max_size=6), max_size=8))
+    def test_span_bounds_of_paragraphs_match_the_walk_per_paragraph(self, paragraphs):
+        # empty paragraphs included; a span never runs into the next paragraph
+        expected = []
+        offset = 0
+        for labels in paragraphs:
+            expected += [(offset + s.start, offset + s.end, s.entity_type)
+                         for s in spans_from_labels_ref(labels)]
+            offset += len(labels)
+        index = ts.label_indices(label for labels in paragraphs for label in labels)
+        first = np.array([i == 0 for labels in paragraphs for i in range(len(labels))], bool)
+        starts, ends, types = ts.span_bounds(index, first)
+        assert starts.dtype == ends.dtype == types.dtype == np.int64
+        got = [(s, e, ts.ENTITY_TYPES[t]) for s, e, t in zip(starts.tolist(), ends.tolist(),
+                                                            types.tolist())]
+        assert got == expected
+
+    def test_inside_label_at_a_paragraph_start_starts_a_span(self):
+        # one paragraph ends inside a TaskName span, the next starts with I-TaskName
+        index = ts.label_indices(["B-TaskName", "I-TaskName", "I-TaskName", "O"])
+        starts, ends, types = ts.span_bounds(index, np.array([True, False, True, False]))
+        assert starts.tolist() == [0, 2]
+        assert ends.tolist() == [2, 3]
+        assert types.tolist() == [ts.ENTITY_TYPES.index("TaskName")] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_lists(), st.lists(st.tuples(st.integers(0, 16),
+                                             st.sampled_from(UNKNOWN_LABELS)), max_size=2))
+    def test_unknown_label_is_the_walks_error(self, labels, inserts):
+        for position, label in inserts:
+            labels.insert(min(position, len(labels)), label)
+        try:
+            expected = spans_from_labels_ref(labels)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ts.spans_from_labels(labels)
+            assert str(got.value) == str(exc)
+        else:
+            assert ts.spans_from_labels(labels) == expected
+
+    @pytest.mark.parametrize("labels, unknown", [
+        (["O", "X"], "X"),
+        (["B-TaskName", "o", "I-TaskName"], "o"),
+        (["B-Nonsense"], "B-Nonsense"),
+        (["O", "I-", "X"], "I-"),
+    ])
+    def test_first_unknown_label_is_a_value_error(self, labels, unknown):
+        message = f"^unknown label {unknown!r}$"
+        with pytest.raises(ValueError, match=message):
+            ts.label_indices(labels)
+        with pytest.raises(ValueError, match=message):
+            ts.spans_from_labels(labels)
+
+    def test_label_indices(self):
+        index = ts.label_indices(iter(ALL_LABELS))
+        assert index.dtype == np.int64
+        assert index.tolist() == list(range(len(ALL_LABELS)))
+        assert ts.label_indices([]).tolist() == []
