@@ -13,6 +13,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 
 from . import corpus_ingest, dataset, evaluation, selftrain
@@ -70,12 +71,16 @@ CONFIG_DEFAULTS = {
 }
 
 
+# a comment starts at a '#' that begins the line or follows whitespace
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
+
+
 def read_config(path) -> dict[str, str]:
     """Flat key=value file with # comments; unknown keys are rejected."""
     values = dict(CONFIG_DEFAULTS)
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -140,9 +145,8 @@ def _read_token_corpus(token_dir):
     for name in names:
         paper_id = name[: -len(".txt")]
         path = os.path.join(token_dir, name)
-        if not paper_id or any(c.isspace() for c in paper_id):  # no annotation header holds it
-            raise FormatError(f"{path}: paper id {paper_id!r} is empty or has whitespace")
         try:
+            dataset.check_paper_id(paper_id)  # before the file is read
             with open(path, encoding="utf-8") as handle:
                 doc = corpus_ingest.read_token_file(handle, paper_id=paper_id)
         except ValueError as exc:
@@ -197,7 +201,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_partition(args) -> int:
     with open(args.catalog, encoding="utf-8") as handle:
-        catalog = corpus_ingest.read_catalog_csv(handle)
+        try:
+            catalog = corpus_ingest.read_catalog_csv(handle)
+        except FormatError as exc:
+            raise FormatError(f"{args.catalog}: {exc}") from None
     manual_ids: list[str] = []
     if args.manual_ids:
         with open(args.manual_ids, encoding="utf-8") as handle:

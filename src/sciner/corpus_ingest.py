@@ -93,66 +93,57 @@ class BibParseResult:
     errors: list[str] = field(default_factory=list)
 
 
-class _BibScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def line(self, pos: int | None = None) -> int:
-        return self.text.count("\n", 0, self.pos if pos is None else pos) + 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _year(text: str) -> int | None:
+    """A year is ASCII digits with a value above 0; anything else, too many
+    digits for int() included, leaves the year absent."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text) or None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
-def _parse_value(sc: _BibScanner) -> str:
-    """One field value: {balanced braces}, "quoted", or a bare word/number."""
-    sc.skip_ws()
-    text, n = sc.text, len(sc.text)
-    if sc.pos >= n:
-        raise FormatError(f"line {sc.line()}: unexpected end of entry")
-    ch = text[sc.pos]
-    if ch == "{":
+# the pieces of an entry, each matched at a position: `\s` is str.isspace and
+# `[\w-]` is str.isalnum plus "_" and "-", on every code point
+_SPACE = re.compile(r"\s*")
+_ENTRY_TYPE = re.compile(r"[\w-]+")
+_ENTRY_KEY = re.compile(r"[^,}]*")
+_FIELD_NAME = re.compile(r"[^\s=,}]*")
+_BARE_VALUE = re.compile(r"[^,}\n]*")
+_BRACE_OR_QUOTE = re.compile(r'[{}"]')
+
+
+def _entry_error(text: str, pos: int, message: str) -> FormatError:
+    line = text.count("\n", 0, pos) + 1
+    return FormatError(f"line {line}: {message}")
+
+
+def _parse_value(text: str, pos: int) -> tuple[str, int]:
+    """The field value after `pos` and the position past it: {balanced
+    braces}, "quoted" (ends at the first '"' outside braces), or a bare
+    word/number up to a comma, closing brace or line end."""
+    pos = _SPACE.match(text, pos).end()
+    if pos == len(text):
+        raise _entry_error(text, pos, "unexpected end of entry")
+    opener = text[pos]
+    if opener in '{"':
+        # the value ends at the first closer met at brace depth 0
+        closer = "}" if opener == "{" else '"'
         depth = 0
-        start = sc.pos
-        while sc.pos < n:
-            c = text[sc.pos]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    sc.pos += 1
-                    return text[start + 1 : sc.pos - 1]
-            sc.pos += 1
-        raise FormatError(f"line {sc.line(start)}: unbalanced braces in value")
-    if ch == '"':
-        sc.pos += 1
-        start = sc.pos
-        depth = 0
-        while sc.pos < n:
-            c = text[sc.pos]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-            elif c == '"' and depth == 0:
-                sc.pos += 1
-                return text[start : sc.pos - 1]
-            sc.pos += 1
-        raise FormatError(f"line {sc.line(start)}: unterminated quoted value")
-    # bare token (month macro, number); ends at comma or closing brace
-    start = sc.pos
-    while sc.pos < n and text[sc.pos] not in ",}\n":
-        sc.pos += 1
-    value = text[start : sc.pos].strip()
+        for m in _BRACE_OR_QUOTE.finditer(text, pos + 1):
+            c = m.group()
+            if c == closer and depth == 0:
+                return text[pos + 1 : m.start()], m.end()
+            if c != '"':
+                depth += 1 if c == "{" else -1
+        problem = "unbalanced braces in value" if opener == "{" else "unterminated quoted value"
+        raise _entry_error(text, pos, problem)
+    end = _BARE_VALUE.match(text, pos).end()
+    value = text[pos:end].strip()
     if not value:
-        raise FormatError(f"line {sc.line(start)}: empty field value")
-    return value
+        raise _entry_error(text, pos, "empty field value")
+    return value, end
 
 
 _WS_RE = re.compile(r"\s+")
@@ -162,97 +153,72 @@ def _clean(value: str) -> str:
     return _WS_RE.sub(" ", value).strip()
 
 
-def _parse_entry(sc: _BibScanner) -> PaperRecord:
-    """Parse one @type{key, ...} entry starting at sc.pos (at the '@')."""
-    text, n = sc.text, len(sc.text)
-    sc.pos += 1  # consume '@'
-    start = sc.pos
-    while sc.pos < n and (text[sc.pos].isalnum() or text[sc.pos] in "_-"):
-        sc.pos += 1
-    if sc.pos == start:
-        raise FormatError(f"line {sc.line()}: missing entry type after '@'")
-    sc.skip_ws()
-    if sc.eof() or text[sc.pos] != "{":
-        raise FormatError(f"line {sc.line()}: expected '{{' after entry type")
-    sc.pos += 1
-    key_start = sc.pos
-    while sc.pos < n and text[sc.pos] not in ",}":
-        sc.pos += 1
-    if sc.eof():
-        raise FormatError(f"line {sc.line(key_start)}: unterminated entry")
-    key = text[key_start : sc.pos].strip()
+def _parse_entry(text: str, at: int) -> tuple[PaperRecord, int]:
+    """The @type{key, ...} entry whose '@' is at `at`, and the position past it."""
+    m = _ENTRY_TYPE.match(text, at + 1)
+    if not m:
+        raise _entry_error(text, at + 1, "missing entry type after '@'")
+    pos = _SPACE.match(text, m.end()).end()
+    if not text.startswith("{", pos):
+        raise _entry_error(text, pos, "expected '{' after entry type")
+    key_start = pos + 1
+    pos = _ENTRY_KEY.match(text, key_start).end()
+    if pos == len(text):
+        raise _entry_error(text, key_start, "unterminated entry")
+    key = text[key_start:pos].strip()
     if not key:
-        raise FormatError(f"line {sc.line(key_start)}: missing entry key")
-    if "=" in key or any(c.isspace() for c in key):
-        raise FormatError(f"line {sc.line(key_start)}: missing or invalid entry key")
+        raise _entry_error(text, key_start, "missing entry key")
+    if "=" in key or _WS_RE.search(key):
+        raise _entry_error(text, key_start, "missing or invalid entry key")
     values: dict[str, str] = {}
-    while True:
-        if sc.eof():
-            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
-        if text[sc.pos] == "}":
-            sc.pos += 1
+    while text[pos] == ",":  # else the entry's closing '}'
+        pos = _SPACE.match(text, pos + 1).end()
+        if pos == len(text):
+            raise _entry_error(text, pos, f"unterminated entry {key!r}")
+        if text[pos] == "}":
             break
-        assert text[sc.pos] == ","
-        sc.pos += 1
-        sc.skip_ws()
-        if sc.eof():
-            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
-        if text[sc.pos] == "}":
-            sc.pos += 1
-            break
-        name_start = sc.pos
-        while sc.pos < n and text[sc.pos] not in "=,}" and not text[sc.pos].isspace():
-            sc.pos += 1
-        name = text[name_start : sc.pos].strip().lower()
-        sc.skip_ws()
-        if sc.eof() or text[sc.pos] != "=":
-            raise FormatError(f"line {sc.line(name_start)}: expected '=' after field name {name!r}")
-        sc.pos += 1
-        raw = _parse_value(sc)
-        values[name] = raw
-        sc.skip_ws()
-        if sc.eof():
-            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
-        if text[sc.pos] not in ",}":
-            raise FormatError(f"line {sc.line()}: expected ',' or '}}' after field {name!r}")
+        name_start = pos
+        pos = _FIELD_NAME.match(text, pos).end()
+        name = text[name_start:pos].lower()
+        pos = _SPACE.match(text, pos).end()
+        if not text.startswith("=", pos):
+            raise _entry_error(text, name_start, f"expected '=' after field name {name!r}")
+        values[name], pos = _parse_value(text, pos + 1)
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text):
+            raise _entry_error(text, pos, f"unterminated entry {key!r}")
+        if text[pos] not in ",}":
+            raise _entry_error(text, pos, f"expected ',' or '}}' after field {name!r}")
 
     record = PaperRecord()
-    for name, raw in values.items():
-        if name not in _RECORD_FIELDS or name == "year":
-            continue
-        value = _clean(raw)
-        if name == "month":
+    for name in _RECORD_FIELDS:
+        value = _clean(values.get(name, ""))
+        if name == "year":
+            value = _year(value)
+        elif name == "month":
             value = _MONTHS.get(value.lower(), value)
-        if value:
-            setattr(record, name, value)
-    if "year" in values:
-        year_text = _clean(values["year"])
-        if year_text.isdigit() and int(year_text) > 0:
-            record.year = int(year_text)
-    return record
+        setattr(record, name, value or None)
+    return record, pos + 1
 
 
 def parse_bibtex(source) -> BibParseResult:
     """Parse BibTeX entries; skips malformed entries, counting and noting them.
 
     `source` is a text stream or string.  Record order follows entry order.
+    After a malformed entry, parsing resumes at the next '@'.
     """
     text = source if isinstance(source, str) else source.read()
-    sc = _BibScanner(text)
     result = BibParseResult(records=[], skipped=0)
-    while True:
-        at = text.find("@", sc.pos)
-        if at < 0:
-            break
-        sc.pos = at
+    at = text.find("@")
+    while at >= 0:
         try:
-            result.records.append(_parse_entry(sc))
+            record, end = _parse_entry(text, at)
+            result.records.append(record)
         except FormatError as exc:
             result.skipped += 1
             result.errors.append(str(exc))
-            # resume at the next entry marker
-            nxt = text.find("@", at + 1)
-            sc.pos = len(text) if nxt < 0 else nxt
+            end = at + 1
+        at = text.find("@", end)
     return result
 
 
@@ -291,15 +257,8 @@ def read_catalog_csv(source) -> list[PaperRecord]:
             raise FormatError(
                 f"catalog row {len(records)}: {len(row)} columns, expected {len(CSV_COLUMNS)}"
             )
-        record = PaperRecord()
-        for name, value in zip(CSV_COLUMNS[1:], row[1:]):
-            if value == "":
-                continue
-            if name == "year":
-                if value.isdigit() and int(value) > 0:
-                    record.year = int(value)
-            else:
-                setattr(record, name, value)
+        record = PaperRecord(*(value or None for value in row[1:]))
+        record.year = _year(row[CSV_COLUMNS.index("year")])
         records.append(record)
     return records
 

@@ -24,6 +24,20 @@ AUTO_VENUES = ("ACL", "EMNLP", "NAACL")
 AUTO_YEARS = (2022, 2023)
 
 
+# the header fields that `_HEADER_RE` reads back: a paper id, the
+# "<paper id> <paragraph index>" pair that a paragraph checks in one match,
+# and an annotator
+_PAPER_ID_RE = re.compile(r"\S+")
+_ID_AND_INDEX_RE = re.compile(_PAPER_ID_RE.pattern + " [0-9]+")
+_ANNOTATOR_RE = re.compile(r"[^\n\r]+")
+
+
+def check_paper_id(paper_id: str) -> None:
+    """ValueError unless an annotation header can carry `paper_id`."""
+    if not _PAPER_ID_RE.fullmatch(paper_id):
+        raise ValueError(f"paper id {paper_id!r} is empty or has whitespace")
+
+
 @dataclass
 class AnnotatedParagraph:
     paper_id: str
@@ -35,6 +49,13 @@ class AnnotatedParagraph:
     confidence: list[float] | None = None
 
     def __post_init__(self):
+        if not _ID_AND_INDEX_RE.fullmatch(f"{self.paper_id} {self.paragraph_index}"):
+            check_paper_id(self.paper_id)  # if the id passes, the index is at fault
+            raise ValueError(
+                f"paragraph index must be a non-negative integer, got {self.paragraph_index!r}"
+            )
+        if self.annotator is not None and not _ANNOTATOR_RE.fullmatch(self.annotator):
+            raise ValueError(f"annotator {self.annotator!r} is empty or has a line break")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.labels is not None:

@@ -241,6 +241,8 @@ def bootstrap_compare(gold, predictions_a, predictions_b, draws: int = 12,
     rows_a = count_rows(gold, predictions_a)
     rows_b = count_rows(gold, predictions_b)
     check_draws(draws, draw_size, len(gold))
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     per_draw_a = []
     per_draw_b = []

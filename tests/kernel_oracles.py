@@ -27,6 +27,11 @@ model's `(hash_dim, 15)` weight matrix, zero outside its `rows`.
 must give the same tally.
 `tokenize_ref` walks a paragraph one character at a time; the regular
 expressions of `corpus_ingest.tokenize` must give the same tokens.
+`parse_bibtex_ref` scans BibTeX one character at a time;
+`corpus_ingest.parse_bibtex`, which matches each piece of an entry with an
+anchored regular expression, must give the same records, skip count and
+errors.  Both read a year with `corpus_ingest._year`, so they differ only
+in scanning.
 `validate_sequence_ref` checks a label sequence one transition at a time
 with `tag_schema.is_legal_transition`; `tag_schema.validate_sequence` must
 give the same violations, or raise the same unknown-label error.
@@ -48,6 +53,14 @@ import numpy as np
 
 from sciner import kernels, tag_schema
 from sciner.autoannotate import GateStats
+from sciner.corpus_ingest import (
+    _MONTHS,
+    _RECORD_FIELDS,
+    BibParseResult,
+    PaperRecord,
+    _clean,
+    _year,
+)
 from sciner.evaluation import NON_O_LABELS, MetricSet, _check_aligned, _prf
 from sciner.errors import AlignmentError, FormatError
 from sciner.tagger import (
@@ -467,6 +480,161 @@ def tokenize_ref(paragraph: str) -> list[str]:
                 else:
                     tokens.extend(_strip_trailing_punct(part))
     return tokens
+
+
+class _BibScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def line(self, pos: int | None = None) -> int:
+        return self.text.count("\n", 0, self.pos if pos is None else pos) + 1
+
+    def eof(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+
+def _parse_bib_value(sc: _BibScanner) -> str:
+    """One field value: {balanced braces}, "quoted", or a bare word/number."""
+    sc.skip_ws()
+    text, n = sc.text, len(sc.text)
+    if sc.pos >= n:
+        raise FormatError(f"line {sc.line()}: unexpected end of entry")
+    ch = text[sc.pos]
+    if ch == "{":
+        depth = 0
+        start = sc.pos
+        while sc.pos < n:
+            c = text[sc.pos]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    sc.pos += 1
+                    return text[start + 1 : sc.pos - 1]
+            sc.pos += 1
+        raise FormatError(f"line {sc.line(start)}: unbalanced braces in value")
+    if ch == '"':
+        sc.pos += 1
+        start = sc.pos
+        depth = 0
+        while sc.pos < n:
+            c = text[sc.pos]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+            elif c == '"' and depth == 0:
+                sc.pos += 1
+                return text[start : sc.pos - 1]
+            sc.pos += 1
+        raise FormatError(f"line {sc.line(start)}: unterminated quoted value")
+    # bare token (month macro, number); ends at comma or closing brace
+    start = sc.pos
+    while sc.pos < n and text[sc.pos] not in ",}\n":
+        sc.pos += 1
+    value = text[start : sc.pos].strip()
+    if not value:
+        raise FormatError(f"line {sc.line(start)}: empty field value")
+    return value
+
+
+def _parse_bib_entry(sc: _BibScanner) -> PaperRecord:
+    """Parse one @type{key, ...} entry starting at sc.pos (at the '@')."""
+    text, n = sc.text, len(sc.text)
+    sc.pos += 1  # consume '@'
+    start = sc.pos
+    while sc.pos < n and (text[sc.pos].isalnum() or text[sc.pos] in "_-"):
+        sc.pos += 1
+    if sc.pos == start:
+        raise FormatError(f"line {sc.line()}: missing entry type after '@'")
+    sc.skip_ws()
+    if sc.eof() or text[sc.pos] != "{":
+        raise FormatError(f"line {sc.line()}: expected '{{' after entry type")
+    sc.pos += 1
+    key_start = sc.pos
+    while sc.pos < n and text[sc.pos] not in ",}":
+        sc.pos += 1
+    if sc.eof():
+        raise FormatError(f"line {sc.line(key_start)}: unterminated entry")
+    key = text[key_start : sc.pos].strip()
+    if not key:
+        raise FormatError(f"line {sc.line(key_start)}: missing entry key")
+    if "=" in key or any(c.isspace() for c in key):
+        raise FormatError(f"line {sc.line(key_start)}: missing or invalid entry key")
+    values: dict[str, str] = {}
+    while True:
+        if sc.eof():
+            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
+        if text[sc.pos] == "}":
+            sc.pos += 1
+            break
+        assert text[sc.pos] == ","
+        sc.pos += 1
+        sc.skip_ws()
+        if sc.eof():
+            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
+        if text[sc.pos] == "}":
+            sc.pos += 1
+            break
+        name_start = sc.pos
+        while sc.pos < n and text[sc.pos] not in "=,}" and not text[sc.pos].isspace():
+            sc.pos += 1
+        name = text[name_start : sc.pos].strip().lower()
+        sc.skip_ws()
+        if sc.eof() or text[sc.pos] != "=":
+            raise FormatError(f"line {sc.line(name_start)}: expected '=' after field name {name!r}")
+        sc.pos += 1
+        raw = _parse_bib_value(sc)
+        values[name] = raw
+        sc.skip_ws()
+        if sc.eof():
+            raise FormatError(f"line {sc.line()}: unterminated entry {key!r}")
+        if text[sc.pos] not in ",}":
+            raise FormatError(f"line {sc.line()}: expected ',' or '}}' after field {name!r}")
+
+    record = PaperRecord()
+    for name, raw in values.items():
+        if name not in _RECORD_FIELDS or name == "year":
+            continue
+        value = _clean(raw)
+        if name == "month":
+            value = _MONTHS.get(value.lower(), value)
+        if value:
+            setattr(record, name, value)
+    if "year" in values:
+        record.year = _year(_clean(values["year"]))
+    return record
+
+
+def parse_bibtex_ref(source) -> BibParseResult:
+    """Parse BibTeX entries a character at a time; skips malformed entries,
+    counting and noting them.
+
+    `source` is a text stream or string.  Record order follows entry order.
+    """
+    text = source if isinstance(source, str) else source.read()
+    sc = _BibScanner(text)
+    result = BibParseResult(records=[], skipped=0)
+    while True:
+        at = text.find("@", sc.pos)
+        if at < 0:
+            break
+        sc.pos = at
+        try:
+            result.records.append(_parse_bib_entry(sc))
+        except FormatError as exc:
+            result.skipped += 1
+            result.errors.append(str(exc))
+            # resume at the next entry marker
+            nxt = text.find("@", at + 1)
+            sc.pos = len(text) if nxt < 0 else nxt
+    return result
 
 
 def validate_sequence_ref(labels):

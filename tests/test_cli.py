@@ -228,6 +228,21 @@ class TestPartition:
         assert "f" * 64 in err
 
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,t\n", "catalog row 0: 2 columns, expected 11"),
+        ("", "empty catalog: missing header"),
+    ])
+    def test_malformed_catalog_names_its_file(self, tmp_path, capsys, body, message):
+        path = tmp_path / "catalog.csv"
+        path.write_text((corpus_ingest.CSV_HEADER + "\n" if body else "") + body,
+                        encoding="utf-8")
+        out_path = tmp_path / "p.tsv"
+        code, out, err = run_cli(capsys, "partition", str(path), "--out", str(out_path))
+        assert code == 2
+        assert err == f"error: {path}: {message}\n"
+        assert not out_path.exists()
+
+
 class TestLoop:
     def test_loop_produces_records_and_report(self, workspace, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -455,6 +470,29 @@ class TestLoop:
         config.write_text("mystery_knob=1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="mystery_knob"):
             cli.read_config(config)
+
+    @pytest.mark.parametrize("line, value", [
+        ("token_dir=tok#1", "tok#1"),
+        ("token_dir=tok   # the token files", "tok"),
+        ("token_dir=tok\t#tab", "tok"),
+        ("# token_dir=tok", ""),
+        ("  #token_dir=tok", ""),
+    ])
+    def test_comment_starts_at_a_hash_that_begins_the_line_or_follows_whitespace(
+            self, tmp_path, line, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert cli.read_config(config)["token_dir"] == value
+
+    def test_hash_inside_a_value_reaches_the_loop(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8")
+            + f"token_dir={tmp_path / 'tok#1'}   # not there\n", encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "loop", "--config", str(config))
+        assert code == 2
+        assert err == f"error: token_dir does not exist: {tmp_path / 'tok#1'}\n"
 
     def test_config_defaults_are_the_loop_defaults(self):
         assert cli._loop_config(dict(cli.CONFIG_DEFAULTS)) == selftrain.LoopConfig()
@@ -744,6 +782,12 @@ class TestAnnotateEvalCountsDiff:
         )
         assert code == 0
         assert "12 draws of 50" in out
+
+    def test_eval_negative_seed_names_the_setting(self, workspace, capsys):
+        test_ann = str(workspace / "test.ann")
+        code, out, err = run_cli(capsys, "eval", test_ann, test_ann, test_ann, "--seed", "-1")
+        assert code == 2
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_eval_json_output(self, workspace, capsys):
         code, out, err = run_cli(

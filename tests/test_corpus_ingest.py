@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sciner import corpus_ingest as ci
 from sciner.errors import FormatError
 
-from kernel_oracles import tokenize_ref
+from kernel_oracles import parse_bibtex_ref, tokenize_ref
 from sha256_oracle import sha256_hex
 
 # the proceedings entry from the anthology snapshot
@@ -91,6 +91,28 @@ class TestParseBibtex:
         result = ci.parse_bibtex(io.StringIO(text))
         assert result.records[0].year is None
 
+    # "²" passes str.isdigit() but not int(), and "٣" reads as 3
+    @pytest.mark.parametrize("year", ["²", "٣", "0", "-2022", "9" * 5000])
+    def test_year_that_is_not_ascii_digits_above_zero_left_absent(self, year):
+        result = ci.parse_bibtex(f"@article{{k, title={{T}}, year={{{year}}}}}")
+        assert (result.skipped, result.records[0].title) == (0, "T")
+        assert result.records[0].year is None
+
+    def test_quoted_value_holds_braced_group(self):
+        result = ci.parse_bibtex('@article{k, title = "A {B} C", note = "{a}", year = 2022}')
+        assert (result.records[0].title, result.records[0].year) == ("A {B} C", 2022)
+
+    def test_stray_brace_in_quotes_skips_to_next_entry(self):
+        # after the stray '}' the brace depth is below zero, so no later '"' closes the value
+        text = '@article{k, title = "a}b", year = "2022"}\n@article{j, title = {T}}\n'
+        result = ci.parse_bibtex(text)
+        assert [r.title for r in result.records] == ["T"]
+        assert result.errors == ["line 1: unterminated quoted value"]
+
+    def test_unicode_whitespace_and_non_ascii_entry_type(self):
+        text = "@Ärtikel\u2003{k,\u2028title\u00a0=\u3000{T}\x85}"
+        assert ci.parse_bibtex(text).records == [ci.PaperRecord(title="T")]
+
 
 class TestVenueDerivation:
     def test_naacl_url_is_not_acl(self):
@@ -164,6 +186,11 @@ class TestCatalogCsv:
 
     def test_header_only_reads_empty(self):
         assert ci.read_catalog_csv(io.StringIO(ci.CSV_HEADER + "\n")) == []
+
+    @pytest.mark.parametrize("year", ["²", "٣", "0", "2022 ", "9" * 5000])
+    def test_year_that_is_not_ascii_digits_above_zero_left_absent(self, year):
+        text = f"{ci.CSV_HEADER}\n0,T,,,{year},,,,,,\n"
+        assert ci.read_catalog_csv(io.StringIO(text)) == [ci.PaperRecord(title="T")]
 
     def test_wrong_header_names_column(self):
         bad = ci.CSV_HEADER.replace("editor", "editors")
@@ -446,6 +473,42 @@ BIB_PIECES = st.sampled_from([
     'url = "https://aclanthology.org/2022.acl-long.1"', "{", "}", '"', ",", "\n", "2022",
 ])
 BIB_TEXT = st.lists(st.one_of(BIB_PIECES, ANY_TEXT), max_size=30).map("".join)
+# BIB_TEXT with more of what the scanner tells apart: entry types, keys,
+# braced and quoted values, stray braces, Unicode whitespace, years
+SCANNER_PIECES = st.sampled_from([
+    "@string{", "@comment{", "@Ärtikel{", "@x_-1 {", "k1", "key two", "=", "@",
+    "title = {A {B} C}", '"{a}"', '"a}b"', '"a{b"', "year = {²}", "year={٣}",
+    "pages = 1--2", "\u2003", "\u2028", "\x1c", "\x85", "\t", "\r\n", " ",
+])
+SCANNER_TEXT = st.lists(
+    st.one_of(BIB_PIECES, SCANNER_PIECES, ANY_TEXT), max_size=30
+).map("".join)
+
+# the same skips and errors as the reference, on inputs that each reach one rule
+SCANNER_CASES = [
+    '@article{k, title = "A {B} C"}',
+    '@article{k, title = "{a}", year = "2022"}',
+    '@article{k, title = "a}b", year = "2022"}\n@article{j, title = {T}}',
+    '@article{k, title = "a}b{", year = "2022"}',
+    "@comment{ free text, here }\n@article{k, title = {T}}",
+    '@string{acl = "Association for Computational Linguistics"}',
+    "@article\u2003{k,\u2028title\u00a0=\u3000{T}\x85}",
+    "@Ärtikel{k, title={T}}",
+    "@文章{k, title={T}}",
+    "@²{k, title={T}}",
+    "@article{k, title = {T} year = 2022}",
+    "@article{k, title = {A {B, year = 2022}\n@article{j, title = {T}}",
+    '@article{k, title = "open, year = 2022}\n\n@article{j, title = {T}}',
+    "@article{k, title = ",
+    "@article{k, = {T}}",
+    "@article{k, title = , year = 2022}",
+    "@article{k, title = {T},",
+    "@article{k, title",
+    "@ {k}",
+    "@article k}",
+    "@article{k",
+    "@article{k=1, title = {T}}",
+]
 
 
 # every character the tokenizer treats specially, digits, ASCII and other
@@ -476,6 +539,23 @@ class TestIngestProperties:
     def test_parse_bibtex_never_raises(self, text):
         result = ci.parse_bibtex(text)
         assert result.skipped == len(result.errors)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(SCANNER_TEXT)
+    def test_parse_bibtex_matches_reference(self, text):
+        assert ci.parse_bibtex(text) == parse_bibtex_ref(text)
+
+    @pytest.mark.parametrize("text", SCANNER_CASES)
+    def test_parse_bibtex_matches_reference_on_each_rule(self, text):
+        assert ci.parse_bibtex(text) == parse_bibtex_ref(text)
+
+    def test_scanner_character_classes_are_the_str_predicates(self):
+        # the reference scans with str.isspace and str.isalnum; the regular
+        # expressions must agree with them on every code point
+        chars = [chr(i) for i in range(0x110000)]
+        assert [c for c in chars if bool(ci._SPACE.fullmatch(c)) != c.isspace()] == []
+        assert [c for c in chars
+                if bool(ci._ENTRY_TYPE.fullmatch(c)) != (c.isalnum() or c in "_-")] == []
 
 
 class TestTokenFiles:

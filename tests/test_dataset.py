@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,21 @@ class TestAnnotatedParagraph:
             paragraph("a", 0, confidence=[1.0, 1.0, 1.0])
         p = paragraph("a", 0, provenance="auto", confidence=[0.5, 0.99, 0.99])
         assert p.confidence == [0.5, 0.99, 0.99]
+
+    # each of these was written as a header that read_annotations rejects
+    @pytest.mark.parametrize("field, value, message", [
+        ("paper_id", "a b", "paper id 'a b' is empty or has whitespace"),
+        ("paper_id", "", "paper id '' is empty or has whitespace"),
+        ("paper_id", "a\x85", "paper id 'a\\x85' is empty or has whitespace"),
+        ("paragraph_index", -1, "paragraph index must be a non-negative integer, got -1"),
+        ("annotator", "", "annotator '' is empty or has a line break"),
+        ("annotator", "al\nice", "annotator 'al\\nice' is empty or has a line break"),
+        ("annotator", "al\rice", "annotator 'al\\rice' is empty or has a line break"),
+    ])
+    def test_header_field_no_header_carries_rejected(self, field, value, message):
+        fields = dict(paper_id="a", paragraph_index=0, words=["w"], labels=["O"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ds.AnnotatedParagraph(**{**fields, field: value})
 
 
 class TestSplitTrainTest:
@@ -340,6 +356,19 @@ def auto_paragraph(draw):
         annotator=draw(st.none() | st.lists(TOKEN, min_size=1, max_size=2).map(" ".join)),
         confidence=draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
     )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(), st.integers(-2, 10**6), st.none() | st.text())
+def test_every_paragraph_constructed_reads_back(paper_id, index, annotator):
+    try:
+        p = ds.AnnotatedParagraph(paper_id, index, ["w"], ["O"], "manual", annotator)
+    except ValueError:
+        return
+    sink = io.StringIO()
+    ds.write_annotations([p], sink)
+    # newline=None splits lines as a file opened in text mode does, "\r" too
+    assert ds.read_annotations(io.StringIO(sink.getvalue(), newline=None)) == [p]
 
 
 @settings(max_examples=200, deadline=None)

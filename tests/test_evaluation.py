@@ -188,6 +188,11 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="draw_size"):
             ev.bootstrap_compare(gold, pred_a, pred_b, draws=2, draw_size=21)
 
+    def test_negative_seed_rejected(self):
+        gold, pred_a, pred_b = self.fixture(20)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ev.bootstrap_compare(gold, pred_a, pred_b, draws=2, draw_size=10, seed=-1)
+
     def test_draws_use_identical_subsets_for_both_models(self):
         gold, pred_a, _ = self.fixture(80)
         # when model B IS model A, per-draw metrics must agree draw by draw,
