@@ -186,7 +186,9 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
     a paragraph not in `paragraphs` are an AlignmentError, raised before any
     paragraph is decoded.  With a model, `features` may be the compiled
     `tagger.FeatureTable` of `paragraphs`' words, so that a run that
-    annotates the same paragraphs again featurizes them once.
+    annotates the same paragraphs again featurizes them once.  A table's
+    vocabulary is mapped to the model's weight rows once, so no array of
+    `hash_dim` entries is built.
     Returns (annotated paragraphs, GateStats); per-word confidence is the
     aggregated score of the best legal class, whether or not it was accepted.
 
@@ -218,16 +220,19 @@ def annotate_corpus(source, paragraphs, config: GateConfig = GateConfig(), *,
             )
 
     no_records = (np.zeros(0, np.int64), np.zeros((0, tag_schema.NUM_CLASSES)))
+    if features is not None:
+        rows = source.vocab_rows(features.vocab)
     annotated = []
     decoded = []  # label indices, one array per chunk
     for start in range(0, len(paragraphs), CHUNK_PARAGRAPHS):
         chunk = paragraphs[start : start + CHUNK_PARAGRAPHS]
-        if from_model:  # each paragraph scored on its own, from views of the table
+        if from_model:  # each paragraph scored on its own, from its model rows
             table, at = features, start
             if features is None:
                 table, at = tagger.featurize([p.words for p in chunk], source.hash_dim), 0
-            pieces = [(w, source.subword_probs(feat, offsets))
-                      for feat, offsets, w, _ in table.paragraphs(at, at + len(chunk))]
+                rows = source.vocab_rows(table.vocab)
+            pieces = [(w, source.row_probs(feat_rows, offsets))
+                      for feat_rows, offsets, w, _ in table.paragraphs(at, at + len(chunk), rows)]
         else:
             pieces = [grouped.get((p.paper_id, p.paragraph_index), no_records) for p in chunk]
         probs, word_idx, word_at = _chunk_arrays(chunk, pieces)

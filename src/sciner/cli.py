@@ -8,6 +8,7 @@ comments; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -71,6 +72,17 @@ CONFIG_DEFAULTS = {
 }
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """`path` opened as UTF-8 text; a byte sequence that is not UTF-8, met
+    while the block reads it, is a FormatError that starts with the path."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
 # a comment starts at a '#' that begins the line or follows whitespace
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
@@ -78,7 +90,7 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 def read_config(path) -> dict[str, str]:
     """Flat key=value file with # comments; unknown keys are rejected."""
     values = dict(CONFIG_DEFAULTS)
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
             if not line:
@@ -132,7 +144,7 @@ def _loop_config(cfg: dict[str, str], path="config", flags=()) -> selftrain.Loop
 
 
 def _read_annotation_file(path):
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         return dataset.read_annotations(handle, filename=str(path))
 
 
@@ -175,7 +187,7 @@ def _urllib_fetcher(url: str) -> bytes:
 
 
 def cmd_ingest(args) -> int:
-    with open(args.bibfile, encoding="utf-8") as handle:
+    with _open_text(args.bibfile) as handle:
         parsed = corpus_ingest.parse_bibtex(handle)
     with atomic_write(args.csv) as handle:
         rows = corpus_ingest.write_catalog_csv(parsed.records, handle)
@@ -200,14 +212,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    with open(args.catalog, encoding="utf-8") as handle:
+    with _open_text(args.catalog) as handle:
         try:
             catalog = corpus_ingest.read_catalog_csv(handle)
         except FormatError as exc:
             raise FormatError(f"{args.catalog}: {exc}") from None
     manual_ids: list[str] = []
     if args.manual_ids:
-        with open(args.manual_ids, encoding="utf-8") as handle:
+        with _open_text(args.manual_ids) as handle:
             manual_ids = [line.strip() for line in handle if line.strip()]
     part = dataset.partition_corpus(catalog, manual_ids)
     with atomic_write(args.out) as handle:

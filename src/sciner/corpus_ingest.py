@@ -238,12 +238,16 @@ def write_catalog_csv(records, sink) -> int:
 
 
 def read_catalog_csv(source) -> list[PaperRecord]:
-    """Inverse of :func:`write_catalog_csv`."""
+    """Inverse of :func:`write_catalog_csv`.  A row that the csv module
+    cannot read (a field over its size limit, say) is a FormatError naming
+    the row."""
     reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
         raise FormatError("empty catalog: missing header") from None
+    except csv.Error as exc:
+        raise FormatError(f"catalog header: {exc}") from None
     if tuple(header) != CSV_COLUMNS:
         for got, want in zip(header, CSV_COLUMNS):
             if got != want:
@@ -252,14 +256,17 @@ def read_catalog_csv(source) -> list[PaperRecord]:
             f"catalog header has {len(header)} columns, expected {len(CSV_COLUMNS)}"
         )
     records = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise FormatError(
-                f"catalog row {len(records)}: {len(row)} columns, expected {len(CSV_COLUMNS)}"
-            )
-        record = PaperRecord(*(value or None for value in row[1:]))
-        record.year = _year(row[CSV_COLUMNS.index("year")])
-        records.append(record)
+    try:
+        for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise FormatError(
+                    f"catalog row {len(records)}: {len(row)} columns, expected {len(CSV_COLUMNS)}"
+                )
+            record = PaperRecord(*(value or None for value in row[1:]))
+            record.year = _year(row[CSV_COLUMNS.index("year")])
+            records.append(record)
+    except csv.Error as exc:
+        raise FormatError(f"catalog row {len(records)}: {exc}") from None
     return records
 
 

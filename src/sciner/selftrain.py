@@ -89,11 +89,13 @@ _PERSISTED_FIELDS = [f for f in fields(IterationRecord) if f.metadata.get("persi
 
 def compile_features(manual_train, auto_corpus, test_set, dim: int):
     """A run's (training, test) feature tables: the words of the manual then
-    the auto paragraphs, and of the test paragraphs (None without a test set)."""
+    the auto paragraphs, and of the test paragraphs (None without a test set).
+    Each is compacted once, so that every `train` and `annotate_corpus` call
+    of the run maps only its distinct hashed ids to weight rows."""
     train_table = tagger.featurize([p.words for p in [*manual_train, *auto_corpus]], dim)
     if test_set is None:
-        return train_table, None
-    return train_table, tagger.featurize([p.words for p in test_set], dim)
+        return train_table.compact(), None
+    return train_table.compact(), tagger.featurize([p.words for p in test_set], dim).compact()
 
 
 def _step_seed(master: int, iteration: int, step: int) -> int:

@@ -243,6 +243,79 @@ class TestPartition:
         assert not out_path.exists()
 
 
+    def test_field_past_the_csv_limit_names_file_and_row(self, tmp_path, capsys):
+        records = [corpus_ingest.PaperRecord(title="short", url="https://x.test/a"),
+                   corpus_ingest.PaperRecord(title="x" * 200_000, url="https://x.test/b")]
+        path = tmp_path / "catalog.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            corpus_ingest.write_catalog_csv(records, handle)
+        code, out, err = run_cli(capsys, "partition", str(path), "--out", str(tmp_path / "p.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: {path}: catalog row 1: field larger than field limit")
+
+
+LATIN_1 = "caf\u00e9".encode("latin-1")  # 0xe9 starts no valid UTF-8 sequence here
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an error that starts with its path."""
+
+    @staticmethod
+    def assert_names(err, path):
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9"), err
+
+    def test_ingest_bibtex(self, tmp_path, capsys):
+        bib = tmp_path / "latin.bib"
+        bib.write_bytes(b"@article{x, title = {" + LATIN_1 + b"}}\n")
+        code, out, err = run_cli(capsys, "ingest", str(bib), "--csv", str(tmp_path / "c.csv"))
+        assert code == 2
+        self.assert_names(err, bib)
+
+    @pytest.mark.parametrize("which", ["catalog", "manual_ids"])
+    def test_partition(self, tmp_path, capsys, which):
+        catalog, _ = TestPartition().make_catalog(tmp_path)
+        ids = tmp_path / "manual.txt"
+        ids.write_text("x\n", encoding="utf-8")
+        bad = catalog if which == "catalog" else ids
+        bad.write_bytes(bad.read_bytes() + LATIN_1 + b"\n")
+        code, out, err = run_cli(capsys, "partition", str(catalog), "--manual-ids", str(ids),
+                                 "--out", str(tmp_path / "p.tsv"))
+        assert code == 2
+        self.assert_names(err, bad)
+
+    @staticmethod
+    def latin_copy(source, target):
+        target.write_bytes(source.read_bytes() + b"# " + LATIN_1 + b"\n")
+        return target
+
+    def test_counts(self, workspace, tmp_path, capsys):
+        bad = self.latin_copy(workspace / "train.ann", tmp_path / "train.ann")
+        code, out, err = run_cli(capsys, "counts", str(bad))
+        assert code == 2
+        self.assert_names(err, bad)
+
+    def test_eval(self, workspace, tmp_path, capsys):
+        bad = self.latin_copy(workspace / "test.ann", tmp_path / "test.ann")
+        code, out, err = run_cli(capsys, "eval", str(workspace / "test.ann"), str(bad))
+        assert code == 2
+        self.assert_names(err, bad)
+
+    @pytest.mark.parametrize("which", ["config", "train_annotations"])
+    def test_loop(self, workspace, tmp_path, capsys, which):
+        config = tmp_path / "run.cfg"
+        text = (workspace / "run.cfg").read_text(encoding="utf-8")
+        if which == "config":
+            bad = self.latin_copy(workspace / "run.cfg", config)
+        else:
+            bad = self.latin_copy(workspace / "train.ann", tmp_path / "train.ann")
+            config.write_text(text + f"train_annotations={bad}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "loop", "--config", str(config),
+                                 "--run-dir", str(tmp_path / "run"))
+        assert code == 2
+        self.assert_names(err, bad)
+        assert not (tmp_path / "run").exists()
+
+
 class TestLoop:
     def test_loop_produces_records_and_report(self, workspace, tmp_path, capsys):
         run_dir = tmp_path / "run"
