@@ -371,11 +371,10 @@ class TaggerModel:
             )
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
-        rows.flags.writeable = False  # the id -> row index is built from them once
+        rows.flags.writeable = False  # vocab_rows searches them: they stay sorted
         # one all-zero row after the values stands for every id not in `rows`
         self._table = np.zeros((len(rows) + 1, n_classes))
         self._table[:-1] = weights
-        self._index = None
         self.rows = rows
         self.values = self._table[:-1]
         self.hash_dim = hash_dim
@@ -393,30 +392,14 @@ class TaggerModel:
         """Class distributions of the subwords whose hashed feature ids are
         `feat[offsets[s]:offsets[s + 1]]`, bit-identical to scoring with the
         dense matrix."""
-        if self._index is None:
-            # hashed id -> row of the table, in the smallest dtype that holds
-            # the zero row's number (uint16, 2 MB at 2^20, below 65,536 rows)
-            index = np.full(self.hash_dim, len(self.rows), np.min_scalar_type(len(self.rows)))
-            index[self.rows] = np.arange(len(self.rows))
-            self._index = index
-        return self.row_probs(self._index[feat], offsets)
+        return self.row_probs(self.vocab_rows(feat), offsets)
 
     def vocab_rows(self, vocab) -> np.ndarray:
-        """The row of the weight table that scores each uint32 hashed id of
-        `vocab`: its position in `rows`, or the zero row after them for an id
-        that is not in `rows`.  No array of `hash_dim` entries is built.
-
-        The ids are searched in sorted order, which made numpy's binary
-        search four times faster on a 128-paragraph chunk's 7,442 ids against
-        2,483 rows (0.41 to 0.09 ms, 2-CPU Xeon guest): each id is packed
-        above its position in one uint64, and the packed values are sorted."""
-        packed = np.sort(vocab.astype(np.uint64) << 32 | np.arange(len(vocab), dtype=np.uint64))
-        ids = (packed >> 32).astype(np.int64)
-        at = np.searchsorted(self.rows, ids)
-        found = np.where(np.append(self.rows, -1)[at] == ids, at, len(self.rows))
-        rows = np.empty(len(vocab), np.int64)
-        rows[packed & 0xFFFFFFFF] = found
-        return rows
+        """The row of the weight table that scores each hashed id of `vocab`:
+        its position in `rows`, or the zero row after them for an id that is
+        not in `rows`.  No array of `hash_dim` entries is built."""
+        at = np.searchsorted(self.rows, vocab)
+        return np.where(np.append(self.rows, -1)[at] == vocab, at, len(self.rows))
 
     def row_probs(self, rows, offsets) -> np.ndarray:
         """Class distributions of the subwords whose features score with the

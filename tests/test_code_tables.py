@@ -4,9 +4,14 @@ A table's features are int32 codes into its `vocab` of hashed ids.
 `featurize`, `select` and `compact` must keep `vocab[code]` equal to
 `featurize_ref`'s ids; `train` and `annotate_corpus`, which map the
 vocabulary to weight rows once, must give bit for bit what they give
-without a table; and `vocab_rows` must score as `subword_probs` does.
+without a table; scoring through `vocab_rows` must match the dense weight
+matrix; and nothing may build an array of `hash_dim` entries at the
+largest dimension.
 """
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sciner import autoannotate, synth, tagger
+from sciner import autoannotate, kernels, synth, tagger
 from sciner import tag_schema as ts
 from sciner.autoannotate import GateConfig, annotate_corpus
 from sciner.dataset import TrainingExample, merge_for_retraining
+from kernel_oracles import dense_weights
 from test_autoannotate import carrier
 from test_tagger import HASH_DIMS, WORD, assert_table_matches_ref
 
@@ -158,18 +164,37 @@ class TestAnnotate:
             for table in (run_table.compact(), run_table):
                 assert annotation_bits(trained, pars, table.select(rows)) == expected
 
-    def test_largest_hash_dim_never_scores_by_hashed_id(self):
-        # subword_probs builds an index of hash_dim entries, 8 GiB at 2**32;
-        # training and annotation must not reach it
-        dim = 1 << 32
-        examples = examples_of([["Alpha", "beta"], ["gamma", "Alpha", "delta"]], 0)
-        pars = [carrier(e.words, index=k) for k, e in enumerate(examples)]
-        table = tagger.featurize([e.words for e in examples], dim).compact()
-        with mock.patch.object(tagger.TaggerModel, "subword_probs", side_effect=AssertionError):
-            model = tagger.train(examples, tagger.TrainConfig(epochs=2), hash_dim=dim,
-                                 features=table)
-            assert annotation_bits(model, pars, None) == annotation_bits(model, pars, table)
-        assert model._index is None
+    def test_largest_hash_dim_under_a_2_gb_cap(self):
+        # an array of hash_dim entries would take 4 GiB or more at 2**32;
+        # training, annotation with and without a table, and predict_probs
+        # run in a child process whose address space is capped at 2 GB
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+            "from sciner import tagger\n"
+            "from sciner.autoannotate import GateConfig, annotate_corpus\n"
+            "from sciner.dataset import AnnotatedParagraph, TrainingExample\n"
+            "dim = 1 << 32\n"
+            "words = [['Alpha', 'beta'], ['gamma', 'Alpha', 'delta']]\n"
+            "examples = [TrainingExample(w, ['B-MethodName', 'O', 'O'][:len(w)], [True] * len(w))\n"
+            "            for w in words]\n"
+            "table = tagger.featurize(words, dim).compact()\n"
+            "model = tagger.train(examples, tagger.TrainConfig(epochs=2, learning_rate=16.0),\n"
+            "                     hash_dim=dim, features=table)\n"
+            "pars = [AnnotatedParagraph(paper_id='p', paragraph_index=k, words=w,\n"
+            "                           provenance='unannotated') for k, w in enumerate(words)]\n"
+            "got = [annotate_corpus(model, pars, GateConfig(0.6), features=f)[0]\n"
+            "       for f in (table, None)]\n"
+            "assert [p.labels for p in got[0]] == [p.labels for p in got[1]]\n"
+            "print(len(model.rows), len(tagger.predict_probs(model, words[1])))\n"
+        )
+        src = os.path.dirname(os.path.dirname(tagger.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=pythonpath))
+        assert out.returncode == 0, out.stderr[-500:]
+        n_rows, n_subwords = map(int, out.stdout.split())
+        assert n_rows > 0 and n_subwords >= 3
 
 
 def random_model(data, dim):
@@ -183,19 +208,20 @@ class TestVocabRows:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), paragraphs=PARAGRAPHS, dim=st.sampled_from([2, 16, 1 << 10]),
            fresh=st.booleans(), compact=st.booleans())
-    def test_scores_as_subword_probs(self, data, paragraphs, dim, fresh, compact):
+    def test_scores_as_the_dense_matrix(self, data, paragraphs, dim, fresh, compact):
         # small dims put ids on both sides of every row, 0 and dim - 1 included
         model = tagger.TaggerModel.fresh(dim) if fresh else random_model(data, dim)
+        dense = dense_weights(model)
         table = tagger.featurize(paragraphs, dim)
         table = table.compact() if compact else table
         rows = model.vocab_rows(table.vocab)
-        expected = model.subword_probs(table.feat, table.offsets)
-        got = model.row_probs(rows[table.code], table.offsets)
-        assert got.tobytes() == expected.tobytes()
+        expected = kernels.score_subwords(dense, table.feat, table.offsets)
+        assert model.row_probs(rows[table.code], table.offsets).tobytes() == expected.tobytes()
+        assert model.subword_probs(table.feat, table.offsets).tobytes() == expected.tobytes()
         for (ids, offsets, _, _), (feat_rows, _, _, _) in zip(
                 table.paragraphs(), table.paragraphs(lookup=rows)):
             assert (model.row_probs(feat_rows, offsets).tobytes()
-                    == model.subword_probs(ids, offsets).tobytes())
+                    == kernels.score_subwords(dense, ids, offsets).tobytes())
 
     def test_misses_take_the_zero_row(self):
         model = tagger.TaggerModel(np.ones((3, ts.NUM_CLASSES)), 100, rows=[0, 50, 99])
