@@ -191,6 +191,9 @@ def cmd_ingest(args) -> int:
         parsed = corpus_ingest.parse_bibtex(handle)
     with atomic_write(args.csv) as handle:
         rows = corpus_ingest.write_catalog_csv(parsed.records, handle)
+    if parsed.non_entries:
+        print(f"skipped {parsed.non_entries} @comment, @preamble and @string entries",
+              file=sys.stderr)
     if parsed.skipped:
         print(f"skipped {parsed.skipped} malformed entries:", file=sys.stderr)
         for error in parsed.errors:

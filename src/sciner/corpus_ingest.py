@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
-from .util import atomic_write
+from .util import atomic_write, first_non_word
 
 VENUES = ("ACL", "EMNLP", "NAACL")
 
@@ -91,6 +91,7 @@ class BibParseResult:
     records: list[PaperRecord]
     skipped: int
     errors: list[str] = field(default_factory=list)
+    non_entries: int = 0  # @comment, @preamble and @string bodies passed over
 
 
 def _year(text: str) -> int | None:
@@ -112,6 +113,8 @@ _ENTRY_KEY = re.compile(r"[^,}]*")
 _FIELD_NAME = re.compile(r"[^\s=,}]*")
 _BARE_VALUE = re.compile(r"[^,}\n]*")
 _BRACE_OR_QUOTE = re.compile(r'[{}"]')
+# entry types, in any case, whose body is no record
+_NON_ENTRY_TYPES = ("comment", "preamble", "string")
 
 
 def _entry_error(text: str, pos: int, message: str) -> FormatError:
@@ -153,14 +156,17 @@ def _clean(value: str) -> str:
     return _WS_RE.sub(" ", value).strip()
 
 
-def _parse_entry(text: str, at: int) -> tuple[PaperRecord, int]:
-    """The @type{key, ...} entry whose '@' is at `at`, and the position past it."""
+def _parse_entry(text: str, at: int) -> tuple[PaperRecord | None, int]:
+    """The @type{key, ...} entry whose '@' is at `at`, and the position past
+    it; no record for a non-entry, whose balanced body is passed over."""
     m = _ENTRY_TYPE.match(text, at + 1)
     if not m:
         raise _entry_error(text, at + 1, "missing entry type after '@'")
     pos = _SPACE.match(text, m.end()).end()
     if not text.startswith("{", pos):
         raise _entry_error(text, pos, "expected '{' after entry type")
+    if m.group().lower() in _NON_ENTRY_TYPES:
+        return None, _parse_value(text, pos)[1]
     key_start = pos + 1
     pos = _ENTRY_KEY.match(text, key_start).end()
     if pos == len(text):
@@ -205,7 +211,8 @@ def parse_bibtex(source) -> BibParseResult:
     """Parse BibTeX entries; skips malformed entries, counting and noting them.
 
     `source` is a text stream or string.  Record order follows entry order.
-    After a malformed entry, parsing resumes at the next '@'.
+    After a malformed entry, parsing resumes at the next '@'.  The bodies of
+    @comment, @preamble and @string are passed over and counted apart.
     """
     text = source if isinstance(source, str) else source.read()
     result = BibParseResult(records=[], skipped=0)
@@ -213,7 +220,10 @@ def parse_bibtex(source) -> BibParseResult:
     while at >= 0:
         try:
             record, end = _parse_entry(text, at)
-            result.records.append(record)
+            if record is None:
+                result.non_entries += 1
+            else:
+                result.records.append(record)
         except FormatError as exc:
             result.skipped += 1
             result.errors.append(str(exc))
@@ -355,6 +365,8 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -438,18 +450,11 @@ class TokenizedDocument:
         for i, paragraph in enumerate(self.paragraphs):
             if not paragraph:
                 raise ValueError(f"paragraph {i} is empty")
-            try:
-                # str.split and str.isspace share one definition of whitespace,
-                # so this gives the tokens back iff none is empty or has any
-                if " ".join(paragraph).split() == paragraph:
-                    continue
-            except TypeError:  # a token that is not a str
-                pass
-            for token in paragraph:  # find the token to name
-                if not token or any(c.isspace() for c in token):
-                    raise ValueError(
-                        f"paragraph {i}: token {token!r} is empty or has whitespace"
-                    )
+            bad = first_non_word(paragraph)
+            if bad >= 0:
+                raise ValueError(
+                    f"paragraph {i}: token {paragraph[bad]!r} is empty or has whitespace"
+                )
 
 
 def write_token_file(doc: TokenizedDocument, sink) -> None:

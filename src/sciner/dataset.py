@@ -11,12 +11,14 @@ confidence column), and a blank line between paragraphs:
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
 
 from . import tag_schema
 from .errors import FormatError
+from .util import WORD_RE, first_non_word, is_word
 
 PROVENANCES = ("manual", "auto", "unannotated")
 
@@ -24,17 +26,16 @@ AUTO_VENUES = ("ACL", "EMNLP", "NAACL")
 AUTO_YEARS = (2022, 2023)
 
 
-# the header fields that `_HEADER_RE` reads back: a paper id, the
+# the header fields that `_HEADER_RE` reads back: a paper id (a word), the
 # "<paper id> <paragraph index>" pair that a paragraph checks in one match,
 # and an annotator
-_PAPER_ID_RE = re.compile(r"\S+")
-_ID_AND_INDEX_RE = re.compile(_PAPER_ID_RE.pattern + " [0-9]+")
+_ID_AND_INDEX_RE = re.compile(WORD_RE.pattern + " [0-9]+")
 _ANNOTATOR_RE = re.compile(r"[^\n\r]+")
 
 
 def check_paper_id(paper_id: str) -> None:
     """ValueError unless an annotation header can carry `paper_id`."""
-    if not _PAPER_ID_RE.fullmatch(paper_id):
+    if not is_word(paper_id):
         raise ValueError(f"paper id {paper_id!r} is empty or has whitespace")
 
 
@@ -195,11 +196,19 @@ _HEADER_RE = re.compile(
 
 
 def write_annotations(paragraphs, sink) -> int:
-    """Write paragraphs in the annotation file format; returns paragraph count."""
+    """Write paragraphs in the annotation file format; returns paragraph count.
+    A word the format cannot hold (not `util.is_word`) is a ValueError naming
+    it, raised before any of its paragraph is written."""
     count = 0
     for p in paragraphs:
         if p.labels is None:
             raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no labels")
+        bad = first_non_word(p.words)
+        if bad >= 0:
+            raise ValueError(
+                f"{p.paper_id} paragraph {p.paragraph_index}: word {bad} "
+                f"{p.words[bad]!r} is empty or has whitespace"
+            )
         header = f"# paper_id={p.paper_id} paragraph={p.paragraph_index} provenance={p.provenance}"
         if p.annotator is not None:
             header += f" annotator={p.annotator}"
@@ -217,73 +226,45 @@ def write_annotations(paragraphs, sink) -> int:
 def read_annotations(source, filename: str = "<annotations>") -> list[AnnotatedParagraph]:
     """Read an annotation file, validating labels and BIO transitions.
 
-    Only `auto` paragraphs carry the confidence column; a third column in
-    any other paragraph is an error naming its line.
-    """
-    paragraphs = []
-    header = None
-    words: list[str] = []
-    labels: list[str] = []
-    confidence: list[float] = []
-    header_line = 0
+    Each run of non-blank lines is one paragraph; the first fault in line
+    order is a FormatError naming the file and the line."""
+    numbered = enumerate((line.rstrip("\n") for line in source), start=1)
+    return [
+        _read_paragraph(list(block), filename)
+        for nonblank, block in itertools.groupby(numbered, key=lambda pair: bool(pair[1]))
+        if nonblank
+    ]
+
+
+def _read_paragraph(block, filename: str) -> AnnotatedParagraph:
+    """The paragraph in one block of `(line number, line)` pairs.  Only `auto`
+    paragraphs carry the confidence column; a fault of the whole paragraph
+    names the header's line."""
 
     def fail(lineno, message):
         raise FormatError(f"{filename}:{lineno}: {message}")
 
-    def flush(lineno):
-        nonlocal header, words, labels, confidence
-        if header is None:
-            return
-        if not words:
-            fail(header_line, "paragraph has no words")
-        prov = header["provenance"]
-        conf = confidence if prov == "auto" else None
-        if prov == "auto" and len(confidence) != len(words):
-            fail(header_line, "auto paragraph lacks a confidence column")
-        try:
-            paragraphs.append(
-                AnnotatedParagraph(
-                    paper_id=header["paper_id"],
-                    paragraph_index=int(header["paragraph"]),
-                    words=words,
-                    labels=labels,
-                    provenance=prov,
-                    annotator=header["annotator"],
-                    confidence=conf,
-                )
-            )
-        except ValueError as exc:
-            fail(header_line, str(exc))
-        header = None
-        words, labels, confidence = [], [], []
-
-    lineno = 0
-    for lineno, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            flush(lineno)
-            continue
-        # inside a paragraph, a line with a tab is a word line even when the
-        # word starts with "#" (the tokenizer emits words such as "#1")
-        if line.startswith("#") and (header is None or "\t" not in line):
-            if header is not None:
-                fail(lineno, "header inside paragraph (missing blank line?)")
-            m = _HEADER_RE.match(line)
-            if not m:
-                fail(lineno, f"malformed paragraph header: {line!r}")
-            header = m.groupdict()
-            if header["provenance"] not in PROVENANCES:
-                fail(lineno, f"unknown provenance {header['provenance']!r}")
-            header_line = lineno
-            continue
-        if header is None:
-            fail(lineno, "word line before any paragraph header")
+    (header_line, header), *rows = block
+    if not header.startswith("#"):
+        fail(header_line, "word line before any paragraph header")
+    m = _HEADER_RE.match(header)
+    if not m:
+        fail(header_line, f"malformed paragraph header: {header!r}")
+    provenance = m["provenance"]
+    if provenance not in PROVENANCES:
+        fail(header_line, f"unknown provenance {provenance!r}")
+    words, labels, confidence = [], [], []
+    for lineno, line in rows:
+        # a line with a tab is a word line even when the word starts with "#"
+        # (the tokenizer emits words such as "#1")
+        if line.startswith("#") and "\t" not in line:
+            fail(lineno, "header inside paragraph (missing blank line?)")
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             fail(lineno, f"expected word<TAB>label[<TAB>confidence], got {line!r}")
         word, label = parts[0], parts[1]
-        if not word:
-            fail(lineno, "empty word")
+        if not is_word(word):
+            fail(lineno, f"word {word!r} has whitespace" if word else "empty word")
         if label not in tag_schema.LABEL_INDEX:
             fail(lineno, f"unknown label {label!r}")
         prev = labels[-1] if labels else None
@@ -292,11 +273,25 @@ def read_annotations(source, filename: str = "<annotations>") -> list[AnnotatedP
         words.append(word)
         labels.append(label)
         if len(parts) == 3:
-            if header["provenance"] != "auto":
-                fail(lineno, f"confidence column in a {header['provenance']} paragraph")
+            if provenance != "auto":
+                fail(lineno, f"confidence column in a {provenance} paragraph")
             try:
                 confidence.append(float(parts[2]))
             except ValueError:
                 fail(lineno, f"bad confidence value {parts[2]!r}")
-    flush(lineno + 1)
-    return paragraphs
+    if not words:
+        fail(header_line, "paragraph has no words")
+    if provenance == "auto" and len(confidence) != len(words):
+        fail(header_line, "auto paragraph lacks a confidence column")
+    try:
+        return AnnotatedParagraph(
+            paper_id=m["paper_id"],
+            paragraph_index=int(m["paragraph"]),
+            words=words,
+            labels=labels,
+            provenance=provenance,
+            annotator=m["annotator"],
+            confidence=confidence if provenance == "auto" else None,
+        )
+    except ValueError as exc:
+        fail(header_line, str(exc))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels, tag_schema
 from .errors import AlignmentError, FormatError
-from .util import atomic_write
+from .util import atomic_write, is_word
 
 DEFAULT_HASH_DIM = 1 << 20
 SUBWORD_WIDTH = 4
@@ -45,7 +45,7 @@ class SubwordToken:
 
 def segment_word(word: str, word_index: int = 0) -> list[SubwordToken]:
     """Fixed-width chunking: at most 4 characters per subword, left to right."""
-    if not word or any(c.isspace() for c in word):
+    if not is_word(word):
         raise ValueError(f"cannot segment {word!r}")
     out = []
     for start in range(0, len(word), SUBWORD_WIDTH):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import tempfile
 
 
@@ -28,3 +29,21 @@ def count_with_pct(part: int, total: int) -> str:
     """Render `part` of `total` the way download tallies are reported: "988 (98.8%)"."""
     pct = 100.0 * part / total if total else 0.0
     return f"{part:,} ({pct:.1f}%)"
+
+
+# a word (a token, an annotated word, a paper id) is non-empty and holds no
+# character that str.isspace calls whitespace; in a str pattern, `\s` is
+# exactly those characters
+WORD_RE = re.compile(r"\S+")
+_SPACE_RE = re.compile(r"\s")
+
+
+def is_word(text: str) -> bool:
+    return WORD_RE.fullmatch(text) is not None
+
+
+def first_non_word(words) -> int:
+    """The position of the first item of `words` that is not a word, or -1."""
+    if all(words) and not _SPACE_RE.search("".join(words)):
+        return -1
+    return next(i for i, word in enumerate(words) if not is_word(word))

@@ -30,8 +30,14 @@ expressions of `corpus_ingest.tokenize` must give the same tokens.
 `parse_bibtex_ref` scans BibTeX one character at a time;
 `corpus_ingest.parse_bibtex`, which matches each piece of an entry with an
 anchored regular expression, must give the same records, skip count and
-errors.  Both read a year with `corpus_ingest._year`, so they differ only
-in scanning.
+errors, and the same count of @comment, @preamble and @string bodies passed
+over.  Both read a year with `corpus_ingest._year`, so they differ only in
+scanning.
+`read_annotations_ref` reads an annotation file one line at a time with a
+state machine that flushes each paragraph at the next blank line or at the
+end of the file; `dataset.read_annotations`, which cuts the file into blocks
+and parses each block on its own, must give the same paragraphs, or raise
+the same error naming the same line.
 `validate_sequence_ref` checks a label sequence one transition at a time
 with `tag_schema.is_legal_transition`; `tag_schema.validate_sequence` must
 give the same violations, or raise the same unknown-label error.
@@ -61,6 +67,7 @@ from sciner.corpus_ingest import (
     _clean,
     _year,
 )
+from sciner.dataset import _HEADER_RE, PROVENANCES, AnnotatedParagraph
 from sciner.evaluation import NON_O_LABELS, MetricSet, _check_aligned, _prf
 from sciner.errors import AlignmentError, FormatError
 from sciner.tagger import (
@@ -544,8 +551,10 @@ def _parse_bib_value(sc: _BibScanner) -> str:
     return value
 
 
-def _parse_bib_entry(sc: _BibScanner) -> PaperRecord:
-    """Parse one @type{key, ...} entry starting at sc.pos (at the '@')."""
+def _parse_bib_entry(sc: _BibScanner) -> PaperRecord | None:
+    """Parse one @type{key, ...} entry starting at sc.pos (at the '@'); for
+    @comment, @preamble and @string, in any case, step past the balanced
+    body and return None."""
     text, n = sc.text, len(sc.text)
     sc.pos += 1  # consume '@'
     start = sc.pos
@@ -553,9 +562,13 @@ def _parse_bib_entry(sc: _BibScanner) -> PaperRecord:
         sc.pos += 1
     if sc.pos == start:
         raise FormatError(f"line {sc.line()}: missing entry type after '@'")
+    entry_type = text[start : sc.pos]
     sc.skip_ws()
     if sc.eof() or text[sc.pos] != "{":
         raise FormatError(f"line {sc.line()}: expected '{{' after entry type")
+    if entry_type.lower() in ("comment", "preamble", "string"):
+        _parse_bib_value(sc)
+        return None
     sc.pos += 1
     key_start = sc.pos
     while sc.pos < n and text[sc.pos] not in ",}":
@@ -627,7 +640,11 @@ def parse_bibtex_ref(source) -> BibParseResult:
             break
         sc.pos = at
         try:
-            result.records.append(_parse_bib_entry(sc))
+            record = _parse_bib_entry(sc)
+            if record is None:
+                result.non_entries += 1
+            else:
+                result.records.append(record)
         except FormatError as exc:
             result.skipped += 1
             result.errors.append(str(exc))
@@ -635,6 +652,95 @@ def parse_bibtex_ref(source) -> BibParseResult:
             nxt = text.find("@", at + 1)
             sc.pos = len(text) if nxt < 0 else nxt
     return result
+
+
+def read_annotations_ref(source, filename: str = "<annotations>") -> list[AnnotatedParagraph]:
+    """Read an annotation file one line at a time, validating labels and BIO
+    transitions.
+
+    Only `auto` paragraphs carry the confidence column; a third column in
+    any other paragraph is an error naming its line.
+    """
+    paragraphs = []
+    header = None
+    words: list[str] = []
+    labels: list[str] = []
+    confidence: list[float] = []
+    header_line = 0
+
+    def fail(lineno, message):
+        raise FormatError(f"{filename}:{lineno}: {message}")
+
+    def flush(lineno):
+        nonlocal header, words, labels, confidence
+        if header is None:
+            return
+        if not words:
+            fail(header_line, "paragraph has no words")
+        prov = header["provenance"]
+        conf = confidence if prov == "auto" else None
+        if prov == "auto" and len(confidence) != len(words):
+            fail(header_line, "auto paragraph lacks a confidence column")
+        try:
+            paragraphs.append(
+                AnnotatedParagraph(
+                    paper_id=header["paper_id"],
+                    paragraph_index=int(header["paragraph"]),
+                    words=words,
+                    labels=labels,
+                    provenance=prov,
+                    annotator=header["annotator"],
+                    confidence=conf,
+                )
+            )
+        except ValueError as exc:
+            fail(header_line, str(exc))
+        header = None
+        words, labels, confidence = [], [], []
+
+    lineno = 0
+    for lineno, line in enumerate(source, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            flush(lineno)
+            continue
+        # inside a paragraph, a line with a tab is a word line even when the
+        # word starts with "#" (the tokenizer emits words such as "#1")
+        if line.startswith("#") and (header is None or "\t" not in line):
+            if header is not None:
+                fail(lineno, "header inside paragraph (missing blank line?)")
+            m = _HEADER_RE.match(line)
+            if not m:
+                fail(lineno, f"malformed paragraph header: {line!r}")
+            header = m.groupdict()
+            if header["provenance"] not in PROVENANCES:
+                fail(lineno, f"unknown provenance {header['provenance']!r}")
+            header_line = lineno
+            continue
+        if header is None:
+            fail(lineno, "word line before any paragraph header")
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            fail(lineno, f"expected word<TAB>label[<TAB>confidence], got {line!r}")
+        word, label = parts[0], parts[1]
+        if not word:
+            fail(lineno, "empty word")
+        if label not in tag_schema.LABEL_INDEX:
+            fail(lineno, f"unknown label {label!r}")
+        prev = labels[-1] if labels else None
+        if not tag_schema.is_legal_transition(prev, label):
+            fail(lineno, f"illegal transition {prev!r} -> {label!r}")
+        words.append(word)
+        labels.append(label)
+        if len(parts) == 3:
+            if header["provenance"] != "auto":
+                fail(lineno, f"confidence column in a {header['provenance']} paragraph")
+            try:
+                confidence.append(float(parts[2]))
+            except ValueError:
+                fail(lineno, f"bad confidence value {parts[2]!r}")
+    flush(lineno + 1)
+    return paragraphs
 
 
 def validate_sequence_ref(labels):

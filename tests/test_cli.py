@@ -94,6 +94,43 @@ class TestIngest:
         assert "skipped 3 malformed entries" in err
         assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 3
 
+    def test_non_entries_reported_on_stderr_apart(self, tmp_path, capsys):
+        bib = tmp_path / "notes.bib"
+        bib.write_text(
+            PROCEEDINGS_BIB + "@comment{see @misc{x}}\n@preamble{\"p\"}\n"
+            '@string{acl = "ACL"}\n@article{b, title = {broken\n',
+            encoding="utf-8",
+        )
+        out_csv = tmp_path / "catalog.csv"
+        code, out, err = run_cli(capsys, "ingest", str(bib), "--csv", str(out_csv))
+        assert code == 0
+        assert err.splitlines()[:2] == [
+            "skipped 3 @comment, @preamble and @string entries",
+            "skipped 1 malformed entries:",
+        ]
+        assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_no_non_entries_no_report(self, tmp_path, capsys):
+        bib = tmp_path / "anthology.bib"
+        bib.write_text(PROCEEDINGS_BIB, encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest", str(bib), "--csv", str(tmp_path / "c.csv"))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_fetch_parallelism_below_one_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                   parallelism):
+        bib = tmp_path / "one.bib"
+        bib.write_text('@article{a, title = "A", url = "https://x.test/a"}\n', encoding="utf-8")
+        fetched = []
+        monkeypatch.setattr(cli, "_urllib_fetcher", fetched.append)
+        code, out, err = run_cli(
+            capsys, "ingest", str(bib), "--csv", str(tmp_path / "c.csv"),
+            "--fetch", "--pdf-dir", str(tmp_path / "pdfs"),
+            "--manifest", str(tmp_path / "manifest.tsv"), "--parallelism", parallelism,
+        )
+        assert (code, err, fetched) == (2, "error: parallelism must be >= 1\n", [])
+        assert not (tmp_path / "manifest.tsv").exists()
+
     def test_missing_bib_exits_two(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "ingest", str(tmp_path / "nope.bib"), "--csv", str(tmp_path / "x.csv")
@@ -391,6 +428,25 @@ class TestLoop:
         )
         assert code == 2
         assert err == f"error: {tokens / 'a b.txt'}: paper id 'a b' is empty or has whitespace\n"
+        assert not run_dir.exists()
+
+    def test_annotated_word_with_whitespace_exits_two_naming_file_and_line(
+            self, workspace, tmp_path, capsys):
+        lines = (workspace / "train.ann").read_text(encoding="utf-8").split("\n")
+        lines[2] = "On\u2003x\t" + lines[2].split("\t", 1)[1]
+        train = tmp_path / "train.ann"
+        train.write_text("\n".join(lines), encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + f"train_annotations={train}\n",
+            encoding="utf-8",
+        )
+        run_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "loop", "--config", str(config), "--run-dir", str(run_dir),
+        )
+        assert code == 2
+        assert err == f"error: {train}:3: word 'On\\u2003x' has whitespace\n"
         assert not run_dir.exists()
 
     def test_resume_with_changed_config_exits_two(self, workspace, tmp_path, capsys):

@@ -113,6 +113,27 @@ class TestParseBibtex:
         text = "@Ärtikel\u2003{k,\u2028title\u00a0=\u3000{T}\x85}"
         assert ci.parse_bibtex(text).records == [ci.PaperRecord(title="T")]
 
+    # non-entries in any case, one holding an '@', passed over and counted apart
+    @pytest.mark.parametrize("text, non_entries", [
+        ('@comment{x}\n@preamble{"p"}', 2),
+        ("@comment{see @misc{x}}", 1),
+        ('@string{acl = "ACL"}', 1),
+        ("@COMMENT{a}\n@Preamble {b {c} d}\n@sTrInG{e = {f}}", 3),
+    ])
+    def test_comment_preamble_and_string_bodies_passed_over(self, text, non_entries):
+        result = ci.parse_bibtex(text + "\n@article{k, title = {T}}\n")
+        assert result == ci.BibParseResult(
+            records=[ci.PaperRecord(title="T")], skipped=0, non_entries=non_entries
+        )
+
+    def test_unterminated_comment_body_is_malformed(self):
+        # parsing resumes at the next '@', here inside the body
+        result = ci.parse_bibtex("@comment{a\n{b}\n@article{k, title = {T}}\n")
+        assert result == ci.BibParseResult(
+            records=[ci.PaperRecord(title="T")], skipped=1,
+            errors=["line 1: unbalanced braces in value"],
+        )
+
 
 class TestVenueDerivation:
     def test_naacl_url_is_not_acl(self):
@@ -419,6 +440,11 @@ class TestFetchPdfs:
         with pytest.raises(ValueError):
             ci.fetch_pdfs([], lambda url: b"", tmp_path, max_attempts=0)
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_bad_parallelism(self, tmp_path, parallelism):
+        with pytest.raises(ValueError, match="^parallelism must be >= 1$"):
+            ci.fetch_pdfs([], lambda url: b"", tmp_path, parallelism=parallelism)
+
 
 class TestTokenize:
     def test_hyphenated_ordinal(self):
@@ -479,6 +505,13 @@ SCANNER_PIECES = st.sampled_from([
     "@string{", "@comment{", "@Ärtikel{", "@x_-1 {", "k1", "key two", "=", "@",
     "title = {A {B} C}", '"{a}"', '"a}b"', '"a{b"', "year = {²}", "year={٣}",
     "pages = 1--2", "\u2003", "\u2028", "\x1c", "\x85", "\t", "\r\n", " ",
+])
+# non-entry types in any case, with bodies balanced, nested, unterminated and
+# holding an '@'
+NON_ENTRY_PIECES = st.sampled_from([
+    "@comment{", "@COMMENT {", "@Preamble{", "@string{", "@sTrInG\u2003{", "@comments{",
+    "@comment{x}", '@preamble{"p"}', "@comment{see @misc{x}}", '@string{acl = "ACL"}',
+    "@article{k, title = {T}}", "{", "}", "\n",
 ])
 SCANNER_TEXT = st.lists(
     st.one_of(BIB_PIECES, SCANNER_PIECES, ANY_TEXT), max_size=30
@@ -547,6 +580,11 @@ class TestIngestProperties:
 
     @pytest.mark.parametrize("text", SCANNER_CASES)
     def test_parse_bibtex_matches_reference_on_each_rule(self, text):
+        assert ci.parse_bibtex(text) == parse_bibtex_ref(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.one_of(SCANNER_PIECES, NON_ENTRY_PIECES), max_size=30).map("".join))
+    def test_parse_bibtex_matches_reference_on_non_entries(self, text):
         assert ci.parse_bibtex(text) == parse_bibtex_ref(text)
 
     def test_scanner_character_classes_are_the_str_predicates(self):

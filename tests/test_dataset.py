@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sciner import dataset as ds
+from sciner import util
 from sciner.corpus_ingest import PaperRecord, hash_url, tokenize
 from sciner.errors import FormatError
 from sciner import tag_schema as ts
 
+from kernel_oracles import read_annotations_ref
 from test_tag_schema import random_legal_sequence
 
 
@@ -334,6 +336,68 @@ class TestAnnotationFiles:
         with pytest.raises(FormatError, match=":3: header inside paragraph"):
             ds.read_annotations(io.StringIO(text))
 
+    # each rejection with the line it names and its whole message
+    @pytest.mark.parametrize("text, line, message", [
+        ("# paper_id=abc paragraph=0 provenance=manual\n\n", 1, "paragraph has no words"),
+        ("# paper_id=abc paragraph=0 provenance=manual\nx\tO\n\n"
+         "# paper_id=abc paragraph=1 provenance=manual", 4, "paragraph has no words"),
+        ("x\tO\n\n# paper_id=abc paragraph=0 provenance=manual\n", 1,
+         "word line before any paragraph header"),
+        ("# paper_id=abc paragraph=0 provenance=auto\nx\tO\t0.5\ny\tO\n", 1,
+         "auto paragraph lacks a confidence column"),
+        ("# paper_id=abc paragraph=x provenance=manual\nx\tO\n", 1,
+         "malformed paragraph header: '# paper_id=abc paragraph=x provenance=manual'"),
+        ("# paper_id=abc paragraph=0 provenance=robot\nx\tO\n", 1,
+         "unknown provenance 'robot'"),
+        ("# paper_id=abc paragraph=0 provenance=manual\nx\tO\n\n\ny\tO\n", 5,
+         "word line before any paragraph header"),
+        ("# paper_id=abc paragraph=0 provenance=manual\nx\tO\n\tO\n", 3, "empty word"),
+        ("# paper_id=abc paragraph=0 provenance=auto\nx\tO\t0.5\ny\tO\tx\n", 3,
+         "bad confidence value 'x'"),
+        ("# paper_id=abc paragraph=0 provenance=auto\nx\tO\t\n", 2, "bad confidence value ''"),
+        ("# paper_id=abc paragraph=0 provenance=manual\nx\tO\ty\tz\n", 2,
+         "expected word<TAB>label[<TAB>confidence], got 'x\\tO\\ty\\tz'"),
+        ("# paper_id=abc paragraph=0 provenance=manual\nx\n", 2,
+         "expected word<TAB>label[<TAB>confidence], got 'x'"),
+    ])
+    def test_rejection_names_line_and_message(self, text, line, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(f'w.ann:{line}: {message}')}$"):
+            ds.read_annotations(io.StringIO(text), filename="w.ann")
+
+    @pytest.mark.parametrize("word", ["On\u2003x", "a b", "\x1c", "x\x85", "\u00a0y", "\x0b"])
+    def test_word_with_whitespace_rejected_naming_line(self, word):
+        text = f"# paper_id=abc paragraph=0 provenance=manual\nx\tO\n{word}\tO\n"
+        message = f"w.ann:3: word {word!r} has whitespace"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            ds.read_annotations(io.StringIO(text), filename="w.ann")
+
+    # words no file can hold: whitespace of any kind, tabs and line breaks included, or none
+    @pytest.mark.parametrize("word", ["x\ty", "", "a b", "On\u2003x", "a\n", "\r"])
+    def test_writer_refuses_a_word_no_file_holds(self, word):
+        good = paragraph("a", 0, labels=["O"])
+        bad = paragraph("b", 3, labels=["O", "O"], words=["w", word])
+        sink = io.StringIO()
+        message = f"{bad.paper_id} paragraph 3: word 1 {word!r} is empty or has whitespace"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ds.write_annotations([good, bad], sink)
+        # the paragraphs before it are written whole, and nothing of it
+        assert ds.read_annotations(io.StringIO(sink.getvalue())) == [good]
+
+    # a file with several faults reports the first one the reader meets
+    @pytest.mark.parametrize("lines, expected", [
+        # a label fault on an earlier line beats a format fault on a later one
+        (["x\tI-Foo", "y"], "w.ann:2: unknown label 'I-Foo'"),
+        # and a format fault on an earlier line beats a label fault on a later one
+        (["x", "y\tI-Foo"], "w.ann:2: expected word<TAB>label[<TAB>confidence], got 'x'"),
+        # a paragraph's own fault, named at its header, beats a later paragraph's
+        (["x\tamb", "", "# paper_id=abc paragraph=1 provenance=manual", "y"],
+         "w.ann:1: manual annotations must not contain 'amb'"),
+    ])
+    def test_first_fault_is_reported(self, lines, expected):
+        text = "\n".join(["# paper_id=abc paragraph=0 provenance=manual", *lines]) + "\n"
+        with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+            ds.read_annotations(io.StringIO(text), filename="w.ann")
+
 
 # a token: what a token file line holds between single spaces
 TOKEN = st.text(min_size=1, max_size=6).filter(lambda w: w.split() == [w])
@@ -383,3 +447,106 @@ def test_annotation_file_round_trip(paragraphs):
     ds.write_annotations(back, again)
     assert again.getvalue() == text
 
+
+# annotation file lines, good and bad: headers built from good and bad
+# fields, "#" lines, and word lines of one to four tab-separated columns
+# drawing "#" words, unknown and illegal labels and odd confidences; no word
+# holds whitespace, so a header (which has spaces) holds a tab only where it
+# opens a block
+WORDS = st.sampled_from(["x", "On", "#1", "#", "\u00e9"])
+LABELS = st.sampled_from(["O", "O", "O", "B-TaskName", "I-TaskName", "B-MethodName", "amb"])
+CONFIDENCES = st.sampled_from(["0.5", "1", "nan", "-inf", "1e-3", " 0.25", "x", ""])
+GOOD_HEADER_LINE = st.builds(
+    "# paper_id={} paragraph={} provenance={}{}".format,
+    st.sampled_from(["abc", "p2"]),
+    st.sampled_from(["0", "12", "\u0663"]),
+    st.sampled_from(ds.PROVENANCES),
+    st.sampled_from(["", " annotator=bob", " annotator=a\tb"]),
+)
+HEADER_LINE = st.builds(
+    "# paper_id={} paragraph={} provenance={}{}".format,
+    st.sampled_from(["abc", ""]),
+    st.sampled_from(["0", "x", "", "9" * 5000]),
+    st.sampled_from([*ds.PROVENANCES, "robot", ""]),
+    st.sampled_from(["", " annotator=bob", " annotator=", " x=1"]),
+)
+ANY_WORD_LINE = st.builds(
+    lambda word, columns: "\t".join([word, *columns]),
+    st.one_of(WORDS, st.just("")),
+    st.lists(st.one_of(LABELS, st.sampled_from(["I-Foo", "", "o"]), CONFIDENCES), max_size=3),
+)
+ANY_LINE = st.one_of(
+    HEADER_LINE, ANY_WORD_LINE, ANY_WORD_LINE, st.just(""), st.just("x y"),
+    st.sampled_from(["#", "# note", "#\tO", "#1\tO\t0.5"]),
+)
+ONE_IN_FIVE = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def annotation_text(draw):
+    """Paragraph blocks parted by runs of blank lines, with or without a
+    final newline.  A block is a header and word lines, which carry a
+    confidence column if the header says auto.  One time in five, a header
+    is drawn from bad ones too, the column is the other way round, or a
+    block's lines are drawn from every kind of line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines += [""] * draw(st.integers(0, 3))
+        headers = HEADER_LINE if draw(ONE_IN_FIVE) else GOOD_HEADER_LINE
+        if lines and lines[-1]:  # no blank line: a tab would make a word line of it
+            headers = headers.filter(lambda line: "\t" not in line)
+        header = draw(headers)
+        confidence = ("provenance=auto" in header) != draw(ONE_IN_FIVE)
+        word_line = st.builds(
+            lambda *columns: "\t".join(columns),
+            WORDS, LABELS, *([CONFIDENCES] if confidence else []),
+        )
+        if draw(ONE_IN_FIVE):
+            word_line = st.one_of(word_line, ANY_LINE)
+        lines += [header, *draw(st.lists(word_line, min_size=1, max_size=5))]
+    lines += [""] * draw(st.integers(0, 2))
+    text = "\n".join(lines)
+    return text + "\n" if draw(st.booleans()) else text
+
+
+def read_outcome(reader, text):
+    """What `reader` makes of `text`: the paragraphs' repr (a nan confidence
+    is not equal to itself), or the error's type and message."""
+    try:
+        return repr(reader(io.StringIO(text), filename="w.ann"))
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is any error
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(annotation_text())
+def test_read_annotations_matches_reference(text):
+    assert read_outcome(ds.read_annotations, text) == read_outcome(read_annotations_ref, text)
+
+
+def test_word_rule_is_str_isspace_on_every_code_point():
+    # one rule for tokens, annotated words and paper ids: non-empty, and no
+    # character that str.isspace calls whitespace
+    chars = [chr(i) for i in range(0x110000)]
+    assert [c for c in chars if util.is_word(c) == c.isspace()] == []
+    assert not util.is_word("")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(max_size=3), max_size=5))
+def test_first_non_word_is_the_first_word_the_rule_rejects(words):
+    expected = next((i for i, w in enumerate(words) if not w or any(c.isspace() for c in w)), -1)
+    assert util.first_non_word(words) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+def test_every_paragraph_written_reads_back(words):
+    p = ds.AnnotatedParagraph("p", 0, words, ["O"] * len(words), "manual")
+    sink = io.StringIO()
+    try:
+        ds.write_annotations([p], sink)
+    except ValueError:
+        assert util.first_non_word(words) >= 0 and sink.getvalue() == ""
+        return
+    assert ds.read_annotations(io.StringIO(sink.getvalue(), newline=None)) == [p]
