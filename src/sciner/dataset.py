@@ -197,12 +197,15 @@ _HEADER_RE = re.compile(
 
 def write_annotations(paragraphs, sink) -> int:
     """Write paragraphs in the annotation file format; returns paragraph count.
-    A word the format cannot hold (not `util.is_word`) is a ValueError naming
-    it, raised before any of its paragraph is written."""
+    A paragraph with no words, or a word the format cannot hold (not
+    `util.is_word`), is a ValueError naming it, raised before any of its
+    paragraph is written."""
     count = 0
     for p in paragraphs:
         if p.labels is None:
             raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no labels")
+        if not p.words:  # the reader rejects a paragraph with no words
+            raise ValueError(f"{p.paper_id} paragraph {p.paragraph_index} has no words")
         bad = first_non_word(p.words)
         if bad >= 0:
             raise ValueError(

@@ -17,6 +17,7 @@ import math
 import os
 import zipfile
 import zlib
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -572,7 +573,11 @@ def train(data, config: TrainConfig, init: TaggerModel | None = None,
         raise ValueError("no unmasked training tokens")
     used = np.zeros(len(prepared.vocab), bool)
     used[prepared.code] = True
-    rows = np.union1d(init.rows, prepared.vocab[used])
+    # sorted and distinct, as np.union1d gives, which imports numpy.ma
+    rows = np.sort(np.concatenate((init.rows, prepared.vocab[used])))
+    distinct = np.ones(len(rows), bool)
+    distinct[1:] = rows[1:] != rows[:-1]
+    rows = rows[distinct]
     # one more row, zero, for the kernel's padding
     weights = np.zeros((len(rows) + 1, tag_schema.NUM_CLASSES))
     weights[np.searchsorted(rows, init.rows)] = init.values
@@ -788,12 +793,17 @@ def load_external_probs(source) -> ExternalProbsTable:
     every line passes its field checks and `_fast_probs` takes the block's
     probabilities; any other block is read again by json, one record at a
     time, so the table and any error are exactly json's.
+
+    Each checked block is appended to four growable typed columns, and the
+    table's arrays are views of them, taken once reading ends, so every
+    value is held once.
     """
     import orjson  # here, so that commands that read no probability file do not load it
 
     loads = orjson.loads
     key_ids: dict[tuple[str, int], int] = {}
-    kids, words, subs, blocks = [], [], [], []
+    # an array that exports its buffer cannot grow: the views come last
+    kids, words, subs, probs_col = array("q"), array("q"), array("q"), array("d")
 
     def add_block(recnos, lines, fields):
         try:  # json reads the lines that orjson may read differently
@@ -805,11 +815,11 @@ def load_external_probs(source) -> ExternalProbsTable:
         if probs is None:  # json, one record at a time: the first bad record raises
             probs = np.array([_record_probs(recno, _record_fields(recno, line)[4])
                               for recno, line in zip(recnos, lines)])
-        for paper_id, paragraph, word_index, subword_index, _ in fields:
-            kids.append(key_ids.setdefault((paper_id, paragraph), len(key_ids)))
-            words.append(word_index)
-            subs.append(subword_index)
-        blocks.append(probs)
+        # a list at a time: an array grows more slowly an item at a time
+        kids.fromlist([key_ids.setdefault((p, k), len(key_ids)) for p, k, _, _, _ in fields])
+        words.fromlist([w for _, _, w, _, _ in fields])
+        subs.fromlist([s for _, _, _, s, _ in fields])
+        probs_col.frombytes(memoryview(probs).cast("B"))
 
     recnos, lines, fields = [], [], []
     for recno, line in enumerate(source, start=1):
@@ -826,11 +836,10 @@ def load_external_probs(source) -> ExternalProbsTable:
         add_block(recnos, lines, fields)
     return ExternalProbsTable(
         keys=list(key_ids),
-        key_id=np.array(kids, dtype=np.int64),
-        word_index=np.array(words, dtype=np.int64),
-        subword_index=np.array(subs, dtype=np.int64),
-        probs=(np.concatenate(blocks) if blocks
-               else np.zeros((0, tag_schema.NUM_CLASSES))),
+        key_id=np.frombuffer(kids, dtype=np.int64),
+        word_index=np.frombuffer(words, dtype=np.int64),
+        subword_index=np.frombuffer(subs, dtype=np.int64),
+        probs=np.frombuffer(probs_col, dtype=np.float64).reshape(-1, tag_schema.NUM_CLASSES),
     )
 
 

@@ -383,6 +383,13 @@ class TestAnnotationFiles:
         # the paragraphs before it are written whole, and nothing of it
         assert ds.read_annotations(io.StringIO(sink.getvalue())) == [good]
 
+    def test_writer_refuses_a_paragraph_with_no_words(self):
+        # a lone header would read back as "paragraph has no words"
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="^p paragraph 0 has no words$"):
+            ds.write_annotations([ds.AnnotatedParagraph("p", 0, [], [], "manual")], sink)
+        assert sink.getvalue() == ""
+
     # a file with several faults reports the first one the reader meets
     @pytest.mark.parametrize("lines, expected", [
         # a label fault on an earlier line beats a format fault on a later one

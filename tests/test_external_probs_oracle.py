@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sciner import tagger
+from sciner import tagger, util
 from sciner.errors import FormatError
 
 from kernel_oracles import group_external_probs_ref, load_external_probs_ref
@@ -396,3 +397,90 @@ def test_table_columns_match_oracle_records():
     assert np.array_equal(
         table.probs.view(np.int64), np.array([r.probs for r in expected]).view(np.int64)
     )
+
+
+def assert_table_matches_oracle(table, lines):
+    """The table holds the oracle's records bit for bit, keys numbered in
+    order of first appearance."""
+    expected = list(load_external_probs_ref(iter(lines)))
+    keys = [(r.paper_id, r.paragraph) for r in expected]
+    assert table.keys == list(dict.fromkeys(keys))
+    assert [table.keys[k] for k in table.key_id.tolist()] == keys
+    assert table.word_index.tolist() == [r.word_index for r in expected]
+    assert table.subword_index.tolist() == [r.subword_index for r in expected]
+    for column in (table.key_id, table.word_index, table.subword_index):
+        assert column.dtype == np.int64 and column.shape == (len(expected),)
+    assert table.probs.dtype == np.float64
+    assert table.probs.shape == (len(expected), N_CLASSES)
+    assert np.array_equal(
+        table.probs.view(np.int64),
+        np.array([r.probs for r in expected]).reshape(-1, N_CLASSES).view(np.int64),
+    )
+
+
+@st.composite
+def probs_text(draw):
+    """A valid `probs` list as JSON text: one-hot integers, or floats written
+    in exponent, `%.17g` or shortest round-trip form."""
+    form = draw(st.sampled_from(["one_hot", "%.17e", "%.17g", "%r"]))
+    if form == "one_hot":
+        hot = draw(st.integers(0, N_CLASSES - 1))
+        return "[" + ", ".join("1" if k == hot else "0" for k in range(N_CLASSES)) + "]"
+    weights = draw(st.lists(st.floats(0, 1), min_size=N_CLASSES, max_size=N_CLASSES)
+                   .filter(lambda w: sum(w) > 0))
+    scale = (1.0 + draw(st.floats(-5e-7, 5e-7))) / sum(weights)
+    return "[" + ", ".join(form % (w * scale) for w in weights) + "]"
+
+
+@st.composite
+def probability_line(draw):
+    index = st.integers(0, 2**63 - 1)
+    record = {"paper_id": draw(st.text(min_size=1, max_size=6).filter(util.is_word)),
+              "paragraph": draw(index), "word_index": draw(index),
+              "subword_index": draw(index), "probs": "PROBS"}
+    order = draw(st.permutations(list(record)))
+    line = json.dumps({key: record[key] for key in order}, ensure_ascii=draw(st.booleans()))
+    return line.replace('"PROBS"', draw(probs_text()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(probability_line(), max_size=12), block=st.integers(1, 5))
+def test_written_records_read_back_as_the_oracle_reads_them(lines, block):
+    with mock.patch.object(tagger, "_BLOCK_RECORDS", block):
+        table = tagger.load_external_probs(iter(lines))
+    assert_table_matches_oracle(table, lines)
+
+
+def test_reader_holds_each_value_once():
+    """The traced peak is the table plus a block's transients, not the table
+    twice (per-block arrays and their concatenation)."""
+    rng = np.random.default_rng(8)
+    n = 60_000
+    line = ('{"paper_id": "p%d", "paragraph": 0, "word_index": %d, "subword_index": 0, '
+            '"probs": [' + ", ".join(["%.17g"] * N_CLASSES) + ']%s}')
+    lines = []
+    for i, row in enumerate(rng.dirichlet(np.ones(N_CLASSES), size=n).tolist()):
+        # records 20,000-21,023 carry a sixth key, so orjson passes them to json
+        extra = ', "source": "encoder"' if 20_000 <= i < 20_000 + tagger._BLOCK_RECORDS else ""
+        lines.append(line % (i // 1000, i % 1000, *row, extra))
+        if i % 97 == 0:
+            lines.append("")
+    tracemalloc.start()  # numpy and array report their buffers to tracemalloc
+    try:
+        table = tagger.load_external_probs(iter(lines))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.probs.shape == (n, N_CLASSES) and len(table.keys) == n // 1000
+    nbytes = sum(column.nbytes for column in (
+        table.key_id, table.word_index, table.subword_index, table.probs))
+    assert peak <= 1.15 * nbytes + 2 * 2**20, f"traced peak {peak / nbytes:.2f}x the table"
+
+
+@pytest.mark.parametrize("lines", [[], ["", "  "]])
+def test_empty_file_gives_empty_columns(lines):
+    table = tagger.load_external_probs(iter(lines))
+    assert table.keys == []
+    assert table.probs.shape == (0, N_CLASSES) and table.probs.dtype == np.float64
+    for column in (table.key_id, table.word_index, table.subword_index):
+        assert column.shape == (0,) and column.dtype == np.int64

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -521,6 +524,32 @@ class TestTrain:
         stepped = tagger.train(examples, cfg, init=model)
         grad = training_loss_gradient(model, examples)
         assert np.allclose(dense_weights(stepped), dense_weights(model) - 0.3 * grad, atol=1e-12)
+
+    def test_train_does_not_import_numpy_ma(self):
+        """numpy.ma costs every `sciner loop` process its import; np.union1d
+        and a plain np.unique import it."""
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    print('loaded by numpy')\n"
+            "    raise SystemExit\n"
+            "from sciner import tagger\n"
+            "from sciner.dataset import TrainingExample\n"
+            "examples = [TrainingExample(['Alpha', 'beta'], ['B-MethodName', 'O'], [True, True])]\n"
+            "cfg = tagger.TrainConfig(epochs=2, learning_rate=1.0, batch_size=8, seed=0)\n"
+            "model = tagger.train(examples, cfg, hash_dim=1 << 10)\n"
+            "tagger.train(examples, cfg, init=model)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tagger.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=pythonpath))
+        assert out.returncode == 0, out.stderr[-2000:]
+        if out.stdout.strip() == "loaded by numpy":
+            pytest.skip("this numpy loads numpy.ma on import")
+        assert out.stdout.strip() == "False"
 
 
 class TestGradient:
