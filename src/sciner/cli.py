@@ -20,7 +20,7 @@ import sys
 from . import corpus_ingest, dataset, evaluation, selftrain
 from .autoannotate import DEFAULT_GAMMA, GateConfig, annotate_corpus
 from .errors import FormatError
-from .tagger import TaggerModel
+from .tagger import TaggerModel, load_external_probs
 from .util import atomic_write
 
 RUN_DIR_ENV = "SELFTRAIN_RUN_DIR"
@@ -146,6 +146,16 @@ def _loop_config(cfg: dict[str, str], path="config", flags=()) -> selftrain.Loop
 def _read_annotation_file(path):
     with _open_text(path) as handle:
         return dataset.read_annotations(handle, filename=str(path))
+
+
+def _read_probs_file(path):
+    """The ExternalProbsTable of a probability file; a malformed record is a
+    FormatError that starts with the path."""
+    with _open_text(path) as handle:
+        try:
+            return load_external_probs(handle)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_token_corpus(token_dir):
@@ -299,9 +309,12 @@ def cmd_loop(args) -> int:
 
 def cmd_annotate(args) -> int:
     gate = GateConfig(args.gamma)
-    model = TaggerModel.load(args.model)
+    if args.model is not None:
+        source = TaggerModel.load(args.model)
+    else:
+        source = _read_probs_file(args.probs)
     paragraphs = _read_token_corpus(args.token_dir)
-    annotated, stats = annotate_corpus(model, paragraphs, gate)
+    annotated, stats = annotate_corpus(source, paragraphs, gate)
     with atomic_write(args.out) as handle:
         dataset.write_annotations(annotated, handle)
     print(stats.render())
@@ -383,8 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true", help="reuse persisted iteration artifacts")
     p.set_defaults(func=cmd_loop)
 
-    p = sub.add_parser("annotate", help="auto-annotate token files with a trained model")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("annotate", help="auto-annotate token files with a trained model "
+                                        "or an outside encoder's probabilities")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="trained model file (.npz)")
+    source.add_argument("--probs", help="per-subword probability file (JSON lines)")
     p.add_argument("--tokens", dest="token_dir", required=True, help="directory of <paper_id>.txt files")
     p.add_argument("--out", required=True, help="annotation file output path")
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)

@@ -8,9 +8,7 @@ fixed rule tokenizer into one-paragraph-per-line token files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import hashlib
 import json
 import os
 import re
@@ -18,7 +16,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
-from .util import atomic_write, first_non_word
+from .util import atomic_write, first_non_word, sha256_hex
 
 VENUES = ("ACL", "EMNLP", "NAACL")
 
@@ -33,7 +31,7 @@ def hash_url(url: str) -> str:
     """Lowercase hex SHA256 of the URL's UTF-8 bytes."""
     if not url:
         raise ValueError("url must be non-empty")
-    return hashlib.sha256(url.encode("utf-8")).hexdigest()
+    return sha256_hex(url)
 
 
 def _alnum_tokens(text: str) -> set[str]:
@@ -404,6 +402,8 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
         return ManifestEntry(entry.paper_id, entry.url, "failed", max_attempts, note)
 
     if parallelism > 1 and jobs:
+        import concurrent.futures  # here: only a parallel fetch needs it, and it loads logging
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
             done = list(pool.map(run, jobs.values()))
     else:

@@ -10,7 +10,6 @@ resumed from persisted records finishes identically.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -23,7 +22,7 @@ from . import __version__, dataset, evaluation, tag_schema, tagger
 from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .errors import FormatError
 from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
-from .util import atomic_write
+from .util import atomic_write, sha256_hex
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +58,7 @@ class LoopConfig:
         payload = asdict(self)
         payload.update(payload.pop("gate"))  # a flat gamma, as earlier hashes have it
         text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        return sha256_hex(text)[:12]
 
 
 @dataclass
@@ -217,7 +216,7 @@ def _inputs_sha256(manual_train, auto_corpus, test_set) -> str:
         },
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(payload)
 
 
 def _load_record(path: str, iteration: int, iteration_config_hash: str,

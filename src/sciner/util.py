@@ -25,6 +25,13 @@ def atomic_write(path, mode: str = "w", encoding: str | None = "utf-8"):
         raise
 
 
+def sha256_hex(text: str) -> str:
+    """Lowercase hex sha256 of `text`'s UTF-8 bytes."""
+    import hashlib  # here: it loads OpenSSL, which only the commands that hash need
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def count_with_pct(part: int, total: int) -> str:
     """Render `part` of `total` the way download tallies are reported: "988 (98.8%)"."""
     pct = 100.0 * part / total if total else 0.0

@@ -1,6 +1,7 @@
 """End-to-end command-line tests."""
 
 import collections
+import importlib.util
 import json
 import os
 import re
@@ -22,6 +23,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_token_dir(token_dir, paragraphs):
+    """One `<paper_id>.txt` token file per paper of `paragraphs`."""
+    token_dir.mkdir()
+    by_paper = collections.defaultdict(list)
+    for p in paragraphs:
+        by_paper[p.paper_id].append(p)
+    for pid, paras in by_paper.items():
+        doc = corpus_ingest.TokenizedDocument(
+            pid, [q.words for q in sorted(paras, key=lambda q: q.paragraph_index)]
+        )
+        with open(token_dir / f"{pid}.txt", "w", encoding="utf-8") as handle:
+            corpus_ingest.write_token_file(doc, handle)
+
+
+def write_probs_file(path, model, paragraphs):
+    """The model's per-subword probabilities of `paragraphs` as a probability
+    file, one record per subword, as an outside encoder would write it."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for p in paragraphs:
+            previous, subword = -1, 0
+            for tp in tagger.predict_probs(model, p.words):
+                subword = subword + 1 if tp.word_index == previous else 0
+                previous = tp.word_index
+                handle.write(json.dumps({
+                    "paper_id": p.paper_id, "paragraph": p.paragraph_index,
+                    "word_index": tp.word_index, "subword_index": subword,
+                    "probs": tp.distribution.tolist(),
+                }) + "\n")
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return synth.make_corpus(n_manual=40, n_auto=120, n_test=60, seed=3)
@@ -36,16 +67,7 @@ def workspace(tmp_path_factory, corpus):
     with open(root / "test.ann", "w", encoding="utf-8") as handle:
         dataset.write_annotations(corpus.test, handle)
     token_dir = root / "tokens"
-    token_dir.mkdir()
-    by_paper = collections.defaultdict(list)
-    for p in corpus.auto_inputs:
-        by_paper[p.paper_id].append(p)
-    for pid, paras in by_paper.items():
-        doc = corpus_ingest.TokenizedDocument(
-            pid, [q.words for q in sorted(paras, key=lambda q: q.paragraph_index)]
-        )
-        with open(token_dir / f"{pid}.txt", "w", encoding="utf-8") as handle:
-            corpus_ingest.write_token_file(doc, handle)
+    write_token_dir(token_dir, corpus.auto_inputs)
     config = root / "run.cfg"
     config.write_text(
         "# loop configuration for the cli test\n"
@@ -939,6 +961,156 @@ class TestAnnotateEvalCountsDiff:
         assert code == 0
         assert "[+" in out
         assert "[-" not in out
+
+
+def run_external_probs(command):
+    """The benchmark's probability-file pipeline (`pipebench/child.py`)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pipebench", "child.py")
+    spec = importlib.util.spec_from_file_location("pipebench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.run_external_probs(command)
+
+
+@pytest.fixture(scope="module")
+def probs_file(corpus, trained_run, tmp_path_factory):
+    """The final model's probabilities of the workspace's token files."""
+    path = tmp_path_factory.mktemp("probs") / "probs.jsonl"
+    model = tagger.TaggerModel.load(trained_run / "model_iter02.npz")
+    write_probs_file(path, model, corpus.auto_inputs)
+    return path
+
+
+# prints whether OpenSSL's `_hashlib` and `concurrent.futures` are loaded after
+# the command in argv, after a hash, and after a parallel fetch into a scratch
+# directory
+LEAN_CHILD = """\
+import os, sys
+scratch, mode, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+if mode == "cli":
+    from sciner import cli
+    assert cli.main(args) == 0
+else:  # the library's probability-file pipeline, as a script would run it
+    from sciner import autoannotate, corpus_ingest, dataset, tagger
+    token_dir, probs, out = args
+    paragraphs = []
+    for name in sorted(os.listdir(token_dir)):
+        with open(os.path.join(token_dir, name), encoding="utf-8") as handle:
+            doc = corpus_ingest.read_token_file(handle, paper_id=name[:-len(".txt")])
+        paragraphs += [dataset.AnnotatedParagraph(doc.paper_id, i, words)
+                       for i, words in enumerate(doc.paragraphs)]
+    with open(probs, encoding="utf-8") as handle:
+        annotated, _ = autoannotate.annotate_corpus(tagger.load_external_probs(handle), paragraphs)
+    with open(out, "w", encoding="utf-8") as handle:
+        dataset.write_annotations(annotated, handle)
+loaded = lambda: ("_hashlib" in sys.modules, "concurrent.futures" in sys.modules)
+print(*loaded())
+from sciner import corpus_ingest
+corpus_ingest.hash_url("u")
+print(*loaded())
+record = corpus_ingest.PaperRecord(title="t", url="u")
+corpus_ingest.fetch_pdfs([record], lambda url: b"%PDF", scratch, parallelism=2)
+print(*loaded())
+"""
+
+
+def run_python(code, *argv):
+    # the child must import the same package, whether or not PYTHONPATH is set
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+class TestAnnotateProbs:
+    """`sciner annotate --probs`: an outside encoder's probabilities instead of a model."""
+
+    @pytest.mark.parametrize("seed", [3, 7919])
+    def test_output_matches_the_benchmark_pipeline(self, tmp_path, capsys, seed):
+        corpus = synth.make_corpus(n_manual=30, n_auto=60, n_test=0, seed=seed)
+        model = tagger.train(dataset.merge_for_retraining(corpus.manual, []),
+                             tagger.TrainConfig(epochs=4, learning_rate=16.0, seed=1))
+        write_token_dir(tmp_path / "tokens", corpus.auto_inputs)
+        write_probs_file(tmp_path / "probs.jsonl", model, corpus.auto_inputs)
+        assert run_external_probs({
+            "kind": "external_probs", "token_dir": str(tmp_path / "tokens"),
+            "probs": str(tmp_path / "probs.jsonl"), "gamma": 0.98,
+            "out": str(tmp_path / "bench.ann"), "stats_json": str(tmp_path / "bench.json"),
+        }) == 0
+        code, out, err = run_cli(
+            capsys, "annotate", "--probs", str(tmp_path / "probs.jsonl"),
+            "--tokens", str(tmp_path / "tokens"), "--gamma", "0.98",
+            "--out", str(tmp_path / "cli.ann"), "--stats-json", str(tmp_path / "cli.json"),
+        )
+        assert code == 0, err
+        expected = (tmp_path / "bench.ann").read_bytes()
+        assert b"B-" in expected
+        assert (tmp_path / "cli.ann").read_bytes() == expected
+        stats = json.loads((tmp_path / "cli.json").read_text(encoding="utf-8"))
+        assert stats == json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("sources", [[], ["--model", "m.npz", "--probs", "p.jsonl"]])
+    def test_exactly_one_source_or_exit_two(self, workspace, tmp_path, capsys, sources):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["annotate", *sources, "--tokens", str(workspace / "tokens"),
+                      "--out", str(tmp_path / "x.ann")])
+        assert excinfo.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert not (tmp_path / "x.ann").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda line: line.replace('"probs": [', '"probs": [0.0, '),
+         "probability record 5: expected 15 probabilities, got 16"),
+        (lambda line: line.replace('"word_index": ', '"word_index": -'),
+         "probability record 5: word_index must be a non-negative integer, got -"),
+    ])
+    def test_bad_record_exits_two_naming_file_and_record(self, workspace, probs_file,
+                                                         tmp_path, capsys, damage, message):
+        lines = probs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = damage(lines[4])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        out_path = tmp_path / "x.ann"
+        code, out, err = run_cli(capsys, "annotate", "--probs", str(bad),
+                                 "--tokens", str(workspace / "tokens"), "--out", str(out_path))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {message}")
+        assert not out_path.exists()
+
+    def test_undecodable_file_exits_two_naming_it(self, workspace, probs_file, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "latin.jsonl"
+        bad.write_bytes(probs_file.read_bytes() + LATIN_1 + b"\n")
+        code, out, err = run_cli(capsys, "annotate", "--probs", str(bad),
+                                 "--tokens", str(workspace / "tokens"),
+                                 "--out", str(tmp_path / "x.ann"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+    def test_annotation_leaves_out_openssl_and_thread_pools(self, workspace, trained_run,
+                                                            probs_file, tmp_path):
+        """Only the commands that hash load OpenSSL, and only a parallel
+        fetch loads concurrent.futures."""
+        numpy_loads = run_python(
+            "import sys, numpy\n"
+            "print('_hashlib' in sys.modules or 'concurrent.futures' in sys.modules)"
+        )
+        if numpy_loads.strip() == "True":
+            pytest.skip("numpy itself loads _hashlib or concurrent.futures")
+        tokens = str(workspace / "tokens")
+        runs = {
+            "model": ["cli", "annotate", "--model", str(trained_run / "model_iter02.npz"),
+                      "--tokens", tokens, "--out", str(tmp_path / "model.ann")],
+            "probs": ["cli", "annotate", "--probs", str(probs_file),
+                      "--tokens", tokens, "--out", str(tmp_path / "probs.ann")],
+            "library": ["library", tokens, str(probs_file), str(tmp_path / "library.ann")],
+        }
+        for name, argv in runs.items():
+            lines = run_python(LEAN_CHILD, str(tmp_path / name), *argv).splitlines()[-3:]
+            assert lines == ["False False", "True False", "True True"], name
+        assert (tmp_path / "library.ann").read_bytes() == (tmp_path / "probs.ann").read_bytes()
 
 
 class TestHelp:

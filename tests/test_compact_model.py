@@ -1,9 +1,15 @@
 """The compact model (only the hashed rows training touched) against dense training."""
 
+import math
+import os
+import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sciner import kernels, synth
 from sciner import tag_schema as ts
@@ -140,6 +146,49 @@ def write_unreadable_model(path, kind):
             learning_rate=0.0, seed=0,
         )
     return path
+
+
+# a weight is -0.0, a subnormal of either sign or any other finite float64
+_WEIGHT = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, -2.2250738585072009e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# a row of +0.0 (not saved), a row of signed zeros, or any row
+_ROW = st.one_of(
+    st.just([0.0] * ts.NUM_CLASSES),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=ts.NUM_CLASSES, max_size=ts.NUM_CLASSES),
+    st.lists(_WEIGHT, min_size=ts.NUM_CLASSES, max_size=ts.NUM_CLASSES),
+)
+
+
+def float_bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hash_dim=st.integers(2, 2**32), data=st.data(),
+       epochs_run=st.integers(0, 2**63 - 1), seed=st.integers(0, 2**63 - 1),
+       learning_rate=st.floats(allow_nan=False))
+def test_saved_model_loads_back_bit_for_bit(hash_dim, data, epochs_run, seed, learning_rate):
+    rows = sorted(data.draw(st.sets(st.integers(0, hash_dim - 1), max_size=12)))
+    values = [data.draw(_ROW) for _ in rows]
+    model = tagger.TaggerModel(
+        np.array(values, dtype=np.float64).reshape(len(rows), ts.NUM_CLASSES), hash_dim,
+        epochs_run, learning_rate, seed, rows=np.array(rows, dtype=np.int64),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(os.path.join(tmp, "model"))
+        loaded = tagger.TaggerModel.load(os.path.join(tmp, "model.npz"))
+    # a row is saved when any of its weights is not +0.0
+    kept = [i for i, row in enumerate(values)
+            if any(v != 0 or math.copysign(1.0, v) < 0 for v in row)]
+    assert loaded.rows.tolist() == [rows[i] for i in kept]
+    assert [[float_bits(v) for v in row] for row in loaded.values.tolist()] == [
+        [float_bits(v) for v in values[i]] for i in kept
+    ]
+    assert (loaded.hash_dim, loaded.epochs_run, loaded.seed) == (hash_dim, epochs_run, seed)
+    assert float_bits(loaded.learning_rate) == float_bits(learning_rate)
 
 
 UNREADABLE_KINDS = ["truncated", "not_npz", "unknown_method", "npy", "hash_dim_1",

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sciner import corpus_ingest as ci
+from sciner import util
 from sciner.errors import FormatError
 
 from kernel_oracles import parse_bibtex_ref, tokenize_ref
@@ -257,6 +258,15 @@ class TestHashUrl:
     def test_empty_url_rejected(self):
         with pytest.raises(ValueError):
             ci.hash_url("")
+
+    # any text, and text drawn only from outside the basic multilingual plane,
+    # whose UTF-8 is four bytes a character
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.text(st.characters(min_codepoint=0x10000)))
+    def test_util_digest_matches_independent_implementation(self, text):
+        assert util.sha256_hex(text) == sha256_hex(text.encode("utf-8"))
+        if text:
+            assert ci.hash_url(text) == util.sha256_hex(text)
 
 
 class TestFetchPdfs:
