@@ -284,6 +284,8 @@ def cmd_loop(args) -> int:
         run_dir=run_dir, resume=args.resume,
     )
     for record in records:
+        for warning in record.warnings:
+            print(warning, file=sys.stderr)
         stats = record.gate_stats
         line = (
             f"iteration {record.iteration}: {stats.total_words} words, "

@@ -231,15 +231,27 @@ def parse_bibtex(source) -> BibParseResult:
 
 
 def write_catalog_csv(records, sink) -> int:
-    """Write the canonical catalog CSV; returns the number of data rows."""
+    """Write the canonical catalog CSV; returns the number of data rows.
+
+    A record that `read_catalog_csv` could not read back is a ValueError
+    naming its row and field, raised before its row is written: a field
+    holding a carriage return (a reader with universal newlines turns it
+    into a line feed), or a year that is not an integer above 0 (read back
+    as no year).
+    """
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     count = 0
     for i, record in enumerate(records):
         row = [str(i)]
-        for name in CSV_COLUMNS[1:]:
+        for name in _RECORD_FIELDS:
             value = getattr(record, name)
-            row.append("" if value is None else str(value))
+            if name == "year" and value is not None and not (type(value) is int and value > 0):
+                raise ValueError(f"catalog row {i}: year must be an integer above 0, got {value!r}")
+            text = "" if value is None else str(value)
+            if "\r" in text:
+                raise ValueError(f"catalog row {i}: {name} holds a carriage return")
+            row.append(text)
         writer.writerow(row)
         count += 1
     return count
@@ -314,9 +326,29 @@ class DownloadManifest:
         return count_with_pct(self.ok_count, len(self.entries))
 
 
+_STATUSES = ("pending", "ok", "failed")
+_TAB_OR_LINE_BREAK = re.compile(r"[\t\n\r]")
+
+
 def write_manifest(manifest: DownloadManifest, sink) -> None:
-    for e in manifest.entries:
+    """One `paper_id<TAB>status<TAB>attempts<TAB>note` line per entry.
+
+    An entry that `read_manifest` could not read back is a ValueError naming
+    it and the field, raised before its line is written: an unknown status,
+    attempts that are not a non-negative integer, or a tab, `\\n` or `\\r`
+    in the paper id or the note.
+    """
+    for i, e in enumerate(manifest.entries):
+        if e.status not in _STATUSES:
+            raise ValueError(f"manifest entry {i}: unknown status {e.status!r}")
+        if type(e.attempts) is not int or e.attempts < 0:
+            raise ValueError(
+                f"manifest entry {i}: attempts must be a non-negative integer, got {e.attempts!r}"
+            )
         note = e.error_note or ""
+        for name, text in (("paper_id", e.paper_id), ("error_note", note)):
+            if _TAB_OR_LINE_BREAK.search(text):
+                raise ValueError(f"manifest entry {i}: {name} {text!r} holds a tab or line break")
         sink.write(f"{e.paper_id}\t{e.status}\t{e.attempts}\t{note}\n")
 
 
@@ -331,7 +363,7 @@ def read_manifest(source) -> DownloadManifest:
         if len(parts) != 4:
             raise FormatError(f"manifest line {lineno}: expected 4 tab-separated fields")
         paper_id, status, attempts, note = parts
-        if status not in ("pending", "ok", "failed"):
+        if status not in _STATUSES:
             raise FormatError(f"manifest line {lineno}: unknown status {status!r}")
         if not (attempts.isascii() and attempts.isdigit()):
             raise FormatError(
@@ -398,7 +430,8 @@ def fetch_pdfs(records, fetcher, out_dir, max_attempts: int = 3,
                     error = exc
             if attempt < max_attempts:
                 sleep(1)
-        note = str(error) or type(error).__name__
+        # one line in the manifest: each run of whitespace becomes one space
+        note = _WS_RE.sub(" ", str(error)) or type(error).__name__
         return ManifestEntry(entry.paper_id, entry.url, "failed", max_attempts, note)
 
     if parallelism > 1 and jobs:

@@ -11,7 +11,6 @@ resumed from persisted records finishes identically.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -23,8 +22,6 @@ from .autoannotate import GateConfig, GateStats, annotate_corpus
 from .errors import FormatError
 from .tagger import DEFAULT_HASH_DIM, TaggerModel, TrainConfig, train
 from .util import atomic_write, sha256_hex
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,6 @@ def run_iteration(manual_train, auto_corpus, config: LoopConfig, iteration: int 
             "step 3 trains on manual data only"
         )
         warnings.append(message)
-        log.warning(message)
 
     clock = time.monotonic()
     merged = dataset.merge_for_retraining(manual_train, auto_annotated, config.amb_policy)
@@ -328,7 +324,6 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
                         model, test_set, config.gate, features=features[1]
                     )
                 records.append(record)
-                log.info("iteration %d loaded from %s", iteration, run_dir)
                 continue
         # hold one finished model at a time: the last one only if it seeds this one
         init, model = (model if config.carry_forward else None), None

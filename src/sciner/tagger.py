@@ -10,6 +10,7 @@ reader instead, so the rest of the pipeline is agnostic to the source.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import lzma
@@ -176,7 +177,9 @@ class FeatureTable:
     @property
     def feat(self) -> np.ndarray:
         """`vocab[code]`: the hashed id of every feature, as a new read-only array."""
-        return _hashed_ids(self.vocab, self.code)
+        ids = self.vocab[self.code]
+        ids.flags.writeable = False
+        return ids
 
     def word_counts(self) -> list[int]:
         return np.diff(self.word_at).tolist()
@@ -228,13 +231,6 @@ class FeatureTable:
         vocab, inverse = np.unique(self.vocab, return_inverse=True)
         return FeatureTable(self.dim, vocab, inverse.astype(np.int32)[self.code],
                             self.offsets, self.word_idx, self.sub_at, self.word_at)
-
-
-def _hashed_ids(vocab, code) -> np.ndarray:
-    """`vocab[code]` as a new read-only array."""
-    ids = vocab[code]
-    ids.flags.writeable = False
-    return ids
 
 
 def _bounds(counts) -> np.ndarray:
@@ -489,24 +485,25 @@ def _nonzero_bits(values) -> np.ndarray:
     return values.view(np.int64).any(axis=1)
 
 
-@dataclass
-class _Prepared:
-    """Featurized training set in kernel array form: features are `code`s
-    into the hashed ids `vocab`, as in a FeatureTable."""
+@dataclass(frozen=True, eq=False)
+class _Prepared(FeatureTable):
+    """A featurized training set: its FeatureTable, whose arrays it shares,
+    with each subword's int64 class index `labels` and uint8 loss `mask`."""
 
-    vocab: np.ndarray
-    code: np.ndarray
-    offsets: np.ndarray
     labels: np.ndarray
     mask: np.ndarray
-    par_offsets: np.ndarray
-    n_paragraphs: int
-    n_effective: int
 
     @property
-    def feat(self) -> np.ndarray:
-        """`vocab[code]`: the hashed id of every feature, as a new read-only array."""
-        return _hashed_ids(self.vocab, self.code)
+    def par_offsets(self) -> np.ndarray:
+        return self.sub_at
+
+    @property
+    def n_paragraphs(self) -> int:
+        return len(self)
+
+    @property
+    def n_effective(self) -> int:
+        return int(self.mask.sum())
 
 
 def prepare_examples(examples, featurizer: Featurizer,
@@ -536,17 +533,9 @@ def prepare_examples(examples, featurizer: Featurizer,
         label = labels[int(np.argmax(unknown))]
         raise ValueError(f"unmasked label {label!r} is not a model class")
     word = features.word_idx + np.repeat(features.word_at[:-1], np.diff(features.sub_at))
-    mask = live.astype(np.uint8)[word]
-    return _Prepared(
-        vocab=features.vocab,
-        code=features.code,
-        offsets=features.offsets,
-        labels=np.where(live, index, 0)[word],
-        mask=mask,
-        par_offsets=features.sub_at,
-        n_paragraphs=len(features),
-        n_effective=int(mask.sum()),
-    )
+    table = {f.name: getattr(features, f.name) for f in dataclasses.fields(FeatureTable)}
+    return _Prepared(**table, labels=np.where(live, index, 0)[word],
+                     mask=live.astype(np.uint8)[word])
 
 
 def train(data, config: TrainConfig, init: TaggerModel | None = None,

@@ -408,6 +408,10 @@ class TestWordApiIsPipeline:
         assert mismatches == 0
         assert ties > 1000 and at_gamma > 1000
 
+    def test_word_probs_reject_a_wrong_class_count(self):
+        with pytest.raises(ValueError, match=r"^scores must have 15 entries, got \(14,\)$"):
+            WordProbs(np.full(14, 1 / 14))
+
     def test_word_probs_reject_nan(self):
         scores = np.full(15, 0.01)
         scores[4] = np.nan

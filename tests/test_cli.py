@@ -1,6 +1,7 @@
 """End-to-end command-line tests."""
 
 import collections
+import dataclasses
 import importlib.util
 import json
 import os
@@ -411,6 +412,46 @@ class TestLoop:
         )
         assert out.stdout.splitlines()[-2:] == ["False", "True"]
 
+    def test_gate_warning_on_stderr_and_again_on_resume(self, workspace, corpus, tmp_path,
+                                                        capsys):
+        # the set-up of test_all_amb_gate_degrades_to_manual_training: gamma
+        # 1.0 with a model whose probabilities are all below 1
+        config = tmp_path / "all_amb.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8")
+            + "gamma=1.0\nstep1_epochs=1\nstep1_learning_rate=1e-4\n"
+            "step3_epochs=1\nstep3_learning_rate=1e-4\n",
+            encoding="utf-8",
+        )
+        n_words = sum(len(p.words) for p in corpus.auto_inputs)
+        expected = "".join(
+            f"iteration {i}: gate rejected all {n_words} words; "
+            "step 3 trains on manual data only\n" for i in (1, 2)
+        )
+        argv = ["loop", "--config", str(config), "--run-dir", str(tmp_path / "run")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, expected)
+        # a resumed iteration's record brings its warnings back
+        code, resumed_out, err = run_cli(capsys, *argv, "--resume")
+        assert (code, err, resumed_out) == (0, expected, out)
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# settings\ntoken_dir tokens\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^" + re.escape(
+                f"{config}:2: expected key=value, got 'token_dir tokens'") + "$"):
+            cli.read_config(config)
+
+    def test_config_without_token_dir_exits_two(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "".join(line for line in (workspace / "run.cfg").read_text(encoding="utf-8")
+                    .splitlines(keepends=True) if not line.startswith("token_dir=")),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "loop", "--config", str(config))
+        assert (code, err) == (2, "error: config is missing token_dir\n")
+
     def test_rerun_identical_report(self, workspace, tmp_path, capsys):
         first_code, first_out, _ = run_cli(
             capsys, "loop", "--config", str(workspace / "run.cfg"),
@@ -710,6 +751,25 @@ class TestLoop:
         assert "draw_size 50 exceeds evaluation set size 10" in err
         assert not list(tmp_path.rglob("*.npz"))
 
+    def test_config_run_dir_then_config_hash(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.RUN_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (workspace / "run.cfg").read_text(encoding="utf-8") + "run_dir=from_config\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "loop", "--config", str(config), "--iterations", "1")
+        assert code == 0, err
+        assert (tmp_path / "from_config" / "comparison.json").exists()
+        # with no flag, config key or environment variable: runs/<config hash>
+        loop_cfg = cli._loop_config(cli.read_config(workspace / "run.cfg"))
+        code, out, err = run_cli(capsys, "loop", "--config", str(workspace / "run.cfg"),
+                                 "--iterations", "1")
+        assert code == 0, err
+        default = tmp_path / "runs" / dataclasses.replace(loop_cfg, iterations=1).config_hash()
+        assert (default / "comparison.json").exists()
+
     def test_env_var_run_dir(self, workspace, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "envrun"
         monkeypatch.setenv(cli.RUN_DIR_ENV, str(run_dir))
@@ -940,6 +1000,23 @@ class TestAnnotateEvalCountsDiff:
         assert code == 2
         assert err == "error: seed must be >= 0, got -1\n"
 
+    def test_eval_bootstrap_json_output(self, workspace, capsys):
+        test_ann = str(workspace / "test.ann")
+        code, out, err = run_cli(capsys, "eval", test_ann, test_ann, test_ann, "--json",
+                                 "--draws", "3", "--draw-size", "10")
+        assert code == 0
+        result = json.loads(out)
+        assert (result["draws"], result["draw_size"]) == (3, 10)
+
+    def test_annotate_empty_token_dir_exits_two(self, trained_run, tmp_path, capsys):
+        tokens = tmp_path / "tokens"
+        tokens.mkdir()
+        code, out, err = run_cli(
+            capsys, "annotate", "--model", str(trained_run / "model_iter02.npz"),
+            "--tokens", str(tokens), "--out", str(tmp_path / "x.ann"),
+        )
+        assert (code, err) == (2, f"error: no .txt token files in {tokens}\n")
+
     def test_eval_json_output(self, workspace, capsys):
         code, out, err = run_cli(
             capsys, "eval", str(workspace / "test.ann"), str(workspace / "test.ann"),
@@ -1111,6 +1188,26 @@ class TestAnnotateProbs:
             lines = run_python(LEAN_CHILD, str(tmp_path / name), *argv).splitlines()[-3:]
             assert lines == ["False False", "True False", "True True"], name
         assert (tmp_path / "library.ann").read_bytes() == (tmp_path / "probs.ann").read_bytes()
+
+
+    def test_annotate_and_loop_leave_out_logging(self, workspace, trained_run, probs_file,
+                                                 tmp_path):
+        """`sciner loop` prints the records' warnings itself, and nothing on
+        these paths loads logging."""
+        if run_python("import sys, numpy\nprint('logging' in sys.modules)").strip() == "True":
+            pytest.skip("numpy itself loads logging")
+        code = ("import sys\nfrom sciner import cli\nassert cli.main(sys.argv[1:]) == 0\n"
+                "print('logging' in sys.modules)\n")
+        tokens = str(workspace / "tokens")
+        runs = [
+            ["annotate", "--model", str(trained_run / "model_iter02.npz"), "--tokens", tokens,
+             "--out", str(tmp_path / "model.ann")],
+            ["annotate", "--probs", str(probs_file), "--tokens", tokens,
+             "--out", str(tmp_path / "probs.ann")],
+            ["loop", "--config", str(workspace / "run.cfg"), "--run-dir", str(tmp_path / "run")],
+        ]
+        for argv in runs:
+            assert run_python(code, *argv).splitlines()[-1] == "False", argv[:2]
 
 
 class TestHelp:

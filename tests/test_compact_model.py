@@ -138,6 +138,12 @@ def write_unreadable_model(path, kind):
     elif kind == "npy":
         with open(path, "wb") as handle:
             np.save(handle, np.zeros(3))
+    elif kind == "float32_values":
+        np.savez_compressed(
+            path, format=tagger.MODEL_FORMAT, rows=np.zeros(1, np.int64),
+            values=np.ones((1, ts.NUM_CLASSES), np.float32), hash_dim=16, epochs_run=0,
+            learning_rate=0.0, seed=0,
+        )
     else:  # a v2 file with no rows whose hash_dim is out of range or not a scalar
         hash_dim = {"hash_dim_1": 1, "hash_dim_2_62": 2**62, "hash_dim_pair": [16, 16]}[kind]
         np.savez_compressed(
@@ -192,7 +198,7 @@ def test_saved_model_loads_back_bit_for_bit(hash_dim, data, epochs_run, seed, le
 
 
 UNREADABLE_KINDS = ["truncated", "not_npz", "unknown_method", "npy", "hash_dim_1",
-                    "hash_dim_2_62", "hash_dim_pair"]
+                    "hash_dim_2_62", "hash_dim_pair", "float32_values"]
 
 
 @pytest.mark.parametrize("kind", UNREADABLE_KINDS)

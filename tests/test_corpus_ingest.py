@@ -1,8 +1,10 @@
 """Bibliography parsing, catalog CSV, hashing, fetching, and tokenizer tests."""
 
 import contextlib
+import dataclasses
 import errno
 import io
+import json
 import os
 import random
 import re
@@ -18,6 +20,58 @@ from sciner.errors import FormatError
 
 from kernel_oracles import parse_bibtex_ref, tokenize_ref
 from sha256_oracle import sha256_hex
+
+
+def reopened(text):
+    """A handle on `text` as `open(path, encoding="utf-8")` reads a file
+    holding it, as the CLI opens its inputs: UTF-8 with universal newlines,
+    so `\\r` and `\\r\\n` come back as `\\n`."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+# any text but NUL, which csv readers before Python 3.11 reject
+_CSV_TEXT = st.none() | st.text(st.characters(codec="utf-8", exclude_characters="\x00"),
+                                max_size=8)
+
+
+@st.composite
+def paper_records(draw):
+    fields = {name: draw(_CSV_TEXT) for name in ci.CSV_COLUMNS[1:] if name != "year"}
+    return ci.PaperRecord(**fields, year=draw(st.none() | st.integers(-2, 10**12)))
+
+
+_MANIFEST_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+
+
+@st.composite
+def manifests(draw):
+    """Any manifest: its statuses and attempts in or out of range, and text
+    fields that may hold tabs and line breaks."""
+    ids = draw(st.lists(_MANIFEST_TEXT, unique=True, max_size=4))
+    return ci.DownloadManifest([
+        ci.ManifestEntry(paper_id, "", draw(st.sampled_from(["pending", "ok", "failed", "done"])),
+                         draw(st.integers(-2, 10**6)), draw(st.none() | _MANIFEST_TEXT))
+        for paper_id in ids
+    ])
+
+
+def manifest_faults(entry):
+    """What of `entry` its manifest line could not hold, in the writer's order."""
+    if entry.status not in ("pending", "ok", "failed"):
+        yield "unknown status"
+    if entry.attempts < 0:
+        yield "attempts"
+    for field in ("paper_id", "error_note"):
+        if re.search(r"[\t\n\r]", getattr(entry, field) or ""):
+            yield field
+
+
+def catalog_value_reads_back(name, value):
+    """Whether field `name` of a catalog row can hold `value`."""
+    if name == "year":
+        return value is None or value > 0
+    return value is None or "\r" not in value
+
 
 # the proceedings entry from the anthology snapshot
 PROCEEDINGS_BIB = """\
@@ -218,6 +272,53 @@ class TestCatalogCsv:
         bad = ci.CSV_HEADER.replace("editor", "editors")
         with pytest.raises(FormatError, match="editors"):
             ci.read_catalog_csv(io.StringIO(bad + "\n"))
+
+    @pytest.mark.parametrize("header, message", [
+        (ci.CSV_HEADER + ",extra", "catalog header has 12 columns, expected 11"),
+        (ci.CSV_HEADER.rsplit(",", 1)[0], "catalog header has 10 columns, expected 11"),
+        ("x" * 200_000, "catalog header: field larger than field limit (131072)"),
+    ])
+    def test_header_of_other_length_or_unreadable_rejected(self, header, message):
+        with pytest.raises(FormatError, match="^" + re.escape(message) + "$"):
+            ci.read_catalog_csv(io.StringIO(header + "\n"))
+
+    @pytest.mark.parametrize("changes, message", [
+        # a lone \r was written unquoted and read back as a second row
+        ({"title": "a\rb"}, "catalog row 1: title holds a carriage return"),
+        # a quoted \r\n reads back as \n through universal newlines
+        ({"pages": "1\r\n2"}, "catalog row 1: pages holds a carriage return"),
+        ({"year": 0}, "catalog row 1: year must be an integer above 0, got 0"),
+        ({"year": -3}, "catalog row 1: year must be an integer above 0, got -3"),
+        ({"year": "2022"}, "catalog row 1: year must be an integer above 0, got '2022'"),
+    ])
+    def test_writer_refuses_a_record_that_would_not_read_back(self, changes, message):
+        records = [ci.PaperRecord(title="ok"), ci.PaperRecord(**{"title": "t", **changes})]
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ci.write_catalog_csv(records, io.StringIO())
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(paper_records(), max_size=4))
+    def test_every_catalog_written_reads_back(self, records):
+        """The writer refuses the first field it could not write back, by
+        row and name; a file it finishes reads back the same, an empty text
+        field as absent."""
+        bad = [(i, name) for i, record in enumerate(records) for name in ci.CSV_COLUMNS[1:]
+               if not catalog_value_reads_back(name, getattr(record, name))]
+        sink = io.StringIO()
+        if bad:
+            row, name = bad[0]
+            with pytest.raises(ValueError, match=f"^catalog row {row}: {name} "):
+                ci.write_catalog_csv(records, sink)
+            return
+        assert ci.write_catalog_csv(records, sink) == len(records)
+        expected = [dataclasses.replace(r, **{name: getattr(r, name) or None
+                                              for name in ci.CSV_COLUMNS[1:]})
+                    for r in records]
+        assert ci.read_catalog_csv(reopened(sink.getvalue())) == expected
+
+    def test_record_without_url_has_no_paper_id(self):
+        with pytest.raises(ValueError, match="^record has no url, so no paper id$"):
+            ci.PaperRecord(title="t").paper_id
 
 
 class TestHashUrl:
@@ -440,11 +541,73 @@ class TestFetchPdfs:
         ("c\tok\t-3\t", "attempts must be a non-negative integer, got '-3'"),
         ("c\tok\t\t", "attempts must be a non-negative integer, got ''"),
         ("a\tfailed\t2\tnope", "duplicate paper_id 'a'"),
+        ("c\tok\t1", "expected 4 tab-separated fields"),
+        ("c\tfailed\t1\tHTTP\t500", "expected 4 tab-separated fields"),
+        ("c\tdone\t1\t", "unknown status 'done'"),
     ])
     def test_read_manifest_names_the_bad_line(self, line3, message):
         text = "a\tok\t1\t\nb\tfailed\t3\ttimeout\n" + line3 + "\n"
         with pytest.raises(FormatError, match="^" + re.escape(f"manifest line 3: {message}") + "$"):
             ci.read_manifest(io.StringIO(text))
+
+    def test_blank_lines_are_skipped(self):
+        back = ci.read_manifest(io.StringIO("\na\tok\t1\t\n\nb\tfailed\t3\ttimeout\n\n"))
+        assert [(e.paper_id, e.status, e.attempts, e.error_note) for e in back.entries] == [
+            ("a", "ok", 1, None), ("b", "failed", 3, "timeout"),
+        ]
+
+    def test_duplicate_paper_id_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate paper_id in manifest$"):
+            ci.DownloadManifest([ci.ManifestEntry("a", "", "ok", 1)] * 2)
+
+    def test_error_note_is_one_line_that_reads_back(self, tmp_path):
+        def fetcher(url):
+            raise ValueError("HTTP 500\nserver said:\tno")
+
+        manifest = ci.fetch_pdfs(self.records(1), fetcher, tmp_path, max_attempts=1)
+        assert manifest.entries[0].error_note == "HTTP 500 server said: no"
+        sink = io.StringIO()
+        ci.write_manifest(manifest, sink)
+        back = ci.read_manifest(reopened(sink.getvalue()))
+        assert [(e.paper_id, e.status, e.attempts, e.error_note) for e in back.entries] == [
+            (self.records(1)[0].paper_id, "failed", 1, "HTTP 500 server said: no"),
+        ]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"paper_id": "b\tc"}, "paper_id 'b\\tc' holds a tab or line break"),
+        ({"error_note": "x\ny"}, "error_note 'x\\ny' holds a tab or line break"),
+        ({"error_note": "x\r"}, "error_note 'x\\r' holds a tab or line break"),
+        ({"status": "done"}, "unknown status 'done'"),
+        ({"attempts": -1}, "attempts must be a non-negative integer, got -1"),
+    ])
+    def test_writer_refuses_an_entry_that_would_not_read_back(self, changes, message):
+        bad = dict(paper_id="b", url="", status="failed", attempts=3, error_note="x")
+        manifest = ci.DownloadManifest([ci.ManifestEntry("a", "", "ok", 1),
+                                        ci.ManifestEntry(**{**bad, **changes})])
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="^" + re.escape(f"manifest entry 1: {message}") + "$"):
+            ci.write_manifest(manifest, sink)
+        assert sink.getvalue() == "a\tok\t1\t\n"  # nothing of the refused entry
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest=manifests())
+    def test_every_manifest_written_reads_back(self, manifest):
+        """The writer refuses the first entry it could not write back, naming
+        the field; a file it finishes reads back the same, an empty note as
+        none."""
+        bad = [(i, field) for i, e in enumerate(manifest.entries)
+               for field in manifest_faults(e)]
+        sink = io.StringIO()
+        if bad:
+            entry, field = bad[0]
+            with pytest.raises(ValueError, match=f"^manifest entry {entry}: {field}"):
+                ci.write_manifest(manifest, sink)
+            return
+        ci.write_manifest(manifest, sink)
+        back = ci.read_manifest(reopened(sink.getvalue()))
+        assert [(e.paper_id, e.status, e.attempts, e.error_note) for e in back.entries] == [
+            (e.paper_id, e.status, e.attempts, e.error_note or None) for e in manifest.entries
+        ]
 
     def test_bad_max_attempts(self, tmp_path):
         with pytest.raises(ValueError):
@@ -634,6 +797,15 @@ class TestTokenFiles:
             back = ci.read_token_file(io.StringIO(sink.getvalue()), paper_id=doc.paper_id)
             assert back == doc
 
+    @settings(max_examples=300, deadline=None)
+    @given(paragraphs=st.lists(st.lists(st.text(min_size=1, max_size=6).filter(util.is_word),
+                                        min_size=1, max_size=5), max_size=4))
+    def test_every_token_file_written_reads_back(self, paragraphs):
+        doc = ci.TokenizedDocument("p", paragraphs)
+        sink = io.StringIO()
+        ci.write_token_file(doc, sink)
+        assert ci.read_token_file(reopened(sink.getvalue()), paper_id="p") == doc
+
     def test_whitespace_token_rejected(self):
         with pytest.raises(ValueError):
             ci.TokenizedDocument("z" * 64, [["a b"]])
@@ -663,6 +835,15 @@ class TestExtraction:
             "Twenty", "-", "Fourth", "Conference", "(", "ROCLING", "2022", ")", ":",
         ]
         assert len(tokenized.paragraphs) == 2  # blank paragraph dropped
+
+    def test_read_extraction_returns_the_document(self, tmp_path):
+        doc = {"paper_id": "a" * 64, "title": "T", "paragraphs": ["One two."]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert ci.read_extraction(path) == doc
+        assert ci.tokenize_extraction(ci.read_extraction(path)).paragraphs == [
+            ["T"], ["One", "two", "."],
+        ]
 
     def test_read_extraction_validates_keys(self, tmp_path):
         path = tmp_path / "doc.json"

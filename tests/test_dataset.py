@@ -45,6 +45,12 @@ class TestPartition:
         part = ds.partition_corpus(catalog, set())
         assert part.unannotated == {catalog[0].paper_id}
 
+    def test_record_without_url_is_left_out(self):
+        catalog = [record("https://x.test/1", "ACL 2022", 2022), PaperRecord(title="no url")]
+        part = ds.partition_corpus(catalog, set())
+        assert part.auto == {catalog[0].paper_id}
+        assert not part.manual and not part.unannotated
+
     def test_unknown_manual_id_rejected(self):
         with pytest.raises(ValueError, match="deadbeef"):
             ds.partition_corpus([record("https://x.test/1")], {"deadbeef"})
@@ -104,6 +110,10 @@ class TestAnnotatedParagraph:
         p = paragraph("a", 0, provenance="auto", confidence=[0.5, 0.99, 0.99])
         assert p.confidence == [0.5, 0.99, 0.99]
 
+    def test_confidence_length_must_match_words(self):
+        with pytest.raises(ValueError, match="^confidence length must match word count$"):
+            paragraph("a", 0, provenance="auto", confidence=[0.5, 0.99])
+
     # each of these was written as a header that read_annotations rejects
     @pytest.mark.parametrize("field, value, message", [
         ("paper_id", "a b", "paper id 'a b' is empty or has whitespace"),
@@ -113,6 +123,7 @@ class TestAnnotatedParagraph:
         ("annotator", "", "annotator '' is empty or has a line break"),
         ("annotator", "al\nice", "annotator 'al\\nice' is empty or has a line break"),
         ("annotator", "al\rice", "annotator 'al\\rice' is empty or has a line break"),
+        ("provenance", "guess", "unknown provenance 'guess'"),
     ])
     def test_header_field_no_header_carries_rejected(self, field, value, message):
         fields = dict(paper_id="a", paragraph_index=0, words=["w"], labels=["O"])
@@ -158,6 +169,15 @@ class TestSplitTrainTest:
         paragraphs = self.corpus({"alice": 2})
         with pytest.raises(ValueError, match="alice"):
             ds.split_train_test(paragraphs, held_out_per_annotator=2)
+
+    def test_negative_held_out_rejected(self):
+        with pytest.raises(ValueError, match="^held_out_per_annotator must be >= 0$"):
+            ds.split_train_test(self.corpus({"alice": 3}), held_out_per_annotator=-1)
+
+    def test_paper_with_two_annotators_rejected(self):
+        paragraphs = [paragraph("x", 0, annotator="alice"), paragraph("x", 1, annotator="bob")]
+        with pytest.raises(ValueError, match=f"^paper {paragraphs[0].paper_id} has multiple"):
+            ds.split_train_test(paragraphs)
 
     def test_no_paper_straddles(self):
         paragraphs = self.corpus({"alice": 4, "bob": 5})
@@ -382,6 +402,11 @@ class TestAnnotationFiles:
             ds.write_annotations([good, bad], sink)
         # the paragraphs before it are written whole, and nothing of it
         assert ds.read_annotations(io.StringIO(sink.getvalue())) == [good]
+
+    def test_writer_refuses_a_paragraph_with_no_labels(self):
+        unlabeled = ds.AnnotatedParagraph("p", 2, ["w"], provenance="unannotated")
+        with pytest.raises(ValueError, match="^p paragraph 2 has no labels$"):
+            ds.write_annotations([unlabeled], io.StringIO())
 
     def test_writer_refuses_a_paragraph_with_no_words(self):
         # a lone header would read back as "paragraph has no words"

@@ -129,6 +129,11 @@ class TestScore:
         with pytest.raises(AlignmentError, match="paragraph 0"):
             ev.score(gold, pred)
 
+    def test_missing_labels_name_the_paragraph(self):
+        unlabeled = AnnotatedParagraph("e" * 64, 0, ["w0"], provenance="unannotated")
+        with pytest.raises(AlignmentError, match="^" + "e" * 64 + " paragraph 0: missing labels$"):
+            ev.score([para(["O"])], [unlabeled])
+
     def test_paragraph_count_mismatch(self):
         gold = [para(["O"])]
         with pytest.raises(AlignmentError):
@@ -264,6 +269,9 @@ class TestDiffReport:
                     assert bit is None
                 else:
                     assert bit == (gl == pl)
+
+    def test_markup_of_an_unmarked_chunk_is_none(self):
+        assert ev.parse_diff_markup("# header\n[+a] b [-c]\n\n") == [[True, None, False]]
 
     def test_ansi_colors_on_terminal(self):
         class Tty(io.StringIO):

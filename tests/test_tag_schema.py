@@ -192,6 +192,10 @@ class TestSpans:
         with pytest.raises(ValueError):
             ts.labels_from_spans(spans, 4)
 
+    def test_unknown_entity_type_rejected(self):
+        with pytest.raises(ValueError, match="^unknown entity type 'Gene'$"):
+            ts.Span("Gene", 0, 1)
+
     def test_span_bounds_checked(self):
         with pytest.raises(ValueError):
             ts.Span("TaskName", 3, 3)
