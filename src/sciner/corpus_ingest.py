@@ -236,11 +236,13 @@ def write_catalog_csv(records, sink) -> int:
     A record that `read_catalog_csv` could not read back is a ValueError
     naming its row and field, raised before its row is written: a field
     holding a carriage return (a reader with universal newlines turns it
-    into a line feed), or a year that is not an integer above 0 (read back
-    as no year).
+    into a line feed) or a NUL (which csv before Python 3.11 neither writes
+    nor reads), a field longer than `csv.field_size_limit()`, or a year that
+    is not an integer above 0 (read back as no year).
     """
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    limit = csv.field_size_limit()
     count = 0
     for i, record in enumerate(records):
         row = [str(i)]
@@ -251,6 +253,13 @@ def write_catalog_csv(records, sink) -> int:
             text = "" if value is None else str(value)
             if "\r" in text:
                 raise ValueError(f"catalog row {i}: {name} holds a carriage return")
+            if "\0" in text:
+                raise ValueError(f"catalog row {i}: {name} holds a NUL")
+            if len(text) > limit:
+                raise ValueError(
+                    f"catalog row {i}: {name} has {len(text):,} characters, more than "
+                    f"the csv field limit ({limit:,})"
+                )
             row.append(text)
         writer.writerow(row)
         count += 1

@@ -196,31 +196,63 @@ def _iteration_hash(config: LoopConfig) -> str:
 def _inputs_sha256(manual_train, auto_corpus, test_set) -> str:
     """sha256 of the JSON of every manual, auto and test paragraph, each as
     [paper_id, paragraph_index, words, labels, provenance].  The training
-    mask is derived from the labels, so they cover it."""
+    mask is derived from the labels, so they cover it.
+
+    The text is that of `json.dumps` of {"manual": [...], "auto": [...],
+    "test": [...] or null} with (",", ":") separators, fed to the hash one
+    paragraph at a time rather than built whole."""
+
+    encode = json.JSONEncoder(separators=(",", ":")).encode
 
     def canon(paragraphs):
-        return [
-            [p.paper_id, p.paragraph_index, p.words, p.labels, p.provenance]
-            for p in paragraphs
-        ]
+        yield "["
+        for i, p in enumerate(paragraphs):
+            row = [p.paper_id, p.paragraph_index, p.words, p.labels, p.provenance]
+            yield ("," if i else "") + encode(row)
+        yield "]"
 
-    payload = json.dumps(
-        {
-            "manual": canon(manual_train),
-            "auto": canon(auto_corpus),
-            "test": None if test_set is None else canon(test_set),
-        },
-        separators=(",", ":"),
-    )
-    return sha256_hex(payload)
+    def pieces():
+        yield '{"manual":'
+        yield from canon(manual_train)
+        yield ',"auto":'
+        yield from canon(auto_corpus)
+        yield ',"test":'
+        yield from ("null",) if test_set is None else canon(test_set)
+        yield "}"
+
+    return sha256_hex(pieces())
+
+
+def numpy_environment() -> dict:
+    """What a rerun must share, beyond inputs and config, to give the same
+    bits: the numpy version and the SIMD level numpy dispatches float64
+    `exp` and `log` to (null where numpy cannot tell, as before 2.0).  The
+    weight bits also depend on numpy's complex subtract.at and its
+    outer-axis sum order, which the version covers."""
+    introspect = getattr(np.lib, "introspect", None)
+    info = {} if introspect is None else introspect.opt_func_info(func_name="^(exp|log)$")
+    return {
+        "numpy_version": np.__version__,
+        "numpy_dispatch": {name: info.get(name, {}).get("dd", {}).get("current")
+                           for name in ("exp", "log")},
+    }
+
+
+def _write_record(path: str, record: IterationRecord, stamp: dict) -> None:
+    """Persist `record` with the run's `stamp` (see `_load_record`)."""
+    payload = {**record.to_dict(), **stamp, "package_version": __version__}
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
 
 
 def _load_record(path: str, iteration: int, iteration_config_hash: str,
-                 inputs_sha256: str) -> IterationRecord:
+                 inputs_sha256: str, **environment) -> IterationRecord:
     """Read iteration `iteration`'s persisted record; it must have been
     written under `iteration_config_hash` from inputs hashing to
     `inputs_sha256`.  A file that is not such a record is a FormatError
-    naming `path`."""
+    naming `path`.  Each `environment` value (see `numpy_environment`) that
+    the record holds otherwise adds a line to its warnings: resuming mixes
+    the bits of both."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -256,6 +288,13 @@ def _load_record(path: str, iteration: int, iteration_config_hash: str,
     problem = _record_problem(record, iteration)
     if problem:
         raise FormatError(f"{path}: {problem}")
+    for key, current in environment.items():
+        if key in data and data[key] != current:
+            record.warnings.append(
+                f"iteration {iteration}: resumed from a record written under {key} "
+                f"{data[key]!r}, but this run has {current!r}; its model's bits may "
+                "differ from those of an uninterrupted run"
+            )
     return record
 
 
@@ -275,6 +314,8 @@ def _record_problem(record: IterationRecord, iteration: int) -> str | None:
             "gate_stats total_words and amb_words must be non-negative integers with "
             f"amb_words <= total_words, got {stats.total_words!r} and {stats.amb_words!r}"
         )
+    if not (type(record.warnings) is list and all(type(w) is str for w in record.warnings)):
+        return "warnings must be a list of strings"
     if not (type(stats.accepted) is dict and all(
             label in tag_schema.MODEL_LABELS and _is_count(n)
             for label, n in stats.accepted.items())):
@@ -306,6 +347,7 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
         stamp = {
             "iteration_config_hash": _iteration_hash(config),
             "inputs_sha256": _inputs_sha256(manual_train, auto_corpus, test_set),
+            **numpy_environment(),
         }
 
     # every iteration reads the same words: featurize them once
@@ -338,12 +380,6 @@ def run_loop(manual_train, auto_corpus, config: LoopConfig, test_set=None,
             model_path = _model_path(run_dir, iteration)
             model.save(model_path)
             record.model_path = model_path
-            # recorded, but resume checks neither: the weight bits also
-            # depend on numpy's complex subtract.at, its outer-axis sum
-            # order, exp and log
-            payload = {**record.to_dict(), **stamp, "package_version": __version__,
-                       "numpy_version": np.__version__}
-            with atomic_write(_record_path(run_dir, iteration)) as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
+            _write_record(_record_path(run_dir, iteration), record, stamp)
         records.append(record)
     return records, model

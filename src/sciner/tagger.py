@@ -407,14 +407,16 @@ class TaggerModel:
         """Write the model to `path` (".npz" appended if missing), atomically.
 
         Only rows with a nonzero bit pattern are stored: comparing bits rather
-        than values keeps rows of -0.0.
+        than values keeps rows of -0.0.  The members are not deflated: float64
+        weights shrink by less than a fifth, at many times the cost of the
+        write.  `load` reads deflated files, as earlier versions wrote, too.
         """
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
         keep = _nonzero_bits(self.values)
         with atomic_write(path, "wb", encoding=None) as handle:
-            np.savez_compressed(
+            np.savez(
                 handle,
                 format=MODEL_FORMAT,
                 rows=self.rows[keep],

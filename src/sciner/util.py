@@ -25,11 +25,15 @@ def atomic_write(path, mode: str = "w", encoding: str | None = "utf-8"):
         raise
 
 
-def sha256_hex(text: str) -> str:
-    """Lowercase hex sha256 of `text`'s UTF-8 bytes."""
+def sha256_hex(text) -> str:
+    """Lowercase hex sha256 of the UTF-8 bytes of `text`, a str or an
+    iterable of str pieces hashed as their concatenation."""
     import hashlib  # here: it loads OpenSSL, which only the commands that hash need
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for piece in (text,) if isinstance(text, str) else text:
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def count_with_pct(part: int, total: int) -> str:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests."""
 
 import collections
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -304,11 +305,16 @@ class TestPartition:
 
 
     def test_field_past_the_csv_limit_names_file_and_row(self, tmp_path, capsys):
-        records = [corpus_ingest.PaperRecord(title="short", url="https://x.test/a"),
-                   corpus_ingest.PaperRecord(title="x" * 200_000, url="https://x.test/b")]
         path = tmp_path / "catalog.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            corpus_ingest.write_catalog_csv(records, handle)
+        rows = [{"title": "short", "url": "https://x.test/a"},
+                {"title": "x" * 200_000, "url": "https://x.test/b"}]
+        # written past write_catalog_csv, which refuses a field over the limit
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(corpus_ingest.CSV_COLUMNS)
+            for i, row in enumerate(rows):
+                writer.writerow([str(i), *(row.get(name, "")
+                                           for name in corpus_ingest.CSV_COLUMNS[1:])])
         code, out, err = run_cli(capsys, "partition", str(path), "--out", str(tmp_path / "p.tsv"))
         assert code == 2
         assert err.startswith(f"error: {path}: catalog row 1: field larger than field limit")

@@ -2,16 +2,22 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
+import os
 import re
+import tempfile
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sciner
-from sciner import dataset, selftrain, synth, tagger
+from sciner import dataset, selftrain, synth, tag_schema, tagger
 from sciner.autoannotate import GateConfig, GateStats, annotate_corpus
 from sciner.errors import FormatError
 from sciner.selftrain import IterationRecord, LoopConfig, run_iteration, run_loop
@@ -366,6 +372,8 @@ class TestRunLoop:
          "metrics must be null or hold"),
         (lambda data: json.dumps({**data, "metrics": {"step1": [], "step3": {}}}),
          "metrics must be null or hold"),
+        (lambda data: json.dumps({**data, "warnings": "one"}),
+         "warnings must be a list of strings"),
     ])
     def test_unreadable_record_is_format_error_naming_it(self, tmp_path, corrupt, message):
         corpus = small_corpus()
@@ -601,3 +609,127 @@ class TestIterationRecord:
                               resume=True)
         assert (records[0].warnings, records[0].train_loss, records[0].phase_seconds) == (
             [], None, None)
+
+
+class TestNumpyEnvironment:
+    written_record = staticmethod(TestIterationRecord.written_record)
+
+    def test_level_is_named_for_exp_and_log(self):
+        env = selftrain.numpy_environment()
+        assert env["numpy_version"] == np.__version__
+        assert list(env["numpy_dispatch"]) == ["exp", "log"]
+        for level in env["numpy_dispatch"].values():
+            if hasattr(np.lib, "introspect"):
+                assert type(level) is str and level  # such as "X86_V4" or "baseline"
+            else:  # numpy before 2.0 cannot tell
+                assert level is None
+
+    def test_record_files_carry_the_environment(self, tmp_path):
+        _, _, _, data = self.written_record(tmp_path)
+        assert {key: data[key] for key in ("numpy_version", "numpy_dispatch")} == (
+            selftrain.numpy_environment())
+
+    @pytest.mark.parametrize("key, stored", [
+        ("numpy_version", "0.0.0-elsewhere"),
+        ("numpy_dispatch", {"exp": "X86_V3", "log": None}),
+    ])
+    def test_resume_under_another_environment_warns(self, tmp_path, key, stored):
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        current = data[key]
+        path.write_text(json.dumps({**data, key: stored}), encoding="utf-8")
+        records, model = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                                  resume=True)
+        assert model is not None
+        assert records[0].warnings == [
+            f"iteration 1: resumed from a record written under {key} {stored!r}, but this "
+            f"run has {current!r}; its model's bits may differ from those of an "
+            "uninterrupted run"
+        ]
+
+    def test_record_without_the_environment_resumes_without_warning(self, tmp_path):
+        cfg, corpus, path, data = self.written_record(tmp_path)
+        for key in ("numpy_version", "numpy_dispatch"):
+            del data[key]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        records, model = run_loop(corpus.manual, corpus.auto_inputs, cfg, run_dir=tmp_path,
+                                  resume=True)
+        assert model is not None and records[0].warnings == []
+
+
+_FLOATS = st.floats(allow_nan=False)  # NaN reads back, but equals nothing
+
+
+@st.composite
+def iteration_records(draw):
+    """Any record `_record_problem` passes, with JSON values in every field."""
+    total = draw(st.integers(0, 10**12))
+    step = st.fixed_dictionaries({"span_f1": _FLOATS | st.integers()},
+                                 optional={"extra": st.lists(_FLOATS | st.text())})
+    return IterationRecord(
+        iteration=draw(st.integers(1, 99)),
+        gate_stats=GateStats(
+            total_words=total, amb_words=draw(st.integers(0, total)),
+            accepted=draw(st.dictionaries(st.sampled_from(tag_schema.MODEL_LABELS),
+                                          st.integers(0, 10**12))),
+        ),
+        metrics=draw(st.none() | st.fixed_dictionaries({"step1": step, "step3": step})),
+        model_path=draw(st.none() | st.text()),
+        duration_seconds=draw(_FLOATS),
+        warnings=draw(st.lists(st.text(), max_size=3)),
+        train_loss=draw(st.none() | st.fixed_dictionaries(
+            {"step1": st.lists(_FLOATS, max_size=4), "step3": st.lists(_FLOATS, max_size=4)})),
+        phase_seconds=draw(st.none() | st.dictionaries(st.text(max_size=12), _FLOATS,
+                                                       max_size=4)),
+    )
+
+
+class TestRecordRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(record=iteration_records())
+    def test_every_record_written_reads_back(self, record):
+        """What `run_loop` writes for a record, `_load_record` reads back as
+        that record, without a warning of its own."""
+        stamp = {"iteration_config_hash": "0123456789ab", "inputs_sha256": "f" * 64,
+                 **selftrain.numpy_environment()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "iteration_01.json")
+            selftrain._write_record(path, record, stamp)
+            loaded = selftrain._load_record(path, record.iteration, **stamp)
+        assert loaded == record
+        # and each float's sign, which == does not see in -0.0
+        assert (json.dumps(loaded.to_dict(), sort_keys=True)
+                == json.dumps(record.to_dict(), sort_keys=True))
+
+
+def inputs_sha256_ref(manual, auto, test):
+    """The inputs digest as first defined: one JSON string of everything."""
+    def canon(paragraphs):
+        return [[p.paper_id, p.paragraph_index, p.words, p.labels, p.provenance]
+                for p in paragraphs]
+
+    payload = json.dumps({"manual": canon(manual), "auto": canon(auto),
+                          "test": None if test is None else canon(test)},
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_PARAGRAPHS = st.lists(st.builds(
+    SimpleNamespace, paper_id=st.text(), paragraph_index=st.integers(0, 10**6),
+    words=st.lists(st.text(), max_size=4), labels=st.lists(st.text(max_size=6), max_size=4),
+    provenance=st.sampled_from(["manual", "auto"]),
+), max_size=4)
+
+
+class TestInputsSha256:
+    @settings(max_examples=300, deadline=None)
+    @given(manual=_PARAGRAPHS, auto=_PARAGRAPHS, test=st.none() | _PARAGRAPHS)
+    def test_streamed_digest_is_the_one_string_digest(self, manual, auto, test):
+        assert selftrain._inputs_sha256(manual, auto, test) == inputs_sha256_ref(manual, auto, test)
+
+    def test_digests_of_earlier_runs_still_match(self):
+        # written by the one-string version; a run directory made then still resumes
+        corpus = small_corpus()
+        assert selftrain._inputs_sha256(corpus.manual, corpus.auto_inputs, corpus.test) == (
+            "b404d5d740bc31ee5ae51f4c8511fd54115799b2ec2db41cb214f6daa017815d")
+        assert selftrain._inputs_sha256(corpus.manual, corpus.auto_inputs, None) == (
+            "b11425a5d342ed9f714f6ff473de81e0578a88d044fc82c1e9156e67e1e3d431")

@@ -7,6 +7,7 @@ import random
 import string
 import subprocess
 import sys
+import zipfile
 import zlib
 
 import numpy as np
@@ -877,7 +878,7 @@ class TestModelFile:
             file.flush()
             raise OSError("disk full")
 
-        monkeypatch.setattr(tagger.np, "savez_compressed", crash_part_way)
+        monkeypatch.setattr(tagger.np, "savez", crash_part_way)
         with pytest.raises(OSError, match="disk full"):
             tagger.TaggerModel(np.ones((16, 15)), 16, rows=np.arange(16)).save(path)
         assert path.read_bytes() == before
@@ -901,6 +902,55 @@ class TestModelFile:
         with np.load(tmp_path / "m.npz") as data:
             assert str(data["format"]) == tagger.MODEL_FORMAT
             assert list(data["rows"]) == [3, 10, 11, 63]
+
+    @staticmethod
+    def members(path):
+        """(name, compression method, bytes) of each member of a zip archive."""
+        with zipfile.ZipFile(path) as archive:
+            return [(info.filename, info.compress_type, archive.read(info))
+                    for info in archive.infolist()]
+
+    def test_members_are_stored_with_the_bytes_a_deflated_archive_holds(self, tmp_path):
+        weights = np.zeros((64, 15))
+        weights[[2, 9, 40]] = np.random.default_rng(4).normal(size=(3, 15))
+        model = tagger.TaggerModel(weights, 64, epochs_run=3, learning_rate=0.5, seed=8,
+                                   rows=np.arange(64))
+        model.save(tmp_path / "m.npz")
+        # what earlier versions wrote for this model
+        np.savez_compressed(tmp_path / "deflated.npz", format=tagger.MODEL_FORMAT,
+                            rows=np.array([2, 9, 40]), values=weights[[2, 9, 40]], hash_dim=64,
+                            epochs_run=3, learning_rate=0.5, seed=8)
+        stored = self.members(tmp_path / "m.npz")
+        deflated = self.members(tmp_path / "deflated.npz")
+        assert [name for name, _, _ in stored] == [
+            f"{name}.npy" for name in ("format", "rows", "values", "hash_dim", "epochs_run",
+                                       "learning_rate", "seed")]
+        assert {method for _, method, _ in stored} == {zipfile.ZIP_STORED}
+        assert {method for _, method, _ in deflated} == {zipfile.ZIP_DEFLATED}
+        assert [(name, data) for name, _, data in stored] == [
+            (name, data) for name, _, data in deflated]
+
+    def test_file_of_the_deflating_writer_loads_bit_exactly(self, tmp_path):
+        # earlier versions wrote every model with np.savez_compressed
+        rows = np.array([3, 10, 11, 63])
+        values = np.zeros((4, 15))
+        values[0, 4] = -0.0
+        values[1] = np.linspace(-1.0, 1.0, 15)
+        values[2, 0] = 5e-324  # smallest denormal
+        values[2, 14] = -np.finfo(np.float64).tiny / 3
+        values[3, 7] = 1e300
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, format=tagger.MODEL_FORMAT, rows=rows, values=values,
+                            hash_dim=64, epochs_run=7, learning_rate=0.25, seed=9)
+        loaded = tagger.TaggerModel.load(path)
+        assert np.array_equal(loaded.rows, rows)
+        assert loaded.values.tobytes() == values.tobytes()
+        assert (loaded.hash_dim, loaded.epochs_run, loaded.learning_rate, loaded.seed) == (
+            64, 7, 0.25, 9)
+        # saved again, it holds the same member bytes, now stored
+        loaded.save(tmp_path / "new.npz")
+        assert [(name, data) for name, _, data in self.members(tmp_path / "new.npz")] == [
+            (name, data) for name, _, data in self.members(path)]
 
     def test_fresh_full_size_model_is_small_and_roundtrips(self, tmp_path):
         tagger.TaggerModel.fresh(1 << 20).save(tmp_path / "fresh.npz")
